@@ -84,7 +84,6 @@ let scale_arg =
 module Fingerprint = Amos_service.Fingerprint
 module Plan_cache = Amos_service.Plan_cache
 module Batch_compile = Amos_service.Batch_compile
-module Par_tune = Amos_service.Par_tune
 module Migrate = Amos_service.Migrate
 module Obs_log = Amos_learn.Obs_log
 module Calibrate = Amos_learn.Calibrate
@@ -357,37 +356,25 @@ let tune_cmd =
                 (if List.length o.Migrate.seeds = 1 then "" else "s")
                 o.Migrate.source_accel
                 (if o.Migrate.direct then "direct" else "structural");
-              let r =
-                Par_tune.tune ~jobs ~population:budget.Fingerprint.population
-                  ~generations:budget.Fingerprint.generations
-                  ~measure_top:budget.Fingerprint.measure_top
-                  ~initial_population:o.Migrate.seeds ?model
+              let t0 = Unix.gettimeofday () in
+              let value, _ =
+                Batch_compile.tune_fresh ~seeds:o.Migrate.seeds ?model
                   ?observe:
                     (Option.map
                        (fun f ->
                          f ~fingerprint:(Fingerprint.key ~accel ~op ~budget))
                        observe)
-                  ~rng:(Rng.create budget.Fingerprint.seed) ~accel
-                  ~mappings:(Compiler.mappings accel op) ()
+                  ~jobs:(Some jobs) ~budget accel op
               in
-              let best = r.Explore.best in
-              let value =
-                if
-                  best.Explore.measured
-                  <= Batch_compile.scalar_seconds accel op
-                then
-                  Plan_cache.Spatial
-                    ( best.Explore.candidate.Explore.mapping,
-                      best.Explore.candidate.Explore.schedule )
-                else Plan_cache.Scalar
-              in
+              let tuning_seconds = Unix.gettimeofday () -. t0 in
               let provenance =
                 {
                   Plan_io.source_accel = o.Migrate.source_accel;
                   source_fingerprint = o.Migrate.source_fingerprint;
                 }
               in
-              Plan_cache.store ~provenance cache ~accel ~op ~budget value;
+              Plan_cache.store ~provenance ~tuning_seconds cache ~accel ~op
+                ~budget value;
               (value, Batch_compile.Tuned)
         in
         (match (source, cache_dir) with

@@ -15,13 +15,7 @@ type plan = {
   target : target;
 }
 
-(* Intrinsic selection is part of the search: the mapping space is the
-   union over every intrinsic the accelerator exposes (e.g. the three WMMA
-   shapes of Tensor Core). *)
-let mappings ?filter accel op =
-  List.concat_map
-    (fun intr -> List.map Mapping.make (Mapping_gen.generate_op ?filter op intr))
-    accel.Accelerator.intrinsics
+let mappings ?filter accel op = Explore.mappings ?filter accel op
 
 (* AMOS also tunes scalar code for the CUDA cores; when a valid spatial
    mapping exists but loses to the scalar roofline (e.g. depthwise conv

@@ -23,8 +23,14 @@ type plan = {
 }
 
 val mappings : ?filter:bool -> Accelerator.t -> Operator.t -> Mapping.t list
-(** The union of the valid mapping spaces of every intrinsic the
-    accelerator exposes (e.g. all three WMMA shapes on Tensor Core). *)
+(** {!Explore.mappings}: the union of the valid mapping spaces of every
+    intrinsic the accelerator exposes (e.g. all three WMMA shapes on
+    Tensor Core). *)
+
+val tuned_scalar_seconds : Accelerator.t -> Operator.t -> float
+(** The scalar-unit roofline a spatial plan must beat: when the best
+    measured plan loses to it (or nothing maps), [tune] picks the
+    scalar units. *)
 
 val tune :
   ?population:int ->

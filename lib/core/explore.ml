@@ -88,7 +88,7 @@ let measure accel c =
    the mappings over workers produces identical results. *)
 let mapping_seed (m : Mapping.t) =
   (* the description hash is cached on the mapping itself: a genetic
-     search calls this once but parallel front-ends re-derive shard
+     search calls this once but a population split re-derives shard
      streams from it repeatedly, and [Mapping.describe] rebuilds the
      description string on every call.  [Hashtbl.hash] is non-negative,
      so -1 is a safe "not yet computed" sentinel; racing domains can
@@ -115,8 +115,8 @@ let mapping_key (m : Mapping.t) =
 (* Fold an [initial_population] of seed plans into a mapping space:
    returns the extended mapping list (seed mappings join the space when
    not already present), the per-mapping seed schedules, and the is-seeded
-   predicate.  Shared by [tune] and [Amos_service.Par_tune] so both
-   front-ends treat seeds identically. *)
+   predicate.  Seeds attach by structural key, so every fan-out sees them
+   identically. *)
 let merge_seed_population ~mappings initial_population =
   let seed_tbl = Hashtbl.create 8 in
   let seed_mappings = ref [] in
@@ -281,7 +281,7 @@ let screen_mapping ?(memo = true) ?model ~accel mapping =
   in
   (best, List.length quick)
 
-let select_survivors ?(must_keep = fun _ -> false) ?cut screened =
+let select_survivors ~must_keep ?cut screened =
   let by_screen =
     List.filteri
       (fun i _ -> i < 12)
@@ -448,7 +448,7 @@ let search_mapping ?(salt = 0) ?(seeds = []) ?(memo = true) ?model ?observe
   let plans = banded_plans @ escalated_plans @ List.map measure_plan seed_extras in
   (plans, population * (generations + 1) + List.length seeds)
 
-let assemble ?(failures = []) plans ~evaluations =
+let assemble ~failures plans ~evaluations =
   let best =
     match plans with
     | [] -> (
@@ -471,12 +471,77 @@ let assemble ?(failures = []) plans ~evaluations =
     failures;
   }
 
+(* how a phase's work units run; the domain-parallel fan-out lives in
+   [Amos_service.Par_tune], so this library stays free of domains *)
+type fanout = {
+  workers : int;
+  map : 'a 'b. ('a -> 'b) -> 'a array -> ('b, exn) Stdlib.result array;
+}
+
+(* No retry, and an abort escapes at once: there is nothing running
+   beside the unit that could still need joining. *)
+let sequential =
+  {
+    workers = 1;
+    map =
+      (fun f units ->
+        Array.map
+          (fun u ->
+            match f u with
+            | v -> Ok v
+            | exception (Aborted as e) -> raise e
+            | exception e -> Error e)
+          units);
+  }
+
+(* The skeleton under every front-end: screen each mapping on the
+   fan-out, select the survivors, run the search units [units] makes of
+   them on the fan-out, and merge both phases in input order, so the
+   result does not depend on how the fan-out schedules.  A raising unit
+   loses its mapping, reported by name, never its siblings; an abort
+   captured by the fan-out re-raises here, after the fan-out returned,
+   because the whole exploration is being torn down. *)
+let two_phase fan ~must_keep ~cut ~screen ~units mappings =
+  let evaluations = ref 0 and failures = ref [] in
+  let phase tasks ok =
+    let tasks = Array.of_list tasks in
+    Array.iteri
+      (fun i outcome ->
+        let m = fst tasks.(i) in
+        match outcome with
+        | Ok v -> ok m v
+        | Error Aborted -> raise Aborted
+        | Error e ->
+            failures := (Mapping.describe m, Printexc.to_string e) :: !failures)
+      (fan.map (fun (_, run) -> run ()) tasks)
+  in
+  let screened = ref [] and plans = ref [] in
+  phase
+    (List.map (fun m -> (m, fun () -> screen m)) mappings)
+    (fun m (score, n) ->
+      evaluations := !evaluations + n;
+      screened := (m, score) :: !screened);
+  let survivors = select_survivors ~must_keep ?cut (List.rev !screened) in
+  let best_score =
+    List.fold_left (fun acc (_, s) -> Float.min acc s) infinity survivors
+  in
+  phase (units ~best_score survivors) (fun _ (ps, n) ->
+      evaluations := !evaluations + n;
+      plans := ps :: !plans);
+  assemble ~failures:(List.rev !failures)
+    (List.concat (List.rev !plans))
+    ~evaluations:!evaluations
+
+let tune_units fan ~must_keep ~cut ~screen ~search mappings =
+  two_phase fan ~must_keep ~cut ~screen mappings ~units:(fun ~best_score ->
+      List.map (fun (m, score) -> (m, fun () -> search m ~score ~best_score)))
+
 (* Two-phase exploration mirroring the paper's flow: the analytical model
    first screens the mapping space cheaply, then each surviving mapping
    gets a full schedule search (the same budget a template compiler would
    spend on its single hand-written mapping), and the best model-ranked
    plans are measured on the simulator. *)
-let tune ?(population = 16) ?(generations = 8) ?(measure_top = 3)
+let tune_on fan ?(population = 16) ?(generations = 8) ?(measure_top = 3)
     ?(initial_population = []) ?(memo = true) ?model ?observe ?progress ?abort
     ~rng ~accel ~mappings () =
   if mappings = [] && initial_population = [] then
@@ -486,104 +551,113 @@ let tune ?(population = 16) ?(generations = 8) ?(measure_top = 3)
   let mappings, seeds_for, is_seeded =
     merge_seed_population ~mappings initial_population
   in
-  let evals = ref 0 in
-  let failures = ref [] in
-  let record mapping e =
-    failures := (Mapping.describe mapping, Printexc.to_string e) :: !failures
+  (* progress aggregation behind one lock, so every fan-out reports into
+     it alike; the caller's [progress] and [observe] fire inside it, so a
+     single-threaded consumer is safe as-is.  Generations count across
+     mappings and shards; the evaluation count is exact for finished
+     work units plus [population] per generation of units still
+     searching, so it never decreases. *)
+  let lock = Mutex.create () in
+  let locked f =
+    Mutex.lock lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
   in
-  (* progress aggregation across the whole exploration: generation count,
-     best model score and best measurement so far, plus a live evaluation
-     estimate ([population] per generation, folded into the exact
-     per-mapping total once that mapping's search returns) *)
-  let gens = ref 0 in
-  let best_pred = ref infinity in
-  let best_meas = ref infinity in
-  let live_evals = ref 0 in
-  let fire () =
-    match progress with
-    | None -> ()
-    | Some f ->
-        f
-          {
-            pr_generation = !gens;
-            pr_best_predicted = !best_pred;
-            pr_best_measured = !best_meas;
-            pr_evaluations = !evals + !live_evals;
-          }
-  in
-  let tick =
-    match progress with
-    | None -> None
-    | Some _ ->
-        Some
-          (fun best ->
-            incr gens;
-            live_evals := !live_evals + population;
-            if best < !best_pred then best_pred := best;
-            fire ())
-  in
+  let gens = ref 0 and evals = ref 0 in
+  let best_pred = ref infinity and best_meas = ref infinity in
+  let count n = locked (fun () -> evals := !evals + n) in
   let observe =
-    match progress with
-    | None -> observe
-    | Some _ ->
+    match (observe, progress) with
+    | None, None -> None
+    | _ ->
         Some
           (fun ob ->
-            if ob.ob_measured < !best_meas then best_meas := ob.ob_measured;
-            match observe with None -> () | Some f -> f ob)
+            locked (fun () ->
+                if ob.ob_measured < !best_meas then best_meas := ob.ob_measured;
+                Option.iter (fun f -> f ob) observe))
   in
-  (* a raising per-mapping unit loses that mapping, not the search: the
-     siblings' results survive and the failure is reported by name *)
-  let screened =
-    List.filter_map
-      (fun mapping ->
-        match screen_mapping ~memo ?model ~accel mapping with
-        | best, n ->
-            evals := !evals + n;
-            Some (mapping, best)
-        | exception e ->
-            record mapping e;
-            None)
-      mappings
+  (* [ticked] is a unit's live estimate, replaced by its exact count
+     once it finishes *)
+  let tick ~population ticked =
+    Option.map
+      (fun f best ->
+        locked (fun () ->
+            incr gens;
+            evals := !evals + population;
+            ticked := !ticked + population;
+            if best < !best_pred then best_pred := best;
+            f
+              {
+                pr_generation = !gens;
+                pr_best_predicted = !best_pred;
+                pr_best_measured = !best_meas;
+                pr_evaluations = !evals;
+              }))
+      progress
   in
-  let cut = Option.bind model (fun m -> m.sm_survivor_cut) in
-  let survivors = select_survivors ~must_keep:is_seeded ?cut screened in
-  let best_score =
-    List.fold_left (fun acc (_, s) -> Float.min acc s) infinity survivors
+  let screen m =
+    let ((_, n) as r) = screen_mapping ~memo ?model ~accel m in
+    count n;
+    r
   in
-  let plans =
+  (* Fewer mappings than workers would leave workers idle, so each
+     survivor's search splits into shards instead: shard [i] searches
+     with salt [i] (an independent deterministic stream over the same
+     mapping) and a slice of the population.  The result is then
+     deterministic per (seed, workers), not across worker counts. *)
+  let split = fan.workers > 1 && List.length mappings < fan.workers in
+  let units ~best_score survivors =
+    let shards =
+      if split then max 1 (fan.workers / max 1 (List.length survivors)) else 1
+    in
+    (* shard sizes partition the population: they differ by at most one
+       and every shard holds at least one candidate *)
+    let share i =
+      if shards = 1 then population
+      else
+        max 1
+          ((population / shards) + if i < population mod shards then 1 else 0)
+    in
     List.concat_map
-      (fun (mapping, score) ->
-        match
-          search_mapping ~seeds:(seeds_for mapping) ~memo
-            ?model:(unband ?model ~best:best_score score)
-            ?observe ?tick ?abort ~population ~generations ~measure_top ~accel
-            mapping
-        with
-        | plans, n ->
-            evals := !evals + n;
-            live_evals := 0;
-            plans
-        (* an abort is not a per-mapping failure — the whole exploration
-           is being torn down, so nothing may be swallowed *)
-        | exception (Aborted as e) -> raise e
-        | exception e ->
-            record mapping e;
-            [])
+      (fun (m, score) ->
+        List.init shards (fun shard ->
+            let population = share shard in
+            ( m,
+              fun () ->
+                let ticked = ref 0 in
+                let ((_, n) as r) =
+                  (* seeds attach to shard 0 only, so each is measured once *)
+                  search_mapping ~salt:shard
+                    ~seeds:(if shard = 0 then seeds_for m else [])
+                    ~memo
+                    ?model:(unband ?model ~best:best_score score)
+                    ?observe
+                    ?tick:(tick ~population ticked)
+                    ?abort ~population ~generations ~measure_top ~accel m
+                in
+                count (n - !ticked);
+                r )))
       survivors
   in
-  assemble ~failures:(List.rev !failures) plans ~evaluations:!evals
+  two_phase fan ~must_keep:is_seeded
+    ~cut:(Option.bind model (fun m -> m.sm_survivor_cut))
+    ~screen ~units mappings
+
+let tune = tune_on sequential
+
+(* Intrinsic selection is part of the search: the mapping space is the
+   union over every intrinsic the accelerator exposes (e.g. the three
+   WMMA shapes of Tensor Core). *)
+let mappings ?filter ?memo accel op =
+  List.concat_map
+    (fun intr ->
+      List.map Mapping.make (Mapping_gen.generate_op ?filter ?memo op intr))
+    accel.Accelerator.intrinsics
 
 let tune_op ?population ?generations ?measure_top ?filter ?memo ?model
     ?observe ~rng ~accel op =
-  let mappings =
-    List.concat_map
-      (fun intr ->
-        List.map Mapping.make (Mapping_gen.generate_op ?filter ?memo op intr))
-      accel.Accelerator.intrinsics
-  in
-  match mappings with
+  match mappings ?filter ?memo accel op with
   | [] -> None
-  | _ ->
+  | mappings ->
       Some
         (tune ?population ?generations ?measure_top ?memo ?model ?observe ~rng
            ~accel ~mappings ())

@@ -86,11 +86,22 @@ type progress = {
       (** best simulator seconds so far; [infinity] before the first
           measurement *)
   pr_evaluations : int;
-      (** model evaluations spent so far (live estimate: [population]
-          per completed generation on top of the finished exact counts) *)
+      (** model evaluations spent so far: the screen's, the exact
+          counts of finished searches, and a live [population] per
+          completed generation of searches still running *)
 }
 (** One per-generation snapshot of an in-flight exploration, reported
     through [?progress].  Like {!observation}, a pure side channel. *)
+
+type fanout = {
+  workers : int;  (** work units run at once *)
+  map : 'a 'b. ('a -> 'b) -> 'a array -> ('b, exn) Stdlib.result array;
+      (** apply a unit to every input, capturing each outcome in input
+          order *)
+}
+(** How the two-phase search runs each phase's independent work units:
+    one after another in {!tune}, on OCaml 5 domains in
+    [Amos_service.Par_tune], so this library stays free of domains. *)
 
 val tune :
   ?population:int ->
@@ -108,11 +119,12 @@ val tune :
   unit ->
   result
 (** Two-phase search: every mapping is screened by the model with a
-    handful of schedules; the 8 best mappings each receive a full
-    genetic schedule search with the given [population] x [generations]
-    budget (what a template compiler spends on its one hand-written
-    mapping); the [measure_top] best schedules per mapping are measured
-    on the simulator.
+    handful of schedules; the best dozen by screen score plus the four
+    highest-utilization mappings each receive a full genetic schedule
+    search with the given [population] x [generations] budget (what a
+    template compiler spends on its one hand-written mapping); the
+    [measure_top] best schedules per mapping are measured on the
+    simulator.
 
     [initial_population] seeds the search with known-good plans (e.g.
     plans migrated from a sibling accelerator, see
@@ -144,7 +156,68 @@ val tune :
     [progress] is called once per completed genetic generation with the
     aggregated {!progress} snapshot; [abort] is polled at every
     generation boundary, and returning [true] raises {!Aborted} out of
-    the whole exploration.  Neither affects results when unused. *)
+    the whole exploration.  Neither affects results when unused.
+
+    [tune] is {!tune_on} with a sequential fan-out: no retry, and
+    {!Aborted} escapes at once. *)
+
+val tune_on :
+  fanout ->
+  ?population:int ->
+  ?generations:int ->
+  ?measure_top:int ->
+  ?initial_population:candidate list ->
+  ?memo:bool ->
+  ?model:screen_model ->
+  ?observe:(observation -> unit) ->
+  ?progress:(progress -> unit) ->
+  ?abort:(unit -> bool) ->
+  rng:Amos_tensor.Rng.t ->
+  accel:Accelerator.t ->
+  mappings:Mapping.t list ->
+  unit ->
+  result
+(** The one two-phase search, on any fan-out.  Every work unit (one
+    mapping's screen, one survivor's search) draws its RNG stream from
+    {!mapping_seed} and both phases merge in input order, so the result
+    is the same on every fan-out while there are at least as many
+    mappings as [workers].  Below that each survivor's search splits
+    into [workers / survivors] shards, shard [i] with salt [i] and a
+    slice of [population] (seeds join shard 0): deterministic per
+    (seed, [workers]), but another [workers] may pick another plan.
+
+    [progress] and [observe] fire under one lock, so a single-threaded
+    consumer is safe on any fan-out.  [pr_evaluations] never decreases
+    and ends within the result's [evaluations].  An {!Aborted} from any
+    unit tears the whole exploration down, never recorded as a
+    failure. *)
+
+val tune_units :
+  fanout ->
+  must_keep:(Mapping.t -> bool) ->
+  cut:float option ->
+  screen:(Mapping.t -> float * int) ->
+  search:(Mapping.t -> score:float -> best_score:float -> plan list * int) ->
+  Mapping.t list ->
+  result
+(** {!tune_on}'s skeleton over caller-supplied work units, without the
+    population split: [screen] every mapping, keep the survivors (the
+    best dozen by score, the four highest-utilization fusions and every
+    [must_keep] mapping, less those beyond [cut] x the best score), and
+    [search] each with its own [score] and the survivors' [best_score].
+    A raising unit is reported in [failures]; raises [Invalid_argument]
+    when no plan is feasible and [Failure] when every mapping failed. *)
+
+val mappings :
+  ?filter:bool ->
+  ?memo:bool ->
+  Accelerator.t ->
+  Amos_ir.Operator.t ->
+  Mapping.t list
+(** An operator's mapping space: the union of the valid mappings of
+    every intrinsic the accelerator exposes (intrinsic selection is part
+    of the search).  [filter] and [memo] as in
+    {!Mapping_gen.generate_op}. *)
 
 val tune_op :
   ?population:int ->
@@ -158,17 +231,13 @@ val tune_op :
   accel:Accelerator.t ->
   Amos_ir.Operator.t ->
   result option
-(** Generates the mapping space over {e every} intrinsic the accelerator
-    exposes (intrinsic selection is part of the search) and tunes;
-    [None] when the operator has no valid mapping. *)
+(** Tunes the operator's {!mappings}; [None] when it has none. *)
 
-(** {2 Decomposed search primitives}
+(** {2 Work units}
 
-    [tune] is the sequential composition of the functions below.  Each
-    per-mapping unit derives its RNG stream from {!mapping_seed}, so the
-    work units are independent and deterministic: any partition of the
-    mapping list over parallel workers — see [Amos_service.Par_tune] —
-    reproduces [tune]'s results exactly. *)
+    The per-mapping units the skeleton fans out.  Each derives its RNG
+    stream from {!mapping_seed}, so the units are independent and
+    deterministic. *)
 
 val mapping_seed : Mapping.t -> int
 (** Stable seed of a mapping's schedule-search stream: a hash of the
@@ -179,16 +248,6 @@ val mapping_key : Mapping.t -> string * string
 (** Structural identity of a mapping (description, intrinsic name):
     stable across separately constructed but structurally equal mappings,
     unlike the physical identity of the [Iter.t] ids inside. *)
-
-val merge_seed_population :
-  mappings:Mapping.t list ->
-  candidate list ->
-  Mapping.t list * (Mapping.t -> Schedule.t list) * (Mapping.t -> bool)
-(** Fold seed plans into a mapping space: [(mappings', seeds_for,
-    is_seeded)] where [mappings'] extends [mappings] with seed mappings
-    not already present (by {!mapping_key}), [seeds_for m] is the seed
-    schedules attached to [m], and [is_seeded m] says whether [m] must
-    survive screening.  Shared by [tune] and [Amos_service.Par_tune]. *)
 
 val screen_mapping :
   ?memo:bool ->
@@ -201,18 +260,6 @@ val screen_mapping :
     [memo] and [model] as in {!tune} (the returned score is corrected
     when a model is given). *)
 
-val select_survivors :
-  ?must_keep:(Mapping.t -> bool) ->
-  ?cut:float ->
-  (Mapping.t * float) list ->
-  (Mapping.t * float) list
-(** The mappings that earn a full schedule search: the best dozen by
-    screen score plus the highest-utilization fusions, plus every
-    screened mapping satisfying [must_keep] (seeded mappings).  [cut]
-    (a {!screen_model}'s [sm_survivor_cut]) then drops survivors whose
-    score exceeds [cut] x the best survivor's, keeping the best and
-    every [must_keep] mapping. *)
-
 val unband :
   ?model:screen_model -> best:float -> float -> screen_model option
 (** [unband ?model ~best score] — the screen model a survivor with
@@ -221,9 +268,7 @@ val unband :
     [sm_measure_cut] band and measure their full [measure_top], because
     the winning plan most often lives in the top-ranked mapping and the
     simulator must not be spared right there.  Every other survivor,
-    and any model without a band, passes through unchanged.  Both
-    {!tune} and [Amos_service.Par_tune] apply this to keep the two
-    front-ends' pruning identical. *)
+    and any model without a band, passes through unchanged. *)
 
 val search_mapping :
   ?salt:int ->
@@ -253,12 +298,6 @@ val search_mapping :
     completed generation with that generation's best predicted seconds;
     [abort] is polled at each generation boundary and raises {!Aborted}
     when it returns [true]. *)
-
-val assemble :
-  ?failures:(string * string) list -> plan list -> evaluations:int -> result
-(** Combine measured plans (in exploration order) into a [result];
-    raises [Invalid_argument] on the empty list with no failures, and
-    [Failure] (naming every failed mapping) when all mappings failed. *)
 
 val sample :
   n:int ->

@@ -1,5 +1,4 @@
 open Amos
-module Rng = Amos_tensor.Rng
 module Fingerprint = Amos_service.Fingerprint
 module Plan_cache = Amos_service.Plan_cache
 module Par_tune = Amos_service.Par_tune
@@ -150,38 +149,15 @@ let locked mu f =
 
 (* --- default tuner -------------------------------------------------- *)
 
-(* mirror [Batch_compile.tune_fresh]: explore, then race the winner
-   against the scalar roofline so a wire plan is never worse than not
-   mapping the operator at all *)
 (* [model] / [observe] arrive as plain options (not optional arguments)
    so the fully-labelled [tuner] shape stays erasure-free *)
 let default_tuner_with ~model ~observe ~jobs ~accel ~op ~budget ~seeds
     ~progress ~abort =
-  let rng = Rng.create budget.Fingerprint.seed in
-  let mappings =
-    List.concat_map
-      (fun intr -> List.map Mapping.make (Mapping_gen.generate_op op intr))
-      accel.Accelerator.intrinsics
+  let value, evaluations =
+    Batch_compile.tune_fresh ~seeds ?model ?observe ?progress ?abort
+      ~jobs:(Some jobs) ~budget accel op
   in
-  if mappings = [] && seeds = [] then { value = Plan_cache.Scalar; evaluations = 0 }
-  else
-    let result =
-      Par_tune.tune ~jobs ~population:budget.Fingerprint.population
-        ~generations:budget.Fingerprint.generations
-        ~measure_top:budget.Fingerprint.measure_top ~initial_population:seeds
-        ?model ?observe ?progress ?abort ~rng ~accel ~mappings ()
-    in
-    let best = result.Explore.best in
-    if
-      best.Explore.measured < infinity
-      && best.Explore.measured <= Batch_compile.scalar_seconds accel op
-    then
-      let c = best.Explore.candidate in
-      {
-        value = Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule);
-        evaluations = result.Explore.evaluations;
-      }
-    else { value = Plan_cache.Scalar; evaluations = result.Explore.evaluations }
+  { value; evaluations }
 
 let default_tuner ~jobs ~accel ~op ~budget ~seeds ~progress ~abort =
   default_tuner_with ~model:None ~observe:None ~jobs ~accel ~op ~budget ~seeds

@@ -131,9 +131,9 @@ type tuner =
   tune_outcome
 (** The exploration a pool task runs.  Injectable so tests can observe
     scheduling behaviour (count invocations, block on a latch) without
-    paying for real tuning; the default races
-    [Amos_service.Par_tune.tune] against the scalar roofline exactly
-    like [Batch_compile].
+    paying for real tuning; the default is
+    [Amos_service.Batch_compile.tune_fresh], the same tune-and-race a
+    batch compile runs.
 
     [progress] (when [Some]) must be invoked once per exploration
     generation with the aggregated best-so-far — the daemon fans it out

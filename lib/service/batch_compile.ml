@@ -42,28 +42,31 @@ type t = {
   report : report;
 }
 
-(* the same scalar roofline [Compiler.tune] races the spatial plan
-   against; a cached Scalar marker records that the scalar units won *)
-let scalar_seconds accel op =
-  Spatial_sim.Scalar_backend.estimate_seconds ~efficiency:0.5
-    ~memory_efficiency:0.9 accel.Accelerator.config op
+let scalar_seconds = Compiler.tuned_scalar_seconds
 
-let tune_fresh ?model ?observe ~jobs ~(budget : Fingerprint.budget) accel op =
-  let rng = Rng.create budget.Fingerprint.seed in
-  match
-    Par_tune.tune_op ?jobs ~population:budget.Fingerprint.population
-      ~generations:budget.Fingerprint.generations
-      ~measure_top:budget.Fingerprint.measure_top ?model ?observe ~rng ~accel
-      op
-  with
-  | Some result
-    when result.Explore.best.Explore.measured < infinity
-         && result.Explore.best.Explore.measured <= scalar_seconds accel op ->
-      let c = result.Explore.best.Explore.candidate in
-      ( Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule),
-        result.Explore.evaluations )
-  | Some result -> (Plan_cache.Scalar, result.Explore.evaluations)
-  | None -> (Plan_cache.Scalar, 0)
+let tune_fresh ?(seeds = []) ?model ?observe ?progress ?abort ~jobs
+    ~(budget : Fingerprint.budget) accel op =
+  match Explore.mappings accel op with
+  | [] when seeds = [] -> (Plan_cache.Scalar, 0)
+  | mappings ->
+      let result =
+        Par_tune.tune ?jobs ~population:budget.Fingerprint.population
+          ~generations:budget.Fingerprint.generations
+          ~measure_top:budget.Fingerprint.measure_top ~initial_population:seeds
+          ?model ?observe ?progress ?abort
+          ~rng:(Rng.create budget.Fingerprint.seed)
+          ~accel ~mappings ()
+      in
+      let best = result.Explore.best in
+      (* a spatial plan must beat not mapping the operator at all *)
+      if
+        best.Explore.measured < infinity
+        && best.Explore.measured <= scalar_seconds accel op
+      then
+        let c = best.Explore.candidate in
+        ( Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule),
+          result.Explore.evaluations )
+      else (Plan_cache.Scalar, result.Explore.evaluations)
 
 (* one compile run: a within-run memo over the cache, with counters *)
 type ctx = {

@@ -82,8 +82,26 @@ val compile :
     model's observation log hangs off. *)
 
 val scalar_seconds : Accelerator.t -> Amos_ir.Operator.t -> float
-(** The tuned-scalar roofline spatial plans must beat (the same one
-    [Compiler.tune] uses). *)
+(** [Compiler.tuned_scalar_seconds]: the roofline spatial plans must
+    beat. *)
+
+val tune_fresh :
+  ?seeds:Explore.candidate list ->
+  ?model:Explore.screen_model ->
+  ?observe:(Explore.observation -> unit) ->
+  ?progress:(Explore.progress -> unit) ->
+  ?abort:(unit -> bool) ->
+  jobs:int option ->
+  budget:Fingerprint.budget ->
+  Accelerator.t ->
+  Amos_ir.Operator.t ->
+  Plan_cache.value * int
+(** The one "tune, then race the winner against the scalar roofline"
+    that batch compiles, the daemon and the CLI share, bypassing the
+    cache: {!Par_tune.tune} over the operator's mapping space plus
+    [seeds], then [Spatial] when the best plan is finite and no slower
+    than {!scalar_seconds}, else [Scalar]; with the evaluations spent
+    (0 when nothing maps and no seed is given). *)
 
 val tune_op :
   ?jobs:int ->

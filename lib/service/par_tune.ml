@@ -1,5 +1,4 @@
 open Amos
-module Rng = Amos_tensor.Rng
 
 let default_jobs () = min 8 (Domain.recommended_domain_count ())
 
@@ -10,7 +9,7 @@ let default_jobs () = min 8 (Domain.recommended_domain_count ())
    no retry can repair — it is captured on the first raise, never
    retried.  [Explore.Aborted] is a deliberate teardown, not a failure:
    retrying would restart the very search being cancelled, so it too is
-   captured immediately (the merge loops re-raise it). *)
+   captured immediately (the skeleton's merge re-raises it). *)
 let attempt f x =
   match f x with
   | v -> Ok v
@@ -57,245 +56,33 @@ let parallel_map_result ~jobs f arr =
       results
   end
 
+(* [Explore]'s two-phase skeleton runs its work units on this fan-out *)
+let fanout jobs =
+  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+  {
+    Explore.workers = jobs;
+    map = (fun f units -> parallel_map_result ~jobs f units);
+  }
+
 let tune_with ?jobs ?(must_keep = fun _ -> false) ?cut ~screen ~search
     ~mappings () =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   if mappings = [] then invalid_arg "Par_tune.tune: no mappings";
-  let failures = ref [] in
-  (* mutated on the calling domain only, after all workers joined; an
-     abort is the whole exploration tearing down, never a per-mapping
-     failure — it re-raises out of the merge instead of being recorded *)
-  let record m e =
-    match e with
-    | Explore.Aborted -> raise Explore.Aborted
-    | e ->
-        failures := (Mapping.describe m, Printexc.to_string e) :: !failures
-  in
-  let marr = Array.of_list mappings in
-  let screened_r = parallel_map_result ~jobs (fun m -> screen m) marr in
-  let screened = ref [] in
-  let screen_evals = ref 0 in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok (best, n) ->
-          screen_evals := !screen_evals + n;
-          screened := (marr.(i), best) :: !screened
-      | Error e -> record marr.(i) e)
-    screened_r;
-  let survivors =
-    Explore.select_survivors ~must_keep ?cut (List.rev !screened)
-  in
-  let best_score =
-    List.fold_left (fun acc (_, s) -> Float.min acc s) infinity survivors
-  in
-  let sarr = Array.of_list survivors in
-  let searched_r =
-    parallel_map_result ~jobs
-      (fun (m, s) -> search m ~score:s ~best_score)
-      sarr
-  in
-  let evaluations = ref !screen_evals in
-  let plans = ref [] in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok (ps, n) ->
-          evaluations := !evaluations + n;
-          plans := ps :: !plans
-      | Error e -> record (fst sarr.(i)) e)
-    searched_r;
-  Explore.assemble
-    ~failures:(List.rev !failures)
-    (List.concat (List.rev !plans))
-    ~evaluations:!evaluations
+  Explore.tune_units (fanout jobs) ~must_keep ~cut ~screen ~search mappings
 
-(* Population-split path: when the operator offers fewer mappings than
-   [jobs], per-mapping fan-out leaves domains idle.  Each survivor's
-   genetic search is split into [jobs / survivors] shards instead:
-   shard [i] runs [Explore.search_mapping ~salt:i] — an independent
-   deterministic RNG stream over the same mapping — with a
-   [population / shards] slice of the budget, and shard results merge
-   in (survivor, shard) order.  The outcome is deterministic for a
-   fixed (seed, jobs) pair; a different [jobs] changes the sharding and
-   may surface a different (equally valid) winner. *)
-let tune_split ?model ?observe ?tick ?abort ~jobs ~population ~generations
-    ~measure_top ~must_keep ~seeds_for ~accel ~mappings () =
-  let failures = ref [] in
-  let record m e =
-    match e with
-    | Explore.Aborted -> raise Explore.Aborted
-    | e ->
-        failures := (Mapping.describe m, Printexc.to_string e) :: !failures
-  in
-  let marr = Array.of_list mappings in
-  let evaluations = ref 0 in
-  let screened_r =
-    parallel_map_result ~jobs
-      (fun m -> Explore.screen_mapping ?model ~accel m)
-      marr
-  in
-  let screened = ref [] in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok (best, n) ->
-          evaluations := !evaluations + n;
-          screened := (marr.(i), best) :: !screened
-      | Error e -> record marr.(i) e)
-    screened_r;
-  let cut =
-    Option.bind model (fun m -> m.Explore.sm_survivor_cut)
-  in
-  let survivors =
-    Explore.select_survivors ~must_keep ?cut (List.rev !screened)
-  in
-  let best_score =
-    List.fold_left (fun acc (_, s) -> Float.min acc s) infinity survivors
-  in
-  let shards = max 1 (jobs / max 1 (List.length survivors)) in
-  (* shard sizes partition the population budget: they differ by at most
-     one and every shard holds at least one candidate *)
-  let shard_population i =
-    max 1 ((population / shards) + if i < population mod shards then 1 else 0)
-  in
-  let tasks =
-    Array.of_list
-      (List.concat_map
-         (fun (m, s) -> List.init shards (fun i -> (m, s, i)))
-         survivors)
-  in
-  let searched_r =
-    parallel_map_result ~jobs
-      (fun (m, score, shard) ->
-        (* seeds attach to shard 0 only, so a seed is measured once *)
-        let seeds = if shard = 0 then seeds_for m else [] in
-        let pop = shard_population shard in
-        Explore.search_mapping ~salt:shard ~seeds
-          ?model:(Explore.unband ?model ~best:best_score score)
-          ?observe
-          ?tick:(Option.map (fun f best -> f pop best) tick)
-          ?abort ~population:pop ~generations ~measure_top ~accel m)
-      tasks
-  in
-  let plans = ref [] in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok (ps, n) ->
-          evaluations := !evaluations + n;
-          plans := ps :: !plans
-      | Error e ->
-          let m, _, _ = tasks.(i) in
-          record m e)
-    searched_r;
-  Explore.assemble
-    ~failures:(List.rev !failures)
-    (List.concat (List.rev !plans))
-    ~evaluations:!evaluations
-
-let tune ?jobs ?(population = 16) ?(generations = 8) ?(measure_top = 3)
+let tune ?jobs ?population ?generations ?measure_top
     ?(initial_population = []) ?model ?observe ?progress ?abort ~rng ~accel
     ~mappings () =
   if mappings = [] && initial_population = [] then
     invalid_arg "Par_tune.tune: no mappings";
-  (* progress aggregation shared across worker domains: one mutex guards
-     the counters, and the caller's [progress] callback fires inside it,
-     so — like [observe] below — a single-threaded consumer is safe
-     as-is.  Generations count globally across mappings and shards. *)
-  let hooks =
-    match progress with
-    | None -> None
-    | Some f ->
-        let mu = Mutex.create () in
-        Some (mu, ref 0, ref infinity, ref infinity, ref 0, f)
-  in
-  let tick_for pop =
-    match hooks with
-    | None -> None
-    | Some (mu, gens, best_pred, best_meas, evals, f) ->
-        Some
-          (fun best ->
-            Mutex.lock mu;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock mu)
-              (fun () ->
-                incr gens;
-                evals := !evals + pop;
-                if best < !best_pred then best_pred := best;
-                f
-                  {
-                    Explore.pr_generation = !gens;
-                    pr_best_predicted = !best_pred;
-                    pr_best_measured = !best_meas;
-                    pr_evaluations = !evals;
-                  }))
-  in
-  let observe =
-    match hooks with
-    | None -> observe
-    | Some (mu, _, _, best_meas, _, _) ->
-        Some
-          (fun ob ->
-            Mutex.lock mu;
-            if ob.Explore.ob_measured < !best_meas then
-              best_meas := ob.Explore.ob_measured;
-            Mutex.unlock mu;
-            match observe with None -> () | Some f -> f ob)
-  in
-  (* observation callbacks are caller-supplied and fire from worker
-     domains; serialize them so a plain (append to a log, push on a
-     list) observer never needs its own locking *)
-  let observe =
-    match observe with
-    | None -> None
-    | Some f ->
-        let mu = Mutex.create () in
-        Some
-          (fun ob ->
-            Mutex.lock mu;
-            Fun.protect ~finally:(fun () -> Mutex.unlock mu) (fun () -> f ob))
-  in
-  (* same historical draw as [Explore.tune], so a shared rng advances
-     identically whichever front-end the caller picks *)
-  let _base_seed = Rng.int rng 1_000_000_000 in
-  (* the same seed-merge as [Explore.tune]: seeds attach to mappings by
-     structural key, so any partition over workers sees them identically *)
-  let mappings, seeds_for, is_seeded =
-    Explore.merge_seed_population ~mappings initial_population
-  in
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  if jobs > 1 && List.length mappings < jobs then
-    let tick =
-      match hooks with
-      | None -> None
-      | Some _ -> Some (fun pop best -> Option.iter (fun f -> f best) (tick_for pop))
-    in
-    tune_split ?model ?observe ?tick ?abort ~jobs ~population ~generations
-      ~measure_top ~must_keep:is_seeded ~seeds_for ~accel ~mappings ()
-  else
-    tune_with ~jobs ~must_keep:is_seeded
-      ?cut:(Option.bind model (fun m -> m.Explore.sm_survivor_cut))
-      ~screen:(fun m -> Explore.screen_mapping ?model ~accel m)
-      ~search:(fun m ~score ~best_score ->
-        Explore.search_mapping ~seeds:(seeds_for m)
-          ?model:(Explore.unband ?model ~best:best_score score)
-          ?observe
-          ?tick:(tick_for population)
-          ?abort ~population ~generations ~measure_top ~accel m)
-      ~mappings ()
+  Explore.tune_on (fanout jobs) ?population ?generations ?measure_top
+    ~initial_population ?model ?observe ?progress ?abort ~rng ~accel ~mappings
+    ()
 
 let tune_op ?jobs ?population ?generations ?measure_top ?filter ?model
     ?observe ?progress ?abort ~rng ~accel op =
-  let mappings =
-    List.concat_map
-      (fun intr ->
-        List.map Mapping.make (Mapping_gen.generate_op ?filter op intr))
-      accel.Accelerator.intrinsics
-  in
-  match mappings with
+  match Explore.mappings ?filter accel op with
   | [] -> None
-  | _ ->
+  | mappings ->
       Some
         (tune ?jobs ?population ?generations ?measure_top ?model ?observe
            ?progress ?abort ~rng ~accel ~mappings ())

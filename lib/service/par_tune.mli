@@ -1,22 +1,14 @@
 (** Domain-parallel mapping x schedule exploration.
 
-    A drop-in front-end to {!Amos.Explore.tune} that fans the
-    per-mapping work units (model screening, then the genetic schedule
-    searches) out across OCaml 5 domains.  Determinism is preserved by
-    construction: every work unit draws its RNG stream from
-    [Explore.mapping_seed] — a hash of the mapping itself — and results
-    are merged back in the sequential order, so the result is the same
-    for any [jobs], including [jobs = 1] which is bit-identical to
-    [Explore.tune].
-
-    Exception: an operator with {e fewer mappings than jobs} would
-    leave domains idle, so [tune] switches to a population-split
-    fan-out — each surviving mapping's genetic search runs as
-    [jobs / survivors] shards with independent salted RNG streams and a
-    partitioned population budget.  That path is deterministic for a
-    fixed (seed, jobs) pair (pinned by a test), but a different [jobs]
-    changes the sharding and may legitimately surface a different
-    winner.
+    {!Amos.Explore.tune_on}, the one two-phase search, on a fan-out of
+    OCaml 5 domains: each phase's work units (one mapping's screen, one
+    survivor's search) run on {!parallel_map_result}.  The skeleton's
+    determinism carries over: while the operator has at least as many
+    mappings as [jobs], the result is the same for any [jobs] and at
+    [jobs = 1] is bit-identical to [Explore.tune].  Below that the
+    skeleton splits each survivor's population into shards, which is
+    deterministic per (seed, [jobs]) but may pick another plan at
+    another [jobs].
 
     Failure isolation: every work unit's outcome is captured as a
     [Result] inside its worker and retried once, so one raising mapping
@@ -51,30 +43,21 @@ val tune :
   mappings:Mapping.t list ->
   unit ->
   Explore.result
-(** Same contract as [Explore.tune], including [?initial_population]
-    seeding (seeds are merged by [Explore.merge_seed_population] before
-    the fan-out, so every [jobs] sees them identically); [jobs] defaults
-    to {!default_jobs}.  Mappings whose work unit raises (twice) are
-    dropped and reported in [failures]; raises [Failure] only when
-    {e every} mapping failed, and [Invalid_argument] — immediately, never
-    via the retry path — when both [mappings] and [initial_population]
-    are empty.
+(** [Explore.tune]'s contract on [jobs] domains ({!default_jobs} when
+    absent).  Mappings whose work unit raises (twice) are dropped and
+    reported in [failures]; raises [Failure] only when {e every}
+    mapping failed, and [Invalid_argument] — immediately, never via the
+    retry path — when both [mappings] and [initial_population] are
+    empty.
 
-    [model] and [observe] follow [Explore.tune]'s contract; both reach
-    every worker domain.  [observe] callbacks are serialized behind a
-    mutex before the fan-out, so a single-threaded observer (appending
-    to [Amos_learn.Obs_log], pushing on a list) is safe as-is — though
-    the {e order} of observations across domains remains
-    scheduling-dependent.
-
-    [progress] and [abort] follow [Explore.tune]'s contract across the
-    fan-out: generation ticks from all worker domains aggregate under
-    one mutex (the callback fires inside it, so a single-threaded
-    consumer is safe as-is, and [pr_generation] counts globally across
-    mappings and shards), and [abort] is polled by every worker at its
-    own generation boundaries — the first worker to observe [true]
-    raises [Explore.Aborted], which the merge re-raises out of [tune]
-    after all domains joined, never as a per-mapping failure. *)
+    [model], [observe], [progress] and [abort] reach every worker
+    domain as in [Explore.tune_on]: [observe] and [progress] fire under
+    one lock, so a single-threaded consumer (appending to
+    [Amos_learn.Obs_log], a daemon's progress fan-out) is safe as-is,
+    though the order of observations across domains follows their
+    scheduling.  The first worker to see [abort] return [true] raises
+    [Explore.Aborted], which re-raises out of [tune] after all domains
+    joined, never as a per-mapping failure. *)
 
 val tune_with :
   ?jobs:int ->
@@ -86,18 +69,16 @@ val tune_with :
   mappings:Mapping.t list ->
   unit ->
   Explore.result
-(** The fan-out skeleton of {!tune} with the two per-mapping work units
-    supplied by the caller — [tune] passes [Explore.screen_mapping] and
-    [Explore.search_mapping].  [must_keep] and [cut] are forwarded to
-    [Explore.select_survivors] (seeded mappings always earn a search;
-    [cut] is the screen model's survivor ratio).  Each search call
-    receives the survivor's own screen [score] and the [best_score]
-    among all survivors, so a calibrated caller can treat top-ranked
-    mappings differently (see [Explore.unband]).  A work unit failing
-    with [Explore.Aborted] re-raises out of the merge (after all
-    domains joined) instead of being recorded — an abort tears the
-    whole exploration down.  Exposed so the failure-isolation contract
-    is directly testable with units that raise on demand. *)
+(** [Explore.tune_units] on [jobs] domains: the skeleton of {!tune}
+    with the two per-mapping work units supplied by the caller and no
+    population split.  [must_keep] (default none) and [cut] pick the
+    survivors; each search call receives the survivor's own screen
+    [score] and the [best_score] among all survivors (see
+    [Explore.unband]).  A work unit failing with [Explore.Aborted]
+    re-raises after all domains joined instead of being recorded.
+    Raises [Invalid_argument] when [mappings] is empty.  Exposed so the
+    failure-isolation contract is directly testable with units that
+    raise on demand. *)
 
 val tune_op :
   ?jobs:int ->

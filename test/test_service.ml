@@ -6,6 +6,8 @@ module Fingerprint = Amos_service.Fingerprint
 module Plan_cache = Amos_service.Plan_cache
 module Par_tune = Amos_service.Par_tune
 module Batch_compile = Amos_service.Batch_compile
+module Migrate = Amos_service.Migrate
+module Resnet = Amos_workloads.Resnet
 
 let toy_accel () =
   let base = Accelerator.v100 () in
@@ -139,6 +141,66 @@ let cache_tests =
 
 (* --- parallel tuning -------------------------------------------------- *)
 
+let c5 () = Resnet.config (Resnet.by_label "C5")
+
+let describe_best (r : Explore.result) =
+  let c = r.Explore.best.Explore.candidate in
+  ( Mapping.describe c.Explore.mapping,
+    Schedule.describe c.Explore.mapping c.Explore.schedule )
+
+(* bit-identity of two results: best plan, history and failures *)
+let check_same_result (a : Explore.result) (b : Explore.result) =
+  Alcotest.(check (pair string string))
+    "same best plan" (describe_best a) (describe_best b);
+  Alcotest.(check bool) "same best times" true
+    (Float.equal a.Explore.best.Explore.measured b.Explore.best.Explore.measured
+    && Float.equal a.Explore.best.Explore.predicted
+         b.Explore.best.Explore.predicted);
+  Alcotest.(check int) "same evaluations" a.Explore.evaluations
+    b.Explore.evaluations;
+  Alcotest.(check bool) "same history" true
+    (List.equal
+       (fun (p, m) (p', m') -> Float.equal p p' && Float.equal m m')
+       a.Explore.history b.Explore.history);
+  Alcotest.(check (list (pair string string)))
+    "same failures" a.Explore.failures b.Explore.failures
+
+(* a tune's result with the progress frames it reported, in order *)
+let with_frames tune =
+  let frames = ref [] in
+  let r = tune (fun p -> frames := p :: !frames) in
+  (r, List.rev !frames)
+
+let show_frame (p : Explore.progress) =
+  Printf.sprintf "generation %d, %d evaluations, best %h predicted, %h measured"
+    p.Explore.pr_generation p.Explore.pr_evaluations
+    p.Explore.pr_best_predicted p.Explore.pr_best_measured
+
+(* the shape every progress stream must have *)
+let check_frames ~screen_evals (r : Explore.result)
+    (frames : Explore.progress list) =
+  Alcotest.(check bool) "some frames" true (frames <> []);
+  Alcotest.(check (list int))
+    "generations step by one"
+    (List.init (List.length frames) (fun i -> i + 1))
+    (List.map (fun (p : Explore.progress) -> p.Explore.pr_generation) frames);
+  let evals =
+    List.map (fun (p : Explore.progress) -> p.Explore.pr_evaluations) frames
+  in
+  Alcotest.(check (list int))
+    "evaluations never decrease" (List.sort compare evals) evals;
+  let first = List.hd frames and last = List.hd (List.rev frames) in
+  Alcotest.(check bool)
+    (Printf.sprintf "first frame %d counts the screen's %d"
+       first.Explore.pr_evaluations screen_evals)
+    true
+    (first.Explore.pr_evaluations >= screen_evals);
+  Alcotest.(check bool)
+    (Printf.sprintf "last frame %d within the total %d"
+       last.Explore.pr_evaluations r.Explore.evaluations)
+    true
+    (last.Explore.pr_evaluations <= r.Explore.evaluations)
+
 let par_tune_tests =
   [
     Alcotest.test_case "jobs-1-and-4-identical" `Quick (fun () ->
@@ -170,22 +232,44 @@ let par_tune_tests =
           (List.length r1.Explore.history)
           (List.length r4.Explore.history));
     Alcotest.test_case "jobs-1-matches-sequential-explore" `Quick (fun () ->
+        (* one skeleton under both front-ends: at one job the parallel
+           tuner is the sequential one, result and progress stream alike *)
+        let accel = Accelerator.a100 () in
+        let op = c5 () in
+        let mappings = Compiler.mappings accel op in
+        let seq, seq_frames =
+          with_frames (fun progress ->
+              Explore.tune ~population:6 ~generations:3 ~progress
+                ~rng:(Rng.create 7) ~accel ~mappings ())
+        in
+        let par, par_frames =
+          with_frames (fun progress ->
+              Option.get
+                (Par_tune.tune_op ~jobs:1 ~population:6 ~generations:3
+                   ~progress ~rng:(Rng.create 7) ~accel op))
+        in
+        check_same_result seq par;
+        Alcotest.(check (list string))
+          "same progress frames"
+          (List.map show_frame seq_frames)
+          (List.map show_frame par_frames);
+        check_frames ~screen_evals:(7 * List.length mappings) par par_frames;
+        (* whatever the fan-out (one job, two, or the population split),
+           generations step by one and the evaluation count never falls:
+           it starts above the screen's spend and ends within the total *)
         let accel = toy_accel () in
         let op = Ops.conv2d ~n:2 ~c:2 ~k:3 ~p:3 ~q:3 ~r:2 ~s:2 () in
-        let seq =
-          Option.get
-            (Explore.tune_op ~population:4 ~generations:2 ~rng:(Rng.create 7)
-               ~accel op)
-        in
-        let par =
-          Option.get
-            (Par_tune.tune_op ~jobs:1 ~population:4 ~generations:2
-               ~rng:(Rng.create 7) ~accel op)
-        in
-        Alcotest.(check (float 0.)) "same best" seq.Explore.best.Explore.measured
-          par.Explore.best.Explore.measured;
-        Alcotest.(check int) "same evals" seq.Explore.evaluations
-          par.Explore.evaluations);
+        let mappings = Compiler.mappings accel op in
+        List.iter
+          (fun jobs ->
+            let r, frames =
+              with_frames (fun progress ->
+                  Par_tune.tune ~jobs ~population:4 ~generations:2
+                    ~measure_top:2 ~progress ~rng:(Rng.create 7) ~accel
+                    ~mappings ())
+            in
+            check_frames ~screen_evals:(7 * List.length mappings) r frames)
+          [ 1; 2; List.length mappings + 2 ]);
     Alcotest.test_case "population-split-deterministic" `Quick (fun () ->
         (* more jobs than mappings forces the population-split fan-out;
            the pinned contract is that for a fixed (seed, jobs) pair the
@@ -217,6 +301,164 @@ let par_tune_tests =
         Alcotest.(check bool) "split-path winner validates" true
           (Schedule.validate b1.Explore.candidate.Explore.mapping
              b1.Explore.candidate.Explore.schedule));
+  ]
+
+(* --- pinned tuning outcomes -------------------------------------------- *)
+
+(* The discrete outcome of one tune, pinned across commits so a change to
+   the search skeleton (the population split, seed merging, the model
+   cuts) cannot move a result unnoticed.  No floats: the pins hold on any
+   platform's libm. *)
+type pin = {
+  pin_mapping : string;
+  pin_schedule : string;
+  pin_evaluations : int;
+  pin_history : int;
+  pin_failures : int;
+}
+
+let check_pin name pin (r : Explore.result) =
+  let mapping, schedule = describe_best r in
+  Alcotest.(check string) (name ^ ": mapping") pin.pin_mapping mapping;
+  Alcotest.(check string) (name ^ ": schedule") pin.pin_schedule schedule;
+  Alcotest.(check (list int))
+    (name ^ ": evaluations, history, failures")
+    [ pin.pin_evaluations; pin.pin_history; pin.pin_failures ]
+    [
+      r.Explore.evaluations;
+      List.length r.Explore.history;
+      List.length r.Explore.failures;
+    ]
+
+let c5_pin =
+  {
+    pin_mapping =
+      "[i1, i2, r1] <- [(n*784 + p*28 + q) mod 8, k mod 32, (c*9 + r*3 + s) mod 16]";
+    pin_schedule =
+      "splits[i1.t:98x8x2 i2.t:1x4x1 r1.t:1x1x72] stage=4 unroll=2 vec=true";
+    pin_evaluations = 3529;
+    pin_history = 48;
+    pin_failures = 0;
+  }
+
+let split_pin =
+  {
+    pin_mapping =
+      "[i1, i2, r1] <- [q mod 2, k mod 2, (r*2 + s) mod 2]";
+    pin_schedule =
+      "splits[n:1x2x1 p:2x2x1 c:1x1x2 i1.t:2x1x1 i2.t:2x1x1 r1.t:1x1x2] stage=3 unroll=8 vec=true";
+    pin_evaluations = 437;
+    pin_history = 64;
+    pin_failures = 0;
+  }
+
+let seeded_one_shard_pin =
+  {
+    pin_mapping =
+      "[i1, i2, r1] <- [i mod 16, j mod 16, r mod 16]";
+    pin_schedule =
+      "splits[i1.t:2x1x1 i2.t:2x1x1 r1.t:1x1x2] stage=2 unroll=4 vec=true";
+    pin_evaluations = 126;
+    pin_history = 10;
+    pin_failures = 0;
+  }
+
+let seeded_two_shards_pin =
+  {
+    pin_mapping =
+      "[i1, i2, r1] <- [i mod 16, j mod 16, r mod 16]";
+    pin_schedule =
+      "splits[i1.t:2x1x1 i2.t:2x1x1 r1.t:1x1x2] stage=2 unroll=4 vec=true";
+    pin_evaluations = 126;
+    pin_history = 20;
+    pin_failures = 0;
+  }
+
+let cut_model_pin =
+  {
+    pin_mapping =
+      "[i1, i2, r1] <- [(n*784 + p*28 + q) mod 16, k mod 16, (c*3 + s) mod 16]";
+    pin_schedule =
+      "splits[r:1x1x3 i1.t:49x8x2 i2.t:2x1x4 r1.t:1x1x24] stage=3 unroll=8 vec=true";
+    pin_evaluations = 1405;
+    pin_history = 14;
+    pin_failures = 0;
+  }
+
+(* the identity correction with both pruning cuts set *)
+let cut_model =
+  {
+    Explore.sm_correct = (fun _ p -> p);
+    sm_measure_cut = Some 3.0;
+    sm_survivor_cut = Some 1.2;
+  }
+
+let pin_tests =
+  [
+    Alcotest.test_case "pinned-results" `Quick (fun () ->
+        let a100 = Accelerator.a100 () in
+        let c5 = c5 () in
+        let rng () = Rng.create Fingerprint.default_budget.Fingerprint.seed in
+        let c5_mappings = Compiler.mappings a100 c5 in
+        check_pin "Explore.tune a100/C5" c5_pin
+          (Explore.tune ~rng:(rng ()) ~accel:a100 ~mappings:c5_mappings ());
+        List.iter
+          (fun jobs ->
+            check_pin
+              (Printf.sprintf "Par_tune.tune a100/C5 jobs %d" jobs)
+              c5_pin
+              (Par_tune.tune ~jobs ~rng:(rng ()) ~accel:a100
+                 ~mappings:c5_mappings ()))
+          [ 1; 2 ];
+        (* fewer mappings than jobs: the population split *)
+        let toy = toy_accel () in
+        let conv = Ops.conv2d ~n:2 ~c:2 ~k:3 ~p:3 ~q:3 ~r:2 ~s:2 () in
+        let toy_mappings = Compiler.mappings toy conv in
+        check_pin "population split, toy conv" split_pin
+          (Par_tune.tune
+             ~jobs:(List.length toy_mappings + 2)
+             ~population:4 ~generations:2 ~measure_top:2 ~rng:(Rng.create 7)
+             ~accel:toy ~mappings:toy_mappings ());
+        (* migrated seeds on a small mapping space: jobs 7 still runs one
+           shard per survivor, jobs 12 two *)
+        let gemm = Ops.gemm ~m:32 ~n:32 ~k:32 () in
+        let v100 = Accelerator.v100 () in
+        let source =
+          Explore.tune ~population:6 ~generations:2 ~measure_top:2
+            ~rng:(Rng.create 7) ~accel:v100
+            ~mappings:(Compiler.mappings v100 gemm) ()
+        in
+        let c = source.Explore.best.Explore.candidate in
+        let o =
+          Migrate.migrate ~target:a100 ~op:gemm ~source_accel:"V100"
+            ~source_fingerprint:"pin"
+            ~plan_text:(Plan_io.save c.Explore.mapping c.Explore.schedule)
+            ()
+        in
+        let seeded jobs =
+          Par_tune.tune ~jobs ~population:6 ~generations:2 ~measure_top:2
+            ~initial_population:o.Migrate.seeds ~rng:(Rng.create 9)
+            ~accel:a100 ~mappings:(Compiler.mappings a100 gemm) ()
+        in
+        check_pin "seeded GEMM jobs 7" seeded_one_shard_pin (seeded 7);
+        check_pin "seeded GEMM jobs 12" seeded_two_shards_pin (seeded 12);
+        (* a screen model with both cuts, sequential and fanned out *)
+        let cut_tune = function
+          | None ->
+              Explore.tune ~population:6 ~generations:2 ~model:cut_model
+                ~rng:(rng ()) ~accel:a100 ~mappings:c5_mappings ()
+          | Some jobs ->
+              Par_tune.tune ~jobs ~population:6 ~generations:2
+                ~model:cut_model ~rng:(rng ()) ~accel:a100
+                ~mappings:c5_mappings ()
+        in
+        List.iter
+          (fun jobs ->
+            check_pin
+              (Printf.sprintf "cut model, jobs %s"
+                 (Option.fold ~none:"-" ~some:string_of_int jobs))
+              cut_model_pin (cut_tune jobs))
+          [ None; Some 2 ]);
   ]
 
 (* --- batch compile ---------------------------------------------------- *)
@@ -327,5 +569,6 @@ let suites =
     ("service.fingerprint", fingerprint_tests);
     ("service.cache", cache_tests);
     ("service.par_tune", par_tune_tests);
+    ("service.tune_pins", pin_tests);
     ("service.batch", batch_tests);
   ]

@@ -1368,23 +1368,11 @@ let client_cmd =
 
 (* offline fleet introspection: compute the fingerprint a request will
    carry and which ring member owns it, without any daemon running.
-   The op is resolved exactly the way the daemon resolves a wire
-   request, and fingerprints hash iteration structure by position (the
-   operator's name is cosmetic), so this agrees with the server. *)
+   The op is resolved by the daemon's own resolver, and fingerprints
+   hash iteration structure by position (the operator's name is
+   cosmetic), so this agrees with the server. *)
 let fleet_fingerprint_of ~accel ~layer ~kind ~batch ~index ~seed ~dsl =
-  let op =
-    match op_spec_of ?dsl ~layer ~kind ~batch ~index () with
-    | Protocol.Layer label ->
-        Resnet.config (Resnet.by_label (String.uppercase_ascii label))
-    | Protocol.Kind { kind; batch; index } -> (
-        match
-          List.nth_opt (Suites.configs_per_kind ~batch (kind_by_name kind))
-            index
-        with
-        | Some op -> op
-        | None -> failwith (Printf.sprintf "no config %d for kind %s" index kind))
-    | Protocol.Dsl_text text -> Amos_ir.Dsl.parse_exn ~name:"wire-op" text
-  in
+  let op = Server.resolve_op (op_spec_of ?dsl ~layer ~kind ~batch ~index ()) in
   Fingerprint.key ~accel:(accel_by_name accel) ~op ~budget:(budget_with seed)
 
 let fleet_fingerprint_cmd =

@@ -79,6 +79,15 @@ type router =
 
 type listener_kind = L_unix | L_tcp
 
+(* a wire request's (accelerator name, op spec, budget) *)
+type spec = string * Protocol.op_spec * Fingerprint.budget
+
+type resolved = {
+  accel : Accelerator.t;
+  op : Amos_ir.Operator.t;
+  fingerprint : string;
+}
+
 type t = {
   config : config;
   tuner : tuner;
@@ -94,10 +103,13 @@ type t = {
   started_at : float;
   mu : Mutex.t;  (* guards everything below *)
   hot : Protocol.plan_wire Hot_cache.t;
-  specs : (string, string * Amos_ir.Operator.t * Fingerprint.budget) Hashtbl.t;
-      (* fingerprint -> (accel name, op, budget) for requests we have
-         resolved: the idle drain can only re-tune a quarantined
-         fingerprint whose specification it has seen *)
+  presets : (string, Accelerator.t) Hashtbl.t;
+      (* each preset name resolved once: every memo entry of one preset
+         shares one accelerator value *)
+  memo : (spec, resolved) Hashtbl.t;
+      (* the request memo: a repeated spec skips [Accelerator.by_name],
+         parsing and fingerprinting; the idle drain also finds a
+         quarantined fingerprint's spec here *)
   mutable router : router option;
       (* installed after [create] (the fleet needs the bound TCP port
          to build its ring), consulted after both local layers miss *)
@@ -134,8 +146,9 @@ type t = {
 let forward_margin_ms = 5
 let min_forward_budget_ms = 25
 
-(* bound the spec ledger: a daemon fed unbounded distinct operators must
-   not grow memory without limit *)
+(* bound the request memo: a daemon fed unbounded distinct operators
+   must not grow memory without limit.  Specs are admitted while fewer
+   than this many are held and are never evicted. *)
 let spec_ledger_capacity = 512
 
 (* DRR weight of the shared "peer" admission key: a forwarding daemon
@@ -165,14 +178,11 @@ let default_tuner ~jobs ~accel ~op ~budget ~seeds ~progress ~abort =
 
 (* --- request resolution -------------------------------------------- *)
 
-let resolve_accel name =
-  match Accelerator.by_name name with
-  | Some a -> a
-  | None -> failwith ("unknown accelerator " ^ name)
-
 let resolve_op = function
-  | Protocol.Layer label ->
-      Resnet.config (Resnet.by_label (String.uppercase_ascii label))
+  | Protocol.Layer label -> (
+      match Resnet.by_label (String.uppercase_ascii label) with
+      | c -> Resnet.config c
+      | exception Not_found -> failwith ("unknown layer " ^ label))
   | Protocol.Kind { kind; batch; index } -> (
       let k =
         match
@@ -183,7 +193,10 @@ let resolve_op = function
         | Some k -> k
         | None -> failwith ("unknown operator kind " ^ kind)
       in
-      match List.nth_opt (Suites.configs_per_kind ~batch k) index with
+      match
+        if index < 0 then None
+        else List.nth_opt (Suites.configs_per_kind ~batch k) index
+      with
       | Some op -> op
       | None -> failwith (Printf.sprintf "no config %d for kind %s" index kind))
   | Protocol.Dsl_text text -> (
@@ -223,12 +236,35 @@ let cached_tuning_seconds t fingerprint =
       | Some it -> it.Amos_service.Retain.tuning_seconds
       | None -> Amos_service.Retain.default_tuning_seconds)
 
-let record_spec t fingerprint ~accel_name ~op ~budget =
+(* --- request memo ----------------------------------------------------- *)
+
+let preset t name =
   locked t.mu (fun () ->
-      if
-        Hashtbl.mem t.specs fingerprint
-        || Hashtbl.length t.specs < spec_ledger_capacity
-      then Hashtbl.replace t.specs fingerprint (accel_name, op, budget))
+      match Hashtbl.find_opt t.presets name with
+      | Some accel -> accel
+      | None -> (
+          match Accelerator.by_name name with
+          | None -> failwith ("unknown accelerator " ^ name)
+          | Some accel ->
+              Hashtbl.add t.presets name accel;
+              accel))
+
+(* A failed resolution raises before anything is memoized, so an unknown
+   accelerator, bad DSL or a bad [Kind] spec is re-resolved (and fails
+   again) every time. *)
+let resolve t ((accel_name, op_spec, budget) as spec) =
+  match locked t.mu (fun () -> Hashtbl.find_opt t.memo spec) with
+  | Some r -> r
+  | None ->
+      let accel = preset t accel_name in
+      let op = resolve_op op_spec in
+      let r = { accel; op; fingerprint = Fingerprint.key ~accel ~op ~budget } in
+      locked t.mu (fun () ->
+          if
+            (not (Hashtbl.mem t.memo spec))
+            && Hashtbl.length t.memo < spec_ledger_capacity
+          then Hashtbl.add t.memo spec r);
+      r
 
 (* --- creation ------------------------------------------------------- *)
 
@@ -341,7 +377,8 @@ let create ?tuner ?clock ?router config =
     hot =
       Hot_cache.create ?max_bytes:config.hot_max_bytes
         ~capacity:config.hot_capacity ~clock ();
-    specs = Hashtbl.create 64;
+    presets = Hashtbl.create 16;
+    memo = Hashtbl.create 64;
     router;
     streams = Hashtbl.create 16;
     conn_counter = 0;
@@ -567,10 +604,7 @@ let route_to_owner t ~from_peer ~deadline ~fingerprint req =
 
 let handle_tune t ~from_peer ~client ~env ~emit ~deadline ~migrate
     ~accel:accel_name ~op:op_spec ~budget =
-  let accel = resolve_accel accel_name in
-  let op = resolve_op op_spec in
-  let fingerprint = Fingerprint.key ~accel ~op ~budget in
-  record_spec t fingerprint ~accel_name ~op ~budget;
+  let { accel; op; fingerprint } = resolve t (accel_name, op_spec, budget) in
   match hot_lookup t fingerprint with
   | Some plan ->
       (* a hot hit streams nothing: the final reply is the only frame *)
@@ -727,10 +761,7 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline ~migrate
 
 let handle_lookup t ~from_peer ~deadline ~accel:accel_name ~op:op_spec ~budget
     =
-  let accel = resolve_accel accel_name in
-  let op = resolve_op op_spec in
-  let fingerprint = Fingerprint.key ~accel ~op ~budget in
-  record_spec t fingerprint ~accel_name ~op ~budget;
+  let { accel; op; fingerprint } = resolve t (accel_name, op_spec, budget) in
   match hot_lookup t fingerprint with
   | Some plan ->
       Protocol.Plan_r
@@ -768,7 +799,7 @@ let handle_lookup t ~from_peer ~deadline ~accel:accel_name ~op:op_spec ~budget
           | Some _ | None -> Protocol.Not_found_r))
 
 let handle_compile t ~accel:accel_name ~network ~batch ~budget ~jobs =
-  let accel = resolve_accel accel_name in
+  let accel = preset t accel_name in
   let net =
     let wanted = String.lowercase_ascii network in
     match
@@ -902,14 +933,18 @@ let drain_quarantined_once t =
                 true
               end
               else
-                match locked t.mu (fun () -> Hashtbl.find_opt t.specs fp) with
+                let spec =
+                  locked t.mu (fun () ->
+                      Hashtbl.to_seq t.memo
+                      |> Seq.find_map (fun ((_, _, budget), r) ->
+                             if r.fingerprint = fp then Some (r, budget)
+                             else None))
+                in
+                match spec with
                 | None -> step rest (* never seen its spec: leave it *)
-                | Some (accel_name, op, budget) -> (
-                    match resolve_accel accel_name with
-                    | exception _ -> step rest
-                    | accel ->
-                        retune_quarantined t ~fp ~qpath ~accel ~op ~budget
-                        || step rest))
+                | Some ({ accel; op; _ }, budget) ->
+                    retune_quarantined t ~fp ~qpath ~accel ~op ~budget
+                    || step rest)
         in
         step quarantined
       end

@@ -45,6 +45,14 @@
     through the journal), so a long network compile never blocks the
     tuning pool.
 
+    A [Lookup], [Tune] or [Migrate_tune] is first resolved to its
+    accelerator, operator and fingerprint.  The daemon memoizes that per
+    (accelerator name, op spec, budget), so a repeated spec skips
+    {!Amos.Accelerator.by_name}, parsing and fingerprinting.  The memo
+    admits the first 512 distinct specs and never evicts; a spec that
+    fails to resolve is never memoized.  Each preset name is built once,
+    so every entry shares one accelerator value.
+
     When the pool is idle, the accept loop spends spare slots
     re-tuning {e quarantined} fingerprints (corrupt entries fsck set
     aside) whose specification a client request has taught it — see
@@ -151,6 +159,14 @@ type tuner =
     [amos model fit] — its calibrated screen is applied to every tune
     (loaded per tune, so refitting takes effect without a restart). *)
 
+val resolve_op : Protocol.op_spec -> Amos_ir.Operator.t
+(** The operator a wire spec names: a ResNet-18 layer label (any case),
+    the [index]-th suite configuration of an operator kind at [batch], or
+    DSL text.  Raises [Failure] for an unknown label or kind, an index
+    outside the kind's configurations (negative included), or DSL that
+    does not parse.  The daemon and [amos_cli fleet fingerprint] both
+    resolve through it, so they agree on every fingerprint. *)
+
 type t
 
 val create :
@@ -188,8 +204,9 @@ val drain_quarantined_once : t -> bool
 (** One step of the background quarantine drain, normally invoked from
     the accept loop's idle ticks: when the tuning pool is idle, pick
     the lexicographically first [*.plan.quarantined] fingerprint whose
-    operator specification the daemon has seen (via an earlier
-    [Tune]/[Lookup]) and re-tune it on the pool; the quarantine file is
+    operator specification the daemon has seen (an earlier
+    [Tune]/[Lookup] spec held in the request memo) and re-tune it on the
+    pool; the quarantine file is
     removed only after the fresh plan is stored.  A quarantined
     fingerprint that regained a live entry is just swept.  Returns
     [false] when there is nothing to do — no cache directory, the

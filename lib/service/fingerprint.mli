@@ -26,7 +26,10 @@ val operator : Operator.t -> string
 (** Canonical structural rendering of an operator (name-independent). *)
 
 val accelerator : Accelerator.t -> string
-(** Canonical rendering of the machine config and intrinsic set. *)
+(** Canonical rendering of the machine config and intrinsic set.
+    Memoized per accelerator value (physical equality, a small bounded
+    table safe to share between domains), so a caller that keeps one
+    value renders it once. *)
 
 val key : accel:Accelerator.t -> op:Operator.t -> budget:budget -> string
 (** 32-hex-char content fingerprint. *)

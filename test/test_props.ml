@@ -888,6 +888,24 @@ let bm_equal_padding_regression =
             (Bin_matrix.equal a b && Bin_matrix.equal b a))
         [ 1; 5; 62; 63; 64; 65; 127 ])
 
+(* --- fingerprint renderer vs the original renderer (oracle) ---------- *)
+
+(* random operators and budgets on every preset: keys, op keys and the
+   operator rendering stay byte-identical to {!Fingerprint_oracle} *)
+let prop_fingerprint_oracle =
+  QCheck.Test.make ~count:cases ~name:"fingerprint renderer = oracle"
+    (QCheck.make
+       ~print:(fun (op, budget, name) ->
+         Printf.sprintf "%s on %s, seed %d" (Dsl.print op) name
+           budget.Fingerprint.seed)
+       QCheck.Gen.(triple gen_op gen_budget (oneofl Accelerator.preset_names)))
+    (fun (op, budget, name) ->
+      let accel = Option.get (Accelerator.by_name name) in
+      Fingerprint.operator op = Fingerprint_oracle.operator op
+      && Fingerprint.key ~accel ~op ~budget
+         = Fingerprint_oracle.key ~accel ~op ~budget
+      && Fingerprint.op_key ~op ~budget = Fingerprint_oracle.op_key ~op ~budget)
+
 let suites =
   [
     ( "props.algorithm1",
@@ -915,6 +933,7 @@ let suites =
              prop_bm_row_col;
              prop_bm_scratch_alias;
            ] );
+    ("props.fingerprint", [ to_alcotest prop_fingerprint_oracle ]);
     ( "props.economy",
       List.map to_alcotest
         [

@@ -1224,6 +1224,256 @@ let stream_tests =
         Thread.join thread);
   ]
 
+
+(* --- request memo ----------------------------------------------------- *)
+
+module Suites = Amos_workloads.Suites
+module Resnet = Amos_workloads.Resnet
+
+let gmv n = List.nth (Suites.configs_per_kind ~batch:1 Amos_workloads.Ops.GMV) n
+
+(* a real plan that depends on the operator, at the cost of one mapping
+   generation: the first mapping on the primary intrinsic, default
+   schedule *)
+let first_mapping ~accel ~op =
+  match Mapping_gen.generate_op op (Accelerator.primary_intrinsic accel) with
+  | matching :: _ ->
+      let m = Mapping.make matching in
+      Plan_cache.Spatial (m, Schedule.default m)
+  | [] -> Plan_cache.Scalar
+
+let first_mapping_tuner calls ~jobs:_ ~accel ~op ~budget:_ ~seeds:_
+    ~progress:_ ~abort:_ =
+  Atomic.incr calls;
+  { Server.value = first_mapping ~accel ~op; evaluations = 1 }
+
+let wire_of = function
+  | Plan_cache.Scalar -> Protocol.Wire_scalar
+  | Plan_cache.Spatial (m, s) -> Protocol.Wire_spatial (Plan_io.save m s)
+
+let toy () = Option.get (Accelerator.by_name "toy")
+
+let request socket req =
+  match
+    Client.with_conn ~attempts:50 socket (fun c -> Client.request c req)
+  with
+  | Ok r -> r
+  | Error msg -> Alcotest.fail msg
+
+let expect_plan what = function
+  | Protocol.Plan_r r -> r
+  | _ -> Alcotest.fail (what ^ ": expected Plan_r")
+
+let memo_tests =
+  [
+    Alcotest.test_case "repeated-specs-serve-the-in-process-fingerprint"
+      `Quick (fun () ->
+        let calls = Atomic.make 0 in
+        let server, thread, socket =
+          start_server ~tuner:(first_mapping_tuner calls) ()
+        in
+        let cases =
+          [
+            ( "dsl",
+              Protocol.Dsl_text gemm_text,
+              Amos_ir.Dsl.parse_exn ~name:"in-process" gemm_text );
+            ( "kind",
+              Protocol.Kind { kind = "gmv"; batch = 1; index = 0 },
+              gmv 0 );
+            ( "layer",
+              Protocol.Layer "c10",
+              Resnet.config (Resnet.by_label "C10") );
+          ]
+        in
+        List.iter
+          (fun (what, op_spec, op) ->
+            let accel = toy () in
+            let fingerprint = Fingerprint.key ~accel ~op ~budget:small_budget in
+            let plan = wire_of (first_mapping ~accel ~op) in
+            let tune () =
+              expect_plan what
+                (request socket
+                   (Protocol.Tune
+                      { accel = "toy"; op = op_spec; budget = small_budget }))
+            in
+            let first = tune () in
+            let second = tune () in
+            let looked_up =
+              expect_plan what
+                (request socket
+                   (Protocol.Lookup
+                      { accel = "toy"; op = op_spec; budget = small_budget }))
+            in
+            List.iter
+              (fun (r : Protocol.tune_reply) ->
+                Alcotest.(check string) (what ^ ": fingerprint") fingerprint
+                  r.Protocol.fingerprint;
+                Alcotest.(check bool) (what ^ ": plan") true
+                  (r.Protocol.plan = plan))
+              [ first; second; looked_up ];
+            Alcotest.(check (list string)) (what ^ ": sources")
+              [ "tuned"; "hot"; "hot" ]
+              [ first.Protocol.source; second.Protocol.source;
+                looked_up.Protocol.source ])
+          cases;
+        Alcotest.(check int) "one tune per spec" 3 (Atomic.get calls);
+        Server.stop server;
+        Thread.join thread);
+    Alcotest.test_case "failing-specs-are-never-memoized" `Quick (fun () ->
+        let calls = Atomic.make 0 in
+        let server, thread, socket =
+          start_server ~tuner:(first_mapping_tuner calls) ()
+        in
+        let failing =
+          [
+            ( Protocol.Lookup
+                { accel = "warp9"; op = Protocol.Dsl_text gemm_text;
+                  budget = small_budget },
+              "unknown accelerator warp9" );
+            ( tune_req "for {i:4} garbage",
+              "operator DSL" );
+            ( Protocol.Tune
+                { accel = "toy";
+                  op = Protocol.Kind { kind = "GMM"; batch = 1; index = -1 };
+                  budget = small_budget },
+              "no config -1 for kind GMM" );
+            ( Protocol.Tune
+                { accel = "toy";
+                  op = Protocol.Kind { kind = "GMM"; batch = 1; index = 1000 };
+                  budget = small_budget },
+              "no config 1000 for kind GMM" );
+            ( Protocol.Lookup
+                { accel = "toy"; op = Protocol.Layer "Z9";
+                  budget = small_budget },
+              "unknown layer Z9" );
+          ]
+        in
+        List.iter
+          (fun (req, want) ->
+            for attempt = 1 to 2 do
+              match request socket req with
+              | Protocol.Error_r msg ->
+                  let n = min (String.length msg) (String.length want) in
+                  Alcotest.(check string)
+                    (Printf.sprintf "attempt %d names the fault" attempt)
+                    want (String.sub msg 0 n)
+              | _ -> Alcotest.fail (want ^ ": expected Error_r")
+            done)
+          failing;
+        Alcotest.(check int) "nothing tuned" 0 (Atomic.get calls);
+        (* the daemon still serves a valid spec *)
+        let r = expect_plan "valid" (request socket (tune_req gemm_text)) in
+        Alcotest.(check string) "valid spec's fingerprint"
+          (Fingerprint.key ~accel:(toy ())
+             ~op:(Amos_ir.Dsl.parse_exn ~name:"x" gemm_text)
+             ~budget:small_budget)
+          r.Protocol.fingerprint;
+        Server.stop server;
+        Thread.join thread);
+    Alcotest.test_case "specs-past-the-memo-bound-are-still-served" `Quick
+      (fun () ->
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_
+            ~abort:_ =
+          { Server.value = Plan_cache.Scalar; evaluations = 1 }
+        in
+        let server, thread, socket =
+          start_server ~tuner ~hot_capacity:1024 ()
+        in
+        (* 540 distinct specs, more than the 512 the memo admits *)
+        let texts =
+          List.concat_map
+            (fun i ->
+              List.init 20 (fun j ->
+                  Printf.sprintf
+                    "for {i:%d, j:%d} for {r:4r}: out[i,j] += a[i,r] * b[r,j]"
+                    (i + 1) (j + 1)))
+            (List.init 27 Fun.id)
+        in
+        let accel = toy () in
+        let expected =
+          List.map
+            (fun text ->
+              ( text,
+                Fingerprint.key ~accel
+                  ~op:(Amos_ir.Dsl.parse_exn ~name:"x" text)
+                  ~budget:small_budget ))
+            texts
+        in
+        Client.with_conn ~attempts:50 socket (fun c ->
+            List.iter
+              (fun req_of ->
+                List.iter
+                  (fun (text, fingerprint) ->
+                    match Client.request c (req_of text) with
+                    | Ok (Protocol.Plan_r r) ->
+                        if r.Protocol.fingerprint <> fingerprint then
+                          Alcotest.failf "%s: fingerprint %s, want %s" text
+                            r.Protocol.fingerprint fingerprint
+                    | Ok _ -> Alcotest.fail (text ^ ": expected Plan_r")
+                    | Error msg -> Alcotest.fail msg)
+                  expected)
+              [
+                tune_req;
+                (fun text ->
+                  Protocol.Lookup
+                    { accel = "toy"; op = Protocol.Dsl_text text;
+                      budget = small_budget });
+              ];
+            Ok ())
+        |> Result.iter_error Alcotest.fail;
+        Alcotest.(check int) "one tune per spec" (List.length texts)
+          (Server.stats server).Protocol.tunes;
+        Server.stop server;
+        Thread.join thread);
+    Alcotest.test_case "idle-drain-retunes-a-kind-only-fingerprint" `Quick
+      (fun () ->
+        let dir = temp_name "amosd-kind-retune" in
+        Sys.mkdir dir 0o755;
+        let calls = Atomic.make 0 in
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ ~abort:_ =
+          Atomic.incr calls;
+          { Server.value = Plan_cache.Scalar; evaluations = 1 }
+        in
+        let kind_req make =
+          make ("toy", Protocol.Kind { kind = "gmv"; batch = 1; index = 2 })
+        in
+        let tune (accel, op) =
+          Protocol.Tune { accel; op; budget = small_budget }
+        in
+        let lookup (accel, op) =
+          Protocol.Lookup { accel; op; budget = small_budget }
+        in
+        let server1, thread1, socket1 = start_server ~tuner ~cache_dir:dir () in
+        ignore (expect_plan "first tune" (request socket1 (kind_req tune)));
+        Server.stop server1;
+        Thread.join thread1;
+        Array.iter
+          (fun f ->
+            if Filename.check_suffix f ".plan" then
+              Out_channel.with_open_text (Filename.concat dir f) (fun oc ->
+                  output_string oc "garbage: not a plan header\n"))
+          (Sys.readdir dir);
+        Alcotest.(check int) "entry quarantined" 1
+          (Plan_cache.fsck ~dir ()).Plan_cache.quarantined;
+        (* the fresh daemon only ever sees the operator as a Kind spec *)
+        let server2, thread2, socket2 = start_server ~tuner ~cache_dir:dir () in
+        (match request socket2 (kind_req lookup) with
+        | Protocol.Not_found_r -> ()
+        | _ -> Alcotest.fail "quarantined entry must miss");
+        ignore (Server.drain_quarantined_once server2);
+        wait_for "kind-only fingerprint re-tuned" (fun () ->
+            (Server.stats server2).Protocol.quarantine_retunes = 1);
+        let r = expect_plan "restored" (request socket2 (kind_req lookup)) in
+        Alcotest.(check string) "restored under the in-process fingerprint"
+          (Fingerprint.key ~accel:(toy ())
+             ~op:(gmv 2)
+             ~budget:small_budget)
+          r.Protocol.fingerprint;
+        Alcotest.(check int) "exactly one extra exploration" 2 (Atomic.get calls);
+        Server.stop server2;
+        Thread.join thread2);
+  ]
+
 let suites =
   [
     ("server.protocol", codec_tests);
@@ -1231,4 +1481,5 @@ let suites =
     ("server.primitives", primitive_tests);
     ("server.daemon", daemon_tests);
     ("server.stream", stream_tests);
+    ("server.memo", memo_tests);
   ]

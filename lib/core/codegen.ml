@@ -334,7 +334,7 @@ let prepare (accel : Accelerator.t) (m : Mapping.t) =
       Array.map (fun (it : Iter.t) -> it.Iter.extent) intr_iters;
     p_flops_per_call = Intrinsic.flops_per_call intr;
     p_mem_efficiency = mem_efficiency;
-    p_name = Printf.sprintf "%s@%s" op.Operator.name intr.Intrinsic.name;
+    p_name = op.Operator.name ^ "@" ^ intr.Intrinsic.name;
   }
 
 (* ---- timing metadata ----
@@ -371,7 +371,8 @@ let fp_factor_span splits ~step (factor : fp_factor) =
   let acc = ref 1 in
   for t = 0 to Array.length factor - 1 do
     let c, ext, cov = factor.(t) in
-    acc := !acc + (c * (max 1 (min ext (fp_cover_val splits ~step cov)) - 1))
+    acc :=
+      !acc + (c * (Int.max 1 (Int.min ext (fp_cover_val splits ~step cov)) - 1))
   done;
   !acc
 
@@ -428,7 +429,7 @@ let timing_prepared (p : prepared) (sched : Schedule.t) =
   in
   let reg_store_bytes =
     2. *. float_of_int p.p_out_bytes_per_tile
-    /. float_of_int (max 1 !reduction_serial)
+    /. float_of_int (Int.max 1 !reduction_serial)
   in
   {
     K.flops_per_call = p.p_flops_per_call;
@@ -453,13 +454,14 @@ let issue_cycles_prepared (p : prepared) (sched : Schedule.t) =
 let summarize_prepared (p : prepared) (sched : Schedule.t) =
   if not (Schedule.validate_dims p.p_dims sched) then
     invalid_arg "Codegen.lower: schedule does not fit mapping";
+  let splits = sched.Schedule.splits in
   let blocks = ref 1 and subcore = ref 1 and serial = ref 1 in
-  Array.iter
-    (fun (s : Schedule.split) ->
-      blocks := !blocks * s.Schedule.block;
-      subcore := !subcore * s.Schedule.subcore;
-      serial := !serial * s.Schedule.serial)
-    sched.Schedule.splits;
+  for i = 0 to Array.length splits - 1 do
+    let s = splits.(i) in
+    blocks := !blocks * s.Schedule.block;
+    subcore := !subcore * s.Schedule.subcore;
+    serial := !serial * s.Schedule.serial
+  done;
   {
     K.s_issue_cycles = issue_cycles_prepared p sched;
     s_blocks = !blocks;

@@ -168,6 +168,9 @@ type engine = {
       (* the uncorrected analytic prediction, for [?observe] records *)
 }
 
+(* the per-schedule memo, keyed on every field (see {!Schedule.hash}) *)
+module Memo = Hashtbl.Make (Schedule)
+
 let engine ~memo ?model ~accel mapping =
   (* with no model the correction is the identity function and the code
      path below computes exactly what it did before the hook existed *)
@@ -178,7 +181,7 @@ let engine ~memo ?model ~accel mapping =
     let space = Schedule.space mapping in
     let prepared = Codegen.prepare accel mapping in
     let ctx = Perf_model.context accel.Accelerator.config in
-    let cache : (Schedule.t, float) Hashtbl.t = Hashtbl.create 64 in
+    let cache = Memo.create 64 in
     {
       e_default = (fun () -> Schedule.default_in space);
       e_random = (fun rng -> Schedule.random_in space rng);
@@ -186,14 +189,14 @@ let engine ~memo ?model ~accel mapping =
       e_validate = Schedule.validate_in space;
       e_predict =
         (fun s ->
-          match Hashtbl.find_opt cache s with
+          match Memo.find_opt cache s with
           | Some v -> v
           | None ->
               let summary = Codegen.summarize_prepared prepared s in
               let v =
                 correct summary (Perf_model.predict_seconds_summary ctx summary)
               in
-              Hashtbl.add cache s v;
+              Memo.add cache s v;
               v);
       e_measure =
         (fun s ->

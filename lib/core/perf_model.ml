@@ -41,7 +41,7 @@ let predict_summary ctx (s : K.summary) =
   let l0 = s.K.s_issue_cycles in
   (* level 1: sub-core; S_1 = serial calls per sub-core *)
   let subcores =
-    float_of_int (min s.K.s_subcore_parallelism cfg.Mc.subcores_per_core)
+    float_of_int (Int.min s.K.s_subcore_parallelism cfg.Mc.subcores_per_core)
   in
   let s1 =
     float_of_int s.K.s_serial_steps

@@ -21,6 +21,37 @@ type t = {
   vectorize : bool;
 }
 
+(* Structural equality and a hash over every field, for tables keyed by
+   schedule.  The generic [Hashtbl.hash] stops after 10 meaningful words,
+   so it never reads past the block factor of the third split.  This
+   hash is a polynomial in the odd base 31: changing one field by [d]
+   moves it by [d] times an odd number, which is not a multiple of 2^62
+   while |d| < 2^62, so the hash changes. *)
+let equal a b =
+  (* a direct loop: on the memo's hit path, [Array.for_all2]'s closure
+     call per split makes a 6-split compare take 46 ns instead of 28 *)
+  let n = Array.length a.splits in
+  let rec splits_from i =
+    i = n
+    ||
+    let x = a.splits.(i) and y = b.splits.(i) in
+    x.block = y.block && x.subcore = y.subcore && x.serial = y.serial
+    && splits_from (i + 1)
+  in
+  a.stage_depth = b.stage_depth && a.unroll = b.unroll
+  && Bool.equal a.vectorize b.vectorize
+  && n = Array.length b.splits && splits_from 0
+
+let hash t =
+  let h =
+    ref ((((t.stage_depth * 31) + t.unroll) * 31) + Bool.to_int t.vectorize)
+  in
+  for i = 0 to Array.length t.splits - 1 do
+    let s = t.splits.(i) in
+    h := (((((!h * 31) + s.block) * 31) + s.subcore) * 31) + s.serial
+  done;
+  !h land max_int
+
 let dims (m : Mapping.t) =
   let sw =
     List.map
@@ -70,24 +101,50 @@ let default m =
     vectorize = true;
   }
 
-let factor_choices extent =
-  let rec divisors i acc =
-    if i > extent then acc
-    else divisors (i + 1) (if extent mod i = 0 then i :: acc else acc)
+(* Block-factor menu of an extent, ascending: its divisors, found by a
+   walk up to √extent ([lo] collects d descending, [hi] collects
+   extent/d ascending), merged with the non-dividing powers of two below
+   it (covered by ceil + padding).  [d <= extent / d] is [d * d <=
+   extent] without the overflow. *)
+let block_choices extent =
+  let rec walk d lo hi =
+    if d > extent / d then List.rev_append lo hi
+    else if extent mod d <> 0 then walk (d + 1) lo hi
+    else if d = extent / d then walk (d + 1) (d :: lo) hi
+    else walk (d + 1) (d :: lo) ((extent / d) :: hi)
   in
-  let divs = divisors 1 [] in
-  (* also allow non-dividing powers of two (covered by ceil + padding) *)
-  let pows =
-    List.filter (fun p -> p < extent) [ 2; 4; 8; 16; 32; 64; 128 ]
+  let rec merge p divs =
+    if p > 128 || p >= extent then divs
+    else
+      match divs with
+      | d :: rest when d < p -> d :: merge p rest
+      | d :: rest when d = p -> d :: merge (2 * p) rest
+      | _ -> p :: merge (2 * p) divs
   in
-  List.sort_uniq Int.compare (divs @ pows)
+  Array.of_list (merge 2 (walk 1 [] []))
+
+(* Sub-core menu of what a block leaves, ascending: the block menu's
+   members up to 8, in one pass over 1..8 -- the divisors of [rest],
+   plus 2, 4 and 8 below it. *)
+let subcore_choices rest =
+  let rec go f acc =
+    if f = 0 then acc
+    else
+      let keep = rest mod f = 0 || (f land (f - 1) = 0 && f < rest) in
+      go (f - 1) (if keep then f :: acc else acc)
+  in
+  Array.of_list (go 8 [])
+
+(* Draws exactly like {!Rng.pick} on the equivalent lists: one [Rng.int]
+   per choice with the same bound, indexing the same element order. *)
+let pick_in rng a = a.(Rng.int rng (Array.length a))
 
 let random_split rng d =
   if not d.parallelizable then serial_split d.extent
   else
-    let block = Rng.pick rng (factor_choices d.extent) in
+    let block = pick_in rng (block_choices d.extent) in
     let rest = ceil_div d.extent block in
-    let subcore = Rng.pick rng (List.filter (fun f -> f <= 8) (factor_choices rest)) in
+    let subcore = pick_in rng (subcore_choices rest) in
     let serial = ceil_div rest subcore in
     { block; subcore; serial }
 
@@ -140,11 +197,10 @@ let validate_dims ds t =
 let validate m t = validate_dims (dims m) t
 
 (* Precomputed search space for one mapping: the dims list (recomputing it
-   per candidate walks the mapping every time) and memo tables for
-   [factor_choices], which rebuilds the same divisor lists for the same
-   extents thousands of times across a genetic search.  The [*_in]
-   functions below draw the exact same RNG stream as their mapping-taking
-   counterparts, so results are bit-identical. *)
+   per candidate walks the mapping every time) and the split menus of
+   each dim, which a genetic search redraws from thousands of times.  The
+   [*_in] functions below draw the exact same RNG stream as their
+   mapping-taking counterparts, so results are bit-identical. *)
 (* Per-dim split-choice tables, filled lazily: [s_dim_blocks.(i)] is the
    block-factor menu of dim [i]; [s_dim_subs.(i).(bi)] the sub-core menu
    left after drawing block choice [bi].  The empty array is the
@@ -176,7 +232,7 @@ let dim_blocks sp i =
   let b = sp.s_dim_blocks.(i) in
   if b != [||] then b
   else begin
-    let a = Array.of_list (factor_choices sp.s_dims_arr.(i).extent) in
+    let a = block_choices sp.s_dims_arr.(i).extent in
     sp.s_dim_blocks.(i) <- a;
     sp.s_dim_subs.(i) <- Array.make (Array.length a) [||];
     a
@@ -186,17 +242,12 @@ let dim_subs sp i bi block =
   let su = sp.s_dim_subs.(i).(bi) in
   if su != [||] then su
   else begin
-    let rest = ceil_div sp.s_dims_arr.(i).extent block in
-    let a =
-      Array.of_list (List.filter (fun f -> f <= 8) (factor_choices rest))
-    in
+    let a = subcore_choices (ceil_div sp.s_dims_arr.(i).extent block) in
     sp.s_dim_subs.(i).(bi) <- a;
     a
   end
 
-(* Draws exactly like {!Rng.pick} on the equivalent lists: one [Rng.int]
-   per choice with the same bound, indexing the same element order -- the
-   RNG stream is bit-identical, without the List.length/List.nth walks. *)
+(* [random_split] over the space's menus: the same two draws *)
 let random_split_at sp rng i =
   let d = sp.s_dims_arr.(i) in
   if not d.parallelizable then serial_split d.extent
@@ -204,8 +255,7 @@ let random_split_at sp rng i =
     let blocks = dim_blocks sp i in
     let bi = Rng.int rng (Array.length blocks) in
     let block = blocks.(bi) in
-    let subs = dim_subs sp i bi block in
-    let subcore = subs.(Rng.int rng (Array.length subs)) in
+    let subcore = pick_in rng (dim_subs sp i bi block) in
     let serial = ceil_div (ceil_div d.extent block) subcore in
     { block; subcore; serial }
 

@@ -36,6 +36,14 @@ type t = {
   vectorize : bool;
 }
 
+val equal : t -> t -> bool
+
+val hash : t -> int
+(** Over every field, unlike the generic [Hashtbl.hash], which stops
+    after 10 meaningful words: schedules that differ in one field of any
+    split hash differently.  With {!equal}, makes this module a
+    [Hashtbl.HashedType]. *)
+
 val default : Mapping.t -> t
 (** A sensible GPU-style schedule: parallel dimensions fully bound to
     cores, reduction dimensions serial. *)
@@ -52,10 +60,20 @@ val validate_dims : dim list -> t -> bool
 
 val describe : Mapping.t -> t -> string
 
+val block_choices : int -> int array
+(** The block-factor menu of a dim extent, ascending: every divisor of
+    the extent (found by a walk up to its square root) plus the powers of
+    two up to 128 below it, which ceil + padding covers. *)
+
+val subcore_choices : int -> int array
+(** The sub-core menu of what a block leaves ([ceil_div extent block]),
+    ascending: the members of {!block_choices} up to 8. *)
+
 type space
-(** Precomputed search space for one mapping: its {!dims} plus memoized
-    split-factor tables, so the genetic loop stops recomputing divisor
-    lists per candidate.  Not domain-safe: one space per search. *)
+(** Precomputed search space for one mapping: its {!dims} plus its
+    split menus, filled on first use, so the genetic loop stops
+    recomputing them per candidate.  Not domain-safe: one space per
+    search. *)
 
 val space : Mapping.t -> space
 val space_dims : space -> dim list

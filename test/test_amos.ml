@@ -8,4 +8,4 @@ let () =
     @ Test_economy.suites @ Test_props.suites @ Test_fingerprint.suites
     @ Test_server.suites
     @ Test_admission.suites @ Test_fleet.suites @ Test_chaos.suites
-    @ Test_throughput.suites @ Test_learn.suites)
+    @ Test_throughput.suites @ Test_model_pins.suites @ Test_learn.suites)

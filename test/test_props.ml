@@ -906,6 +906,55 @@ let prop_fingerprint_oracle =
          = Fingerprint_oracle.key ~accel ~op ~budget
       && Fingerprint.op_key ~op ~budget = Fingerprint_oracle.op_key ~op ~budget)
 
+(* --- schedule split menus against their specification ----------------- *)
+
+(* extents up to 2^30: small ones, uniform ones (mostly few divisors) and
+   7-smooth ones (many divisors) *)
+let gen_extent =
+  let open QCheck.Gen in
+  let pow b e = int_of_float (float_of_int b ** float_of_int e) in
+  oneof
+    [
+      int_range 1 1024;
+      int_range 1 (1 lsl 30);
+      map
+        (fun (a, b, c, d) -> (1 lsl a) * pow 3 b * pow 5 c * pow 7 d)
+        (quad (int_range 0 9) (int_range 0 5) (int_range 0 3) (int_range 0 2));
+    ]
+
+(* the block menu is the divisors plus the powers of two up to 128 below
+   the extent, strictly ascending; the sub-core menu is its members up
+   to 8 *)
+let prop_schedule_menus =
+  QCheck.Test.make ~count:cases ~name:"split menus meet their specification"
+    (QCheck.make ~print:string_of_int gen_extent)
+    (fun extent ->
+      let menu = Schedule.block_choices extent in
+      let members = Hashtbl.create 64 in
+      Array.iter (fun x -> Hashtbl.replace members x ()) menu;
+      let mem x = Hashtbl.mem members x in
+      let small_pow2 x = x >= 2 && x <= 128 && x land (x - 1) = 0 in
+      let ascending = ref true in
+      for i = 1 to Array.length menu - 1 do
+        if menu.(i - 1) >= menu.(i) then ascending := false
+      done;
+      let divisor_pairs = ref true in
+      let d = ref 1 in
+      while !d <= extent / !d do
+        if extent mod !d = 0 && not (mem !d && mem (extent / !d)) then
+          divisor_pairs := false;
+        incr d
+      done;
+      !ascending && !divisor_pairs
+      && Array.for_all
+           (fun x -> x >= 1 && (extent mod x = 0 || (small_pow2 x && x < extent)))
+           menu
+      && List.for_all
+           (fun p -> p >= extent || mem p)
+           [ 2; 4; 8; 16; 32; 64; 128 ]
+      && Schedule.subcore_choices extent
+         = Array.of_list (List.filter (fun f -> f <= 8) (Array.to_list menu)))
+
 let suites =
   [
     ( "props.algorithm1",
@@ -934,6 +983,7 @@ let suites =
              prop_bm_scratch_alias;
            ] );
     ("props.fingerprint", [ to_alcotest prop_fingerprint_oracle ]);
+    ("props.schedule_menus", [ to_alcotest prop_schedule_menus ]);
     ( "props.economy",
       List.map to_alcotest
         [

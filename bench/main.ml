@@ -1,6 +1,6 @@
 (* Experiment harness: one entry per table and figure of the paper's
-   evaluation (Sec 7), plus Bechamel micro-benchmarks of the compiler's
-   hot paths.
+   evaluation (Sec 7), plus the gated benches of the plan service and
+   the tuner.
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- table2  -- run one experiment
@@ -1346,14 +1346,15 @@ let chaos () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Tuner throughput: the ROADMAP item 3 gate.  One full [Explore.tune]
-   over the A100 mapping space of a ResNet layer, run both through the
-   allocation-lean fast path (memo on: packed Bin_matrix validation
-   memo, prepared lowering, summary-based prediction, precomputed
-   schedule space) and through the pre-change per-candidate path (memo
-   off).  The two must produce bit-identical results; the fast path must
-   clear a speedup multiple, an absolute evals/sec floor, and a peak-RSS
-   ceiling. *)
+(* Tuner throughput.  One full tune over the A100 mapping space of a
+   ResNet layer, run both through [Explore.tune] (prepared lowering,
+   summary-based prediction, per-schedule memo, precomputed schedule
+   space) and through the recompute-everything reference,
+   [Amos_reference.Recompute.tune] (a full lowering per candidate).  The
+   two must produce bit-identical results; [Explore.tune] must clear a
+   speedup multiple over the reference, an absolute evals/sec floor,
+   and a peak-RSS ceiling.  The report keeps its historical field names:
+   "memo_on" is [Explore.tune], "memo_off" the reference. *)
 
 let vm_hwm_kb () =
   try
@@ -1381,35 +1382,33 @@ let tuner_throughput () =
   let accel = Accelerator.a100 () in
   let label = "C5" in
   let op = Resnet.config (Resnet.by_label label) in
-  let mappings =
-    List.concat_map
-      (fun intr -> List.map Mapping.make (Mapping_gen.generate_op op intr))
-      accel.Accelerator.intrinsics
-  in
+  let mappings = Explore.mappings accel op in
   Printf.printf "(seed %d, %s on A100, %d mappings, best of %d%s)\n%!" seed
     label (List.length mappings) reps
     (if smoke then ", smoke" else "");
-  let run ~memo =
+  let run tune =
     let rng = Rng.create seed in
     let a0 = Gc.allocated_bytes () in
     let t0 = Unix.gettimeofday () in
-    let r = Explore.tune ~memo ~rng ~accel ~mappings () in
+    let r : Explore.result = tune rng in
     let dt = Unix.gettimeofday () -. t0 in
     let alloc = Gc.allocated_bytes () -. a0 in
     (float_of_int r.Explore.evaluations /. dt,
      alloc /. float_of_int r.Explore.evaluations,
      r)
   in
+  let fast rng = Explore.tune ~rng ~accel ~mappings () in
+  let reference rng = Amos_reference.Recompute.tune ~rng ~accel ~mappings () in
   (* warm both paths so neither pays first-touch costs *)
-  ignore (run ~memo:true);
-  ignore (run ~memo:false);
+  ignore (run fast);
+  ignore (run reference);
   let best_on = ref 0. and best_off = ref 0. in
   let alloc_on = ref infinity and alloc_off = ref infinity in
   let evals = ref 0 in
   let identical = ref true in
   for _ = 1 to reps do
-    let on, a_on, r_on = run ~memo:true in
-    let off, a_off, r_off = run ~memo:false in
+    let on, a_on, r_on = run fast in
+    let off, a_off, r_off = run reference in
     if on > !best_on then best_on := on;
     if off > !best_off then best_off := off;
     if a_on < !alloc_on then alloc_on := a_on;
@@ -1431,9 +1430,9 @@ let tuner_throughput () =
   let gate_floor = 25_000. in
   let gate_hwm_kb = 524_288 in
   Printf.printf
-    "memo on : %10.0f evals/s  (%5.0f B alloc/eval)\n\
-     memo off: %10.0f evals/s  (%5.0f B alloc/eval)\n\
-     speedup : %.2fx (gate: >= %.1fx)   peak RSS %d kB (gate: <= %d kB)\n\
+    "fast     : %10.0f evals/s  (%5.0f B alloc/eval)\n\
+     reference: %10.0f evals/s  (%5.0f B alloc/eval)\n\
+     speedup  : %.2fx (gate: >= %.1fx)   peak RSS %d kB (gate: <= %d kB)\n\
      bit-identical results: %b\n%!"
     !best_on !alloc_on !best_off !alloc_off speedup gate_speedup hwm
     gate_hwm_kb !identical;
@@ -1478,7 +1477,7 @@ let tuner_throughput () =
   Printf.printf "[written BENCH_tuner.json]\n%!";
   if not !identical then begin
     Printf.printf
-      "FAIL: memo on/off tuner results must be bit-identical\n%!";
+      "FAIL: tuner results must be bit-identical to the reference\n%!";
     exit 1
   end;
   if speedup < gate_speedup then begin
@@ -1520,14 +1519,9 @@ let learned_model () =
   let seeds =
     if smoke then [ seed; seed + 1 ] else [ seed; seed + 1; seed + 2 ]
   in
-  let mappings_for accel op =
-    List.concat_map
-      (fun intr -> List.map Mapping.make (Mapping_gen.generate_op op intr))
-      accel.Accelerator.intrinsics
-  in
   let tune ?model ?observe ~tune_seed accel op =
     Explore.tune ?model ?observe ~rng:(Rng.create tune_seed) ~accel
-      ~mappings:(mappings_for accel op) ()
+      ~mappings:(Explore.mappings accel op) ()
   in
   (* phase A: uncalibrated baseline, observations collected *)
   let observations = ref [] in
@@ -1675,74 +1669,6 @@ let learned_model () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the compiler hot paths                  *)
-
-let micro () =
-  header "Micro-benchmarks (Bechamel): compiler hot paths";
-  let open Bechamel in
-  let accel = Accelerator.a100 () in
-  let wmma = Intrinsic.wmma_16x16x16 () in
-  let op = Ops.conv2d ~n:4 ~c:16 ~k:16 ~p:8 ~q:8 ~r:3 ~s:3 () in
-  let mapping =
-    match Compiler.mappings accel op with
-    | m :: _ -> m
-    | [] -> failwith "no mapping"
-  in
-  let sched = Schedule.default mapping in
-  let kernel = Codegen.lower accel mapping sched in
-  let small_op = Ops.conv2d ~n:1 ~c:2 ~k:2 ~p:2 ~q:2 ~r:2 ~s:2 () in
-  let toy = Intrinsic.toy_mma_2x2x2 () in
-  let toy_accel = { accel with Accelerator.intrinsics = [ toy ] } in
-  let toy_mapping =
-    match Compiler.mappings toy_accel small_op with
-    | m :: _ -> m
-    | [] -> failwith "no toy mapping"
-  in
-  let toy_kernel = Codegen.lower toy_accel toy_mapping (Schedule.default toy_mapping) in
-  let toy_inputs =
-    Amos_tensor.Reference.random_inputs (Rng.create 3) small_op
-  in
-  let tests =
-    [
-      Test.make ~name:"mapping-generation (C2D, 35 valid)"
-        (Staged.stage (fun () -> ignore (Mapping_gen.count op wmma)));
-      Test.make ~name:"algorithm1-validation"
-        (Staged.stage (fun () ->
-             ignore (Matching.validate mapping.Mapping.matching)));
-      Test.make ~name:"lower+perf-model"
-        (Staged.stage (fun () ->
-             let k = Codegen.lower accel mapping sched in
-             ignore (Perf_model.predict_seconds accel.Accelerator.config k)));
-      Test.make ~name:"machine-estimate"
-        (Staged.stage (fun () ->
-             ignore
-               (Spatial_sim.Machine.estimate accel.Accelerator.config kernel)));
-      Test.make ~name:"functional-sim (toy conv2d)"
-        (Staged.stage (fun () ->
-             ignore
-               (Spatial_sim.Machine.run toy_accel.Accelerator.config toy_kernel
-                  ~inputs:toy_inputs ~out_shape:[ 1; 2; 2; 2 ])));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false
-          ~predictors:[| Measure.run |]
-      in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name v ->
-          match Analyze.OLS.estimates v with
-          | Some [ est ] -> Printf.printf "%-40s %12.0f ns/run\n%!" name est
-          | Some _ | None -> ())
-        stats)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1754,7 +1680,7 @@ let experiments =
     ("migration", migration); ("serve", serve);
     ("cache_economy", cache_economy); ("fleet", fleet); ("chaos", chaos);
     ("tuner_throughput", tuner_throughput);
-    ("learned_model", learned_model); ("micro", micro);
+    ("learned_model", learned_model);
   ]
 
 let () =

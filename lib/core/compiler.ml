@@ -15,7 +15,7 @@ type plan = {
   target : target;
 }
 
-let mappings ?filter accel op = Explore.mappings ?filter accel op
+let mappings = Explore.mappings
 
 (* AMOS also tunes scalar code for the CUDA cores; when a valid spatial
    mapping exists but loses to the scalar roofline (e.g. depthwise conv

@@ -22,7 +22,7 @@ type plan = {
   target : target;
 }
 
-val mappings : ?filter:bool -> Accelerator.t -> Operator.t -> Mapping.t list
+val mappings : Accelerator.t -> Operator.t -> Mapping.t list
 (** {!Explore.mappings}: the union of the valid mapping spaces of every
     intrinsic the accelerator exposes (e.g. all three WMMA shapes on
     Tensor Core). *)

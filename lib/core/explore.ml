@@ -70,14 +70,6 @@ type progress = {
   pr_evaluations : int;
 }
 
-let predict accel c =
-  let k = Codegen.lower accel c.mapping c.schedule in
-  Perf_model.predict_seconds accel.Accelerator.config k
-
-let measure accel c =
-  let k = Codegen.lower accel c.mapping c.schedule in
-  Spatial_sim.Machine.estimate_seconds accel.Accelerator.config k
-
 (* A stable per-mapping seed: the schedule search for a given mapping
    explores the same schedule sequence no matter which compiler invokes
    it or what other mappings surround it.  Exploring a superset of
@@ -143,102 +135,57 @@ let merge_seed_population ~mappings initial_population =
   let is_seeded m = Hashtbl.mem seed_tbl (mapping_key m) in
   (mappings @ extra, seeds_for, is_seeded)
 
-(* The per-mapping evaluation engine.  With [memo] on it holds the
-   allocation-lean fast path of ROADMAP item 3: the schedule-independent
-   half of lowering is prepared once ({!Codegen.prepare}), the perf-model
-   config constants are hoisted once ({!Perf_model.context}), schedule
-   generation runs through a precomputed {!Schedule.space}, and predicted
-   seconds are memoized per schedule — converged genetic populations
-   re-propose the same schedules constantly.  With [memo] off every call
-   recomputes from scratch (the pre-change code path).  Both produce
-   bit-identical floats: the cached value is the recomputed value, the
-   [*_in] schedule functions draw the same RNG stream, and evaluation
-   counts are closed-form — the throughput suite checks full-tune
-   equivalence across seeds and accelerators. *)
-type engine = {
-  e_default : unit -> Schedule.t;
-  e_random : Rng.t -> Schedule.t;
-  e_mutate : Rng.t -> Schedule.t -> Schedule.t;
-  e_validate : Schedule.t -> bool;
-  e_predict : Schedule.t -> float;
-      (* corrected by the screen model when one is active *)
-  e_measure : Schedule.t -> float;
-  e_summary : Schedule.t -> Spatial_sim.Kernel.summary;
-  e_raw_predict : Spatial_sim.Kernel.summary -> float;
-      (* the uncorrected analytic prediction, for [?observe] records *)
-}
-
 (* the per-schedule memo, keyed on every field (see {!Schedule.hash}) *)
 module Memo = Hashtbl.Make (Schedule)
 
-let engine ~memo ?model ~accel mapping =
-  (* with no model the correction is the identity function and the code
-     path below computes exactly what it did before the hook existed *)
-  let correct =
-    match model with None -> fun _ p -> p | Some m -> m.sm_correct
-  in
-  if memo then
-    let space = Schedule.space mapping in
-    let prepared = Codegen.prepare accel mapping in
-    let ctx = Perf_model.context accel.Accelerator.config in
-    let cache = Memo.create 64 in
-    {
-      e_default = (fun () -> Schedule.default_in space);
-      e_random = (fun rng -> Schedule.random_in space rng);
-      e_mutate = (fun rng s -> Schedule.mutate_in space rng s);
-      e_validate = Schedule.validate_in space;
-      e_predict =
-        (fun s ->
-          match Memo.find_opt cache s with
-          | Some v -> v
-          | None ->
-              let summary = Codegen.summarize_prepared prepared s in
-              let v =
-                correct summary (Perf_model.predict_seconds_summary ctx summary)
-              in
-              Memo.add cache s v;
-              v);
-      e_measure =
-        (fun s ->
-          Spatial_sim.Machine.estimate_seconds accel.Accelerator.config
-            (Codegen.lower_prepared prepared s));
-      e_summary = Codegen.summarize_prepared prepared;
-      e_raw_predict = Perf_model.predict_seconds_summary ctx;
-    }
-  else
-    {
-      e_default = (fun () -> Schedule.default mapping);
-      e_random = (fun rng -> Schedule.random rng mapping);
-      e_mutate = (fun rng s -> Schedule.mutate rng mapping s);
-      e_validate = (fun s -> Schedule.validate mapping s);
-      e_predict =
-        (fun s ->
-          match model with
-          | None -> predict accel { mapping; schedule = s }
-          | Some m ->
-              let k = Codegen.lower accel mapping s in
-              m.sm_correct
-                (Spatial_sim.Kernel.summarize k)
-                (Perf_model.predict_seconds accel.Accelerator.config k));
-      e_measure = (fun s -> measure accel { mapping; schedule = s });
-      e_summary =
-        (fun s ->
-          Spatial_sim.Kernel.summarize (Codegen.lower accel mapping s));
-      e_raw_predict =
-        (fun summary ->
-          Perf_model.predict_seconds_summary
-            (Perf_model.context accel.Accelerator.config)
-            summary);
-    }
+(* One mapping's evaluation state.  The schedule-independent half of
+   lowering is prepared once ({!Codegen.prepare}), the perf-model config
+   constants are hoisted once ({!Perf_model.context}), schedules are
+   drawn from a precomputed {!Schedule.space}, and predicted seconds are
+   memoized per schedule: converged genetic populations re-propose the
+   same schedules constantly.  Every float is the one a full
+   [Codegen.lower] per candidate computes, which the test suite checks
+   against a recompute-everything reference. *)
+type engine = {
+  space : Schedule.space;
+  prepared : Codegen.prepared;
+  ctx : Perf_model.ctx;
+  correct : Spatial_sim.Kernel.summary -> float -> float;
+      (* the screen model's correction; the identity without a model *)
+  cache : float Memo.t;
+}
+
+let engine ?model ~accel mapping =
+  let space = Schedule.space mapping in
+  let prepared = Codegen.prepare accel mapping in
+  {
+    space;
+    prepared;
+    ctx = Perf_model.context accel.Accelerator.config;
+    correct = (match model with None -> fun _ p -> p | Some m -> m.sm_correct);
+    cache = Memo.create 64;
+  }
+
+(* predicted seconds, corrected by the screen model, memoized *)
+let predict eng s =
+  match Memo.find_opt eng.cache s with
+  | Some v -> v
+  | None ->
+      let summary = Codegen.summarize_prepared eng.prepared s in
+      let v =
+        eng.correct summary (Perf_model.predict_seconds_summary eng.ctx summary)
+      in
+      Memo.add eng.cache s v;
+      v
 
 let schedule_search ?tick ?abort ?(seeds = []) ~population ~generations ~rng
     ~eng () =
-  let score sched = (sched, eng.e_predict sched) in
+  let score sched = (sched, predict eng sched) in
   (* seed schedules join the initial genetic population alongside the
      default and the random draws: they compete, they never replace *)
   let initial =
-    (score (eng.e_default ()) :: List.map score seeds)
-    @ List.init population (fun _ -> score (eng.e_random rng))
+    (score (Schedule.default_in eng.space) :: List.map score seeds)
+    @ List.init population (fun _ -> score (Schedule.random_in eng.space rng))
   in
   let sorted l = List.sort (fun (_, a) (_, b) -> Float.compare a b) l in
   let aborted () = match abort with None -> false | Some f -> f () in
@@ -261,7 +208,7 @@ let schedule_search ?tick ?abort ?(seeds = []) ~population ~generations ~rng
               if Rng.bool rng then
                 Schedule.crossover rng a
                   parents.(Rng.int rng (Array.length parents))
-              else eng.e_mutate rng a
+              else Schedule.mutate_in eng.space rng a
             in
             score sched)
       in
@@ -273,13 +220,16 @@ let schedule_search ?tick ?abort ?(seeds = []) ~population ~generations ~rng
 (* phase 1 unit: screen one mapping with its default schedule and a few
    random ones.  Returns the best predicted time and the number of model
    evaluations spent; deterministic per mapping (see [mapping_seed]). *)
-let screen_mapping ?(memo = true) ?model ~accel mapping =
-  let eng = engine ~memo ?model ~accel mapping in
+let screen_mapping ?model ~accel mapping =
+  let eng = engine ?model ~accel mapping in
   let rng = Rng.create (mapping_seed mapping) in
-  let quick = eng.e_default () :: List.init 6 (fun _ -> eng.e_random rng) in
+  let quick =
+    Schedule.default_in eng.space
+    :: List.init 6 (fun _ -> Schedule.random_in eng.space rng)
+  in
   let best =
     List.fold_left
-      (fun acc sched -> Float.min acc (eng.e_predict sched))
+      (fun acc sched -> Float.min acc (predict eng sched))
       infinity quick
   in
   (best, List.length quick)
@@ -347,15 +297,15 @@ let unband ?model ~best score =
    independent RNG stream over the same mapping: shard [i] of a
    population split across workers passes [~salt:i], so the shards
    explore disjoint schedule sequences yet each remains reproducible. *)
-let search_mapping ?(salt = 0) ?(seeds = []) ?(memo = true) ?model ?observe
-    ?tick ?abort ~population ~generations ~measure_top ~accel mapping =
-  let eng = engine ~memo ?model ~accel mapping in
+let search_mapping ?(salt = 0) ?(seeds = []) ?model ?observe ?tick ?abort
+    ~population ~generations ~measure_top ~accel mapping =
+  let eng = engine ?model ~accel mapping in
   let rng =
     Rng.create
       (if salt = 0 then mapping_seed mapping
        else Hashtbl.hash (mapping_seed mapping, salt))
   in
-  let seeds = List.filter eng.e_validate seeds in
+  let seeds = List.filter (Schedule.validate_in eng.space) seeds in
   let ranked =
     schedule_search ?tick ?abort ~seeds ~population ~generations ~rng ~eng ()
   in
@@ -390,18 +340,21 @@ let search_mapping ?(salt = 0) ?(seeds = []) ?(memo = true) ?model ?observe
   in
   let measure_plan (schedule, predicted) =
     let c = { mapping; schedule } in
-    let measured = eng.e_measure schedule in
+    let measured =
+      Spatial_sim.Machine.estimate_seconds accel.Accelerator.config
+        (Codegen.lower_prepared eng.prepared schedule)
+    in
     (match observe with
     | None -> ()
     | Some f ->
         (* side channel: raw analytic prediction, never the
            model-corrected one — calibration fits the gap between the
            analytic model and the simulator *)
-        let summary = eng.e_summary schedule in
+        let summary = Codegen.summarize_prepared eng.prepared schedule in
         f
           {
             ob_summary = summary;
-            ob_predicted = eng.e_raw_predict summary;
+            ob_predicted = Perf_model.predict_seconds_summary eng.ctx summary;
             ob_measured = measured;
           });
     { candidate = c; predicted; measured }
@@ -445,7 +398,7 @@ let search_mapping ?(salt = 0) ?(seeds = []) ?(memo = true) ?model ?observe
   let seed_extras =
     List.filter_map
       (fun s ->
-        if List.mem s already then None else Some (s, eng.e_predict s))
+        if List.mem s already then None else Some (s, predict eng s))
       seeds
   in
   let plans = banded_plans @ escalated_plans @ List.map measure_plan seed_extras in
@@ -545,8 +498,8 @@ let tune_units fan ~must_keep ~cut ~screen ~search mappings =
    spend on its single hand-written mapping), and the best model-ranked
    plans are measured on the simulator. *)
 let tune_on fan ?(population = 16) ?(generations = 8) ?(measure_top = 3)
-    ?(initial_population = []) ?(memo = true) ?model ?observe ?progress ?abort
-    ~rng ~accel ~mappings () =
+    ?(initial_population = []) ?model ?observe ?progress ?abort ~rng ~accel
+    ~mappings () =
   if mappings = [] && initial_population = [] then
     invalid_arg "Explore.tune: no mappings";
   (* historical draw, kept so callers sharing an rng see the same stream *)
@@ -598,7 +551,7 @@ let tune_on fan ?(population = 16) ?(generations = 8) ?(measure_top = 3)
       progress
   in
   let screen m =
-    let ((_, n) as r) = screen_mapping ~memo ?model ~accel m in
+    let ((_, n) as r) = screen_mapping ?model ~accel m in
     count n;
     r
   in
@@ -631,7 +584,6 @@ let tune_on fan ?(population = 16) ?(generations = 8) ?(measure_top = 3)
                   (* seeds attach to shard 0 only, so each is measured once *)
                   search_mapping ~salt:shard
                     ~seeds:(if shard = 0 then seeds_for m else [])
-                    ~memo
                     ?model:(unband ?model ~best:best_score score)
                     ?observe
                     ?tick:(tick ~population ticked)
@@ -650,28 +602,28 @@ let tune = tune_on sequential
 (* Intrinsic selection is part of the search: the mapping space is the
    union over every intrinsic the accelerator exposes (e.g. the three
    WMMA shapes of Tensor Core). *)
-let mappings ?filter ?memo accel op =
+let mappings accel op =
   List.concat_map
-    (fun intr ->
-      List.map Mapping.make (Mapping_gen.generate_op ?filter ?memo op intr))
+    (fun intr -> List.map Mapping.make (Mapping_gen.generate_op op intr))
     accel.Accelerator.intrinsics
 
-let tune_op ?population ?generations ?measure_top ?filter ?memo ?model
-    ?observe ~rng ~accel op =
-  match mappings ?filter ?memo accel op with
+let tune_op ?population ?generations ?measure_top ?model ?observe ~rng ~accel
+    op =
+  match mappings accel op with
   | [] -> None
   | mappings ->
       Some
-        (tune ?population ?generations ?measure_top ?memo ?model ?observe ~rng
-           ~accel ~mappings ())
+        (tune ?population ?generations ?measure_top ?model ?observe ~rng ~accel
+           ~mappings ())
 
 let sample ~n ~rng ~accel ~mappings =
   if mappings = [] then invalid_arg "Explore.sample: no mappings";
   let mappings = Array.of_list mappings in
   List.init n (fun _ ->
       let mapping = mappings.(Rng.int rng (Array.length mappings)) in
-      let c = { mapping; schedule = Schedule.random rng mapping } in
-      (predict accel c, measure accel c))
+      let k = Codegen.lower accel mapping (Schedule.random rng mapping) in
+      ( Perf_model.predict_seconds accel.Accelerator.config k,
+        Spatial_sim.Machine.estimate_seconds accel.Accelerator.config k ))
 
 let trajectory ~flops history =
   let _, acc =

@@ -108,7 +108,6 @@ val tune :
   ?generations:int ->
   ?measure_top:int ->
   ?initial_population:candidate list ->
-  ?memo:bool ->
   ?model:screen_model ->
   ?observe:(observation -> unit) ->
   ?progress:(progress -> unit) ->
@@ -138,15 +137,15 @@ val tune :
     Raises [Invalid_argument] when both [mappings] and
     [initial_population] are empty, or no candidate is feasible.
 
-    [memo] (default [true]) turns on the allocation-lean fast path: the
-    schedule-independent half of lowering is prepared once per mapping
-    ({!Codegen.prepare}), predicted seconds are memoized per schedule,
-    perf-model config constants are hoisted ({!Perf_model.context}), and
-    schedule generation runs through a precomputed {!Schedule.space}.
-    [~memo:false] recomputes everything per candidate (the pre-change
-    code path).  Results are bit-identical either way — best plan,
-    history, evaluation counts — which the throughput test suite checks
-    across seeds and accelerators.
+    Evaluation is allocation-lean: the schedule-independent half of
+    lowering is prepared once per mapping ({!Codegen.prepare}),
+    predicted seconds are memoized per schedule, perf-model config
+    constants are hoisted ({!Perf_model.context}), schedules are drawn
+    from a precomputed {!Schedule.space}, and screening reads
+    {!Codegen.summarize_prepared} instead of building kernels.  The test
+    suite checks that the result — best plan, history, evaluation
+    counts — is bit-identical to a reference that lowers every
+    candidate in full, across seeds and accelerators.
 
     [model] installs a calibrated screen ({!screen_model}): every
     analytic prediction is corrected before ranking, and the optional
@@ -167,7 +166,6 @@ val tune_on :
   ?generations:int ->
   ?measure_top:int ->
   ?initial_population:candidate list ->
-  ?memo:bool ->
   ?model:screen_model ->
   ?observe:(observation -> unit) ->
   ?progress:(progress -> unit) ->
@@ -208,23 +206,15 @@ val tune_units :
     A raising unit is reported in [failures]; raises [Invalid_argument]
     when no plan is feasible and [Failure] when every mapping failed. *)
 
-val mappings :
-  ?filter:bool ->
-  ?memo:bool ->
-  Accelerator.t ->
-  Amos_ir.Operator.t ->
-  Mapping.t list
-(** An operator's mapping space: the union of the valid mappings of
-    every intrinsic the accelerator exposes (intrinsic selection is part
-    of the search).  [filter] and [memo] as in
-    {!Mapping_gen.generate_op}. *)
+val mappings : Accelerator.t -> Amos_ir.Operator.t -> Mapping.t list
+(** An operator's mapping space: the union of the feasible mappings
+    ({!Mapping_gen.generate_op}) of every intrinsic the accelerator
+    exposes (intrinsic selection is part of the search). *)
 
 val tune_op :
   ?population:int ->
   ?generations:int ->
   ?measure_top:int ->
-  ?filter:bool ->
-  ?memo:bool ->
   ?model:screen_model ->
   ?observe:(observation -> unit) ->
   rng:Amos_tensor.Rng.t ->
@@ -250,15 +240,11 @@ val mapping_key : Mapping.t -> string * string
     unlike the physical identity of the [Iter.t] ids inside. *)
 
 val screen_mapping :
-  ?memo:bool ->
-  ?model:screen_model ->
-  accel:Accelerator.t ->
-  Mapping.t ->
-  float * int
+  ?model:screen_model -> accel:Accelerator.t -> Mapping.t -> float * int
 (** Phase-1 unit: best predicted seconds of the default plus a few
     random schedules, and the number of model evaluations spent.
-    [memo] and [model] as in {!tune} (the returned score is corrected
-    when a model is given). *)
+    [model] as in {!tune} (the returned score is corrected when a model
+    is given). *)
 
 val unband :
   ?model:screen_model -> best:float -> float -> screen_model option
@@ -273,7 +259,6 @@ val unband :
 val search_mapping :
   ?salt:int ->
   ?seeds:Schedule.t list ->
-  ?memo:bool ->
   ?model:screen_model ->
   ?observe:(observation -> unit) ->
   ?tick:(float -> unit) ->

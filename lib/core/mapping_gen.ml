@@ -99,14 +99,9 @@ let candidates view intr ~src_perm =
       (s, ks))
     view.Mac_view.op.Operator.iters
 
-let generate ?(filter = true) ?(memo = true) view intr =
+let generate ?(filter = true) view intr =
   let results = ref [] in
-  let ws = if memo then Some (Matching.workspace ()) else None in
-  let validate m =
-    match ws with
-    | Some ws -> Matching.validate_ws ws m
-    | None -> Matching.validate m
-  in
+  let ws = Matching.workspace () in
   List.iter
     (fun src_perm ->
       let cands = candidates view intr ~src_perm in
@@ -129,7 +124,9 @@ let generate ?(filter = true) ?(memo = true) view intr =
             let m =
               Matching.create ~view ~intr ~src_perm ~assign:(Array.copy assign)
             in
-            if validate m && ((not filter) || Matching.feasible m)
+            if
+              Matching.validate_ws ws m
+              && ((not filter) || Matching.feasible m)
             then results := m :: !results
           end
         end
@@ -149,9 +146,9 @@ let generate ?(filter = true) ?(memo = true) view intr =
     (src_perms view intr);
   List.rev !results
 
-let generate_op ?filter ?memo op intr =
+let generate_op ?filter op intr =
   match Mac_view.of_operator op with
   | None -> []
-  | Some view -> generate ?filter ?memo view intr
+  | Some view -> generate ?filter view intr
 
-let count ?filter ?memo op intr = List.length (generate_op ?filter ?memo op intr)
+let count ?filter op intr = List.length (generate_op ?filter op intr)

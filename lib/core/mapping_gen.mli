@@ -29,18 +29,16 @@ val candidates :
   Mac_view.t -> Intrinsic.t -> src_perm:int array -> (Iter.t * Iter.t list) list
 (** Per software iteration, the compatible intrinsic iterations. *)
 
-val generate :
-  ?filter:bool -> ?memo:bool -> Mac_view.t -> Intrinsic.t -> Matching.t list
-(** [~memo:true] (default) runs Algorithm 1 through a per-call
-    {!Matching.workspace}: preallocated scratch matrices plus a validation
-    memo keyed on the packed (X, Y, Z) words, so the backtracking
-    enumeration allocates O(1) new words per candidate.  [~memo:false] is
-    the plain per-candidate path; both produce identical mapping lists
-    (checked by the throughput test suite). *)
+val generate : ?filter:bool -> Mac_view.t -> Intrinsic.t -> Matching.t list
+(** Runs Algorithm 1 through one {!Matching.workspace} per call:
+    preallocated scratch matrices plus a validation memo keyed on the
+    packed (X, Y, Z) words, so the backtracking enumeration allocates
+    O(1) new words per candidate.  Its verdicts are {!Matching.validate}'s:
+    the test suite compares the mapping lists, matrix for matrix, with a
+    reference enumeration that validates each candidate on its own. *)
 
-val generate_op :
-  ?filter:bool -> ?memo:bool -> Operator.t -> Intrinsic.t -> Matching.t list
+val generate_op : ?filter:bool -> Operator.t -> Intrinsic.t -> Matching.t list
 (** [[]] when the operator has no MAC view (max-accumulation). *)
 
-val count : ?filter:bool -> ?memo:bool -> Operator.t -> Intrinsic.t -> int
+val count : ?filter:bool -> Operator.t -> Intrinsic.t -> int
 (** Number of feasible mappings — the Table 6 quantity. *)

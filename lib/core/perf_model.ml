@@ -62,8 +62,7 @@ let predict_summary ctx (s : K.summary) =
   let l3 = Float.max 1.0 s3 *. l2 in
   { l0; l1; l2; l3 }
 
-let predict_ctx ctx (k : K.t) = predict_summary ctx (K.summarize k)
-let predict cfg k = predict_ctx (context cfg) k
+let predict cfg k = predict_summary (context cfg) (K.summarize k)
 
 let predict_seconds_summary ctx (s : K.summary) =
   let cfg = ctx.cfg in
@@ -76,7 +75,5 @@ let predict_seconds_summary ctx (s : K.summary) =
     let { l3; _ } = predict_summary ctx s in
     l3 /. ctx.clock_hz
 
-let predict_seconds_ctx ctx (k : K.t) =
-  predict_seconds_summary ctx (K.summarize k)
-
-let predict_seconds cfg k = predict_seconds_ctx (context cfg) k
+let predict_seconds cfg k =
+  predict_seconds_summary (context cfg) (K.summarize k)

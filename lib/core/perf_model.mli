@@ -34,8 +34,6 @@ type ctx
     same expressions, once. *)
 
 val context : Spatial_sim.Machine_config.t -> ctx
-val predict_ctx : ctx -> Spatial_sim.Kernel.t -> levels
-val predict_seconds_ctx : ctx -> Spatial_sim.Kernel.t -> float
 
 val predict_summary : ctx -> Spatial_sim.Kernel.summary -> levels
 (** The model proper: every other entry point is [predict_summary] of

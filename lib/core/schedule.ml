@@ -86,21 +86,6 @@ let serial_split extent = { block = 1; subcore = 1; serial = extent }
 
 let full_block_split extent = { block = extent; subcore = 1; serial = 1 }
 
-let default m =
-  let ds = dims m in
-  {
-    splits =
-      Array.of_list
-        (List.map
-           (fun d ->
-             if d.parallelizable then full_block_split d.extent
-             else serial_split d.extent)
-           ds);
-    stage_depth = 2;
-    unroll = 4;
-    vectorize = true;
-  }
-
 (* Block-factor menu of an extent, ascending: its divisors, found by a
    walk up to √extent ([lo] collects d descending, [hi] collects
    extent/d ascending), merged with the non-dividing powers of two below
@@ -135,40 +120,6 @@ let subcore_choices rest =
   in
   Array.of_list (go 8 [])
 
-(* Draws exactly like {!Rng.pick} on the equivalent lists: one [Rng.int]
-   per choice with the same bound, indexing the same element order. *)
-let pick_in rng a = a.(Rng.int rng (Array.length a))
-
-let random_split rng d =
-  if not d.parallelizable then serial_split d.extent
-  else
-    let block = pick_in rng (block_choices d.extent) in
-    let rest = ceil_div d.extent block in
-    let subcore = pick_in rng (subcore_choices rest) in
-    let serial = ceil_div rest subcore in
-    { block; subcore; serial }
-
-let random rng m =
-  let ds = dims m in
-  {
-    splits = Array.of_list (List.map (random_split rng) ds);
-    stage_depth = 1 + Rng.int rng 4;
-    unroll = Rng.pick rng [ 1; 2; 4; 8 ];
-    vectorize = Rng.bool rng;
-  }
-
-let mutate rng m t =
-  let ds = Array.of_list (dims m) in
-  let t = { t with splits = Array.copy t.splits } in
-  match Rng.int rng 4 with
-  | 0 when Array.length ds > 0 ->
-      let i = Rng.int rng (Array.length ds) in
-      t.splits.(i) <- random_split rng ds.(i);
-      t
-  | 1 -> { t with stage_depth = 1 + Rng.int rng 4 }
-  | 2 -> { t with unroll = Rng.pick rng [ 1; 2; 4; 8 ] }
-  | _ -> { t with vectorize = Rng.bool rng }
-
 let crossover rng a b =
   let n = Array.length a.splits in
   {
@@ -198,10 +149,8 @@ let validate m t = validate_dims (dims m) t
 
 (* Precomputed search space for one mapping: the dims list (recomputing it
    per candidate walks the mapping every time) and the split menus of
-   each dim, which a genetic search redraws from thousands of times.  The
-   [*_in] functions below draw the exact same RNG stream as their
-   mapping-taking counterparts, so results are bit-identical. *)
-(* Per-dim split-choice tables, filled lazily: [s_dim_blocks.(i)] is the
+   each dim, which a genetic search redraws from thousands of times.
+   Per-dim split-choice tables, filled lazily: [s_dim_blocks.(i)] is the
    block-factor menu of dim [i]; [s_dim_subs.(i).(bi)] the sub-core menu
    left after drawing block choice [bi].  The empty array is the
    not-yet-computed sentinel: every real menu contains 1 so it is never
@@ -247,7 +196,10 @@ let dim_subs sp i bi block =
     a
   end
 
-(* [random_split] over the space's menus: the same two draws *)
+(* Draws exactly like {!Rng.pick} on the equivalent lists: one [Rng.int]
+   per choice with the same bound, indexing the same element order. *)
+let pick_in rng a = a.(Rng.int rng (Array.length a))
+
 let random_split_at sp rng i =
   let d = sp.s_dims_arr.(i) in
   if not d.parallelizable then serial_split d.extent
@@ -274,9 +226,9 @@ let default_in sp =
 
 let random_in sp rng =
   (* the splits loop must stay inside the field expression: record fields
-     evaluate in the same (unspecified, right-to-left in practice) order
-     as [random]'s literal, and stage/unroll/vectorize draw from the same
-     stream *)
+     evaluate in an unspecified (right-to-left in practice) order, and
+     the draw order of splits, stage, unroll and vectorize is part of
+     every pinned tuning result *)
   {
     splits =
       (let n = Array.length sp.s_dims_arr in
@@ -303,6 +255,10 @@ let mutate_in sp rng t =
   | _ -> { t with vectorize = Rng.bool rng }
 
 let validate_in sp t = validate_dims sp.s_dims t
+
+let default m = default_in (space m)
+let random rng m = random_in (space m) rng
+let mutate rng m t = mutate_in (space m) rng t
 
 let describe m t =
   let ds = dims m in

@@ -82,6 +82,8 @@ val default_in : space -> t
 val random_in : space -> Amos_tensor.Rng.t -> t
 val mutate_in : space -> Amos_tensor.Rng.t -> t -> t
 val validate_in : space -> t -> bool
-(** Each [*_in] draws the same RNG stream and returns the same result as
-    its [Mapping.t]-taking counterpart on the space's mapping — the memo
-    layer is observationally invisible (checked by the throughput suite). *)
+(** The one implementation of {!default}, {!random}, {!mutate} and
+    {!validate}, which run it on a fresh [space m]: a search that draws
+    many schedules for one mapping builds its space once.  Every pinned
+    tuning result depends on the RNG stream these draw; the test suite
+    checks it against a list-based reference over {!dims}. *)

@@ -78,9 +78,9 @@ let tune ?jobs ?population ?generations ?measure_top
     ~initial_population ?model ?observe ?progress ?abort ~rng ~accel ~mappings
     ()
 
-let tune_op ?jobs ?population ?generations ?measure_top ?filter ?model
-    ?observe ?progress ?abort ~rng ~accel op =
-  match Explore.mappings ?filter accel op with
+let tune_op ?jobs ?population ?generations ?measure_top ?model ?observe
+    ?progress ?abort ~rng ~accel op =
+  match Explore.mappings accel op with
   | [] -> None
   | mappings ->
       Some

@@ -85,7 +85,6 @@ val tune_op :
   ?population:int ->
   ?generations:int ->
   ?measure_top:int ->
-  ?filter:bool ->
   ?model:Explore.screen_model ->
   ?observe:(Explore.observation -> unit) ->
   ?progress:(Explore.progress -> unit) ->

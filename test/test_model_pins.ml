@@ -4,9 +4,9 @@
    and the predicted and measured seconds of the plans of two genetic
    searches ({!Explore.search_mapping}), recorded as [%h] before the
    square-root split menus and the monomorphic model arithmetic, and
-   asserted bit-exactly.  The memo-on = memo-off suite cannot catch a
-   change in [Codegen.timing_prepared] or [Perf_model.predict_summary]:
-   both of its paths share them. *)
+   asserted bit-exactly.  The comparison with the recompute-everything
+   reference cannot catch a change in [Codegen.timing_prepared] or
+   [Perf_model.predict_summary]: the reference runs them too. *)
 
 open Amos
 module Ops = Amos_workloads.Ops

@@ -9,8 +9,10 @@
 open Amos
 open Amos_ir
 module Ops = Amos_workloads.Ops
+module Suites = Amos_workloads.Suites
 module Rng = Amos_tensor.Rng
 module Migrate = Amos_service.Migrate
+module Recompute = Amos_reference.Recompute
 
 let cases = 200
 
@@ -955,6 +957,88 @@ let prop_schedule_menus =
       && Schedule.subcore_choices extent
          = Array.of_list (List.filter (fun f -> f <= 8) (Array.to_list menu)))
 
+(* --- schedule draws and screen summaries against the reference ----------- *)
+
+(* the mapping space of each (preset, kind) suite representative at batch
+   16, built once per pair *)
+let reference_spaces = Hashtbl.create 64
+
+let reference_space name kind =
+  match Hashtbl.find_opt reference_spaces (name, kind) with
+  | Some space -> space
+  | None ->
+      let accel = Option.get (Accelerator.by_name name) in
+      let space =
+        ( accel,
+          Array.of_list
+            (Compiler.mappings accel (Suites.representative ~batch:16 kind)) )
+      in
+      Hashtbl.add reference_spaces (name, kind) space;
+      space
+
+let same_float a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_summary (a : Spatial_sim.Kernel.summary)
+    (b : Spatial_sim.Kernel.summary) =
+  let open Spatial_sim.Kernel in
+  let t = a.s_timing and u = b.s_timing in
+  same_float a.s_issue_cycles b.s_issue_cycles
+  && a.s_blocks = b.s_blocks
+  && a.s_subcore_parallelism = b.s_subcore_parallelism
+  && a.s_serial_steps = b.s_serial_steps
+  && a.s_max_load_elems = b.s_max_load_elems
+  && same_float t.flops_per_call u.flops_per_call
+  && t.shared_bytes_per_block = u.shared_bytes_per_block
+  && same_float t.global_load_bytes_per_block u.global_load_bytes_per_block
+  && same_float t.global_store_bytes_per_block u.global_store_bytes_per_block
+  && same_float t.reg_load_bytes_per_call u.reg_load_bytes_per_call
+  && same_float t.reg_store_bytes_per_call u.reg_store_bytes_per_call
+  && same_float t.mem_efficiency u.mem_efficiency
+
+(* [Schedule]'s draws on a space equal the reference's list-based draws,
+   stream for stream (four randoms from one generator, four chained
+   mutations from another), and the tuner's kernel-free screen summary of
+   every drawn schedule equals the summary of its fully lowered kernel *)
+let prop_reference =
+  QCheck.Test.make ~count:cases ~name:"schedule draws and summaries = reference"
+    (QCheck.make
+       ~print:(fun (name, kind, i, seed) ->
+         Printf.sprintf "%s %s mapping %d, seed %d" name (Ops.kind_name kind) i
+           seed)
+       QCheck.Gen.(
+         quad
+           (oneofl Accelerator.preset_names)
+           (oneofl Ops.all_kinds) nat (int_bound 1_000_000)))
+    (fun (name, kind, i, seed) ->
+      let accel, mappings = reference_space name kind in
+      QCheck.assume (mappings <> [||]);
+      let m = mappings.(i mod Array.length mappings) in
+      let randoms random =
+        let rng = Rng.create seed in
+        List.init 4 (fun _ -> random rng m)
+      in
+      let mutants mutate =
+        let rng = Rng.create (seed + 1) in
+        let rec chain s n =
+          if n = 0 then []
+          else
+            let s = mutate rng m s in
+            s :: chain s (n - 1)
+        in
+        chain (Schedule.default m) 4
+      in
+      let drawn = randoms Schedule.random @ mutants Schedule.mutate in
+      let prepared = Codegen.prepare accel m in
+      Schedule.default m = Recompute.default m
+      && drawn = randoms Recompute.random @ mutants Recompute.mutate
+      && List.for_all
+           (fun s ->
+             same_summary
+               (Codegen.summarize_prepared prepared s)
+               (Spatial_sim.Kernel.summarize (Codegen.lower accel m s)))
+           (Schedule.default m :: drawn))
+
 let suites =
   [
     ( "props.algorithm1",
@@ -984,6 +1068,7 @@ let suites =
            ] );
     ("props.fingerprint", [ to_alcotest prop_fingerprint_oracle ]);
     ("props.schedule_menus", [ to_alcotest prop_schedule_menus ]);
+    ("props.reference", [ to_alcotest prop_reference ]);
     ( "props.economy",
       List.map to_alcotest
         [

@@ -1,28 +1,31 @@
-(* Memoization-equivalence tests for the allocation-lean tuner inner
-   loop.
+(* The allocation-lean tuner against its recompute-everything reference.
 
-   [Explore.tune ~memo:true] (the default) runs the fast path: lowering
-   prepared once per mapping, predicted seconds memoized per schedule
-   key, perf-model constants hoisted, schedule generation through a
-   precomputed [Schedule.space], and the model screening on
-   [Codegen.summarize_prepared] instead of building kernels.
-   [~memo:false] recomputes everything per candidate — the pre-change
-   code path.  The contract is that the two are *bit-identical*: same
-   best plan, same (predicted, measured) history in the same order, same
-   evaluation counts, across seeds and accelerators.  These tests pin
-   that contract; the `tuner_throughput` bench gates the speed side. *)
+   [Explore.tune] prepares lowering once per mapping, memoizes predicted
+   seconds per schedule, hoists the perf-model constants, draws
+   schedules from a precomputed [Schedule.space], and screens on
+   [Codegen.summarize_prepared] instead of building kernels;
+   [Mapping_gen.generate_op] runs Algorithm 1 through one packed-word
+   workspace.  [Amos_reference.Recompute] does none of that: it lowers
+   every candidate in full and validates every matching on its own.
+   The contract is that the two are *bit-identical*: same best plan,
+   same (predicted, measured) history in the same order, same
+   evaluation counts, same matchings, across seeds and accelerators.
+   These tests pin that contract (the case names read "memo on = memo
+   off": memoized path = reference); the `tuner_throughput` bench gates
+   the speed side. *)
 
 open Amos
 module Rng = Amos_tensor.Rng
 module Resnet = Amos_workloads.Resnet
 module Ops = Amos_workloads.Ops
+module Suites = Amos_workloads.Suites
+module Recompute = Amos_reference.Recompute
 
 let tune_pair ~accel ~mappings ~seed =
-  let run memo =
-    Explore.tune ~population:6 ~generations:3 ~measure_top:2 ~memo
-      ~rng:(Rng.create seed) ~accel ~mappings ()
-  in
-  (run true, run false)
+  ( Explore.tune ~population:6 ~generations:3 ~measure_top:2
+      ~rng:(Rng.create seed) ~accel ~mappings (),
+    Recompute.tune ~population:6 ~generations:3 ~measure_top:2
+      ~rng:(Rng.create seed) ~accel ~mappings () )
 
 let check_identical name (a : Explore.result) (b : Explore.result) =
   let open Alcotest in
@@ -46,7 +49,8 @@ let check_identical name (a : Explore.result) (b : Explore.result) =
 let seeds = [ 1; 7; 2022 ]
 
 (* One matrix row per accelerator: the full two-phase tune over every
-   mapping of a real workload, memo on vs off, across three seeds. *)
+   mapping of a real workload, against the reference, across three
+   seeds. *)
 let tune_case label mk_accel op =
   Alcotest.test_case (label ^ "-memo-on=off") `Quick (fun () ->
       let accel = mk_accel () in
@@ -54,8 +58,10 @@ let tune_case label mk_accel op =
       Alcotest.(check bool) (label ^ ": has mappings") true (mappings <> []);
       List.iter
         (fun seed ->
-          let on, off = tune_pair ~accel ~mappings ~seed in
-          check_identical (Printf.sprintf "%s seed=%d" label seed) on off)
+          let fast, reference = tune_pair ~accel ~mappings ~seed in
+          check_identical
+            (Printf.sprintf "%s seed=%d" label seed)
+            fast reference)
         seeds)
 
 let tune_tests =
@@ -68,32 +74,47 @@ let tune_tests =
       (Ops.gemm ~m:64 ~n:48 ~k:32 ());
   ]
 
-(* The Algorithm-1 enumeration itself: the packed-word memo in
+(* The Algorithm-1 enumeration itself: the workspace in
    [Mapping_gen.generate_op] must emit exactly the matchings the
-   memo-free enumeration emits, in the same order. *)
+   reference's per-candidate validation emits, in the same order.
+   Inputs: ResNet C5 on the A100 intrinsics, and every suite kind's
+   representative at batch 16 on the intrinsics of every preset. *)
+let generate_inputs () =
+  let c5 = Resnet.config (Resnet.by_label "C5") in
+  List.map (fun intr -> (c5, intr)) (Accelerator.a100 ()).Accelerator.intrinsics
+  @ List.concat_map
+      (fun name ->
+        let accel = Option.get (Accelerator.by_name name) in
+        List.concat_map
+          (fun kind ->
+            let op = Suites.representative ~batch:16 kind in
+            List.map (fun intr -> (op, intr)) accel.Accelerator.intrinsics)
+          Ops.all_kinds)
+      Accelerator.preset_names
+
 let generate_tests =
   [
     Alcotest.test_case "generate-memo-on=off" `Quick (fun () ->
-        let op = Resnet.config (Resnet.by_label "C5") in
         List.iter
-          (fun (intr : Intrinsic.t) ->
-            let on = Mapping_gen.generate_op ~memo:true op intr in
-            let off = Mapping_gen.generate_op ~memo:false op intr in
+          (fun (op, (intr : Intrinsic.t)) ->
+            let label = op.Amos_ir.Operator.name ^ " " ^ intr.Intrinsic.name in
+            let fast = Mapping_gen.generate_op op intr in
+            let reference = Recompute.generate_op op intr in
             Alcotest.(check int)
-              (intr.Intrinsic.name ^ ": count")
-              (List.length off) (List.length on);
+              (label ^ ": count")
+              (List.length reference) (List.length fast);
             List.iter2
               (fun m m' ->
                 let x, y, z = Matching.matrices m in
                 let x', y', z' = Matching.matrices m' in
                 Alcotest.(check bool)
-                  (intr.Intrinsic.name ^ ": matrices")
+                  (label ^ ": matrices")
                   true
                   (Amos_ir.Bin_matrix.equal x x'
                   && Amos_ir.Bin_matrix.equal y y'
                   && Amos_ir.Bin_matrix.equal z z'))
-              on off)
-          (Accelerator.a100 ()).Accelerator.intrinsics);
+              fast reference)
+          (generate_inputs ()));
   ]
 
 let suites =

@@ -656,6 +656,33 @@ let robustness () =
 let smoke_flag = ref false
 let seed_ref = ref 2022
 
+(* The one writer of the gated experiments' [BENCH_*.json] reports: the
+   experiment's name, the seed and the smoke flag, then [fields] —
+   (name, rendered JSON value) pairs — in order. *)
+let write_report file ~experiment fields =
+  let member (name, value) = Printf.sprintf "  \"%s\": %s" name value in
+  let oc = open_out file in
+  output_string oc
+    ("{\n"
+    ^ String.concat ",\n"
+        (List.map member
+           (("experiment", "\"" ^ experiment ^ "\"")
+           :: ("seed", string_of_int !seed_ref)
+           :: ("smoke", string_of_bool !smoke_flag)
+           :: fields))
+    ^ "\n}\n");
+  close_out oc;
+  Printf.printf "[written %s]\n%!" file
+
+(* Exit 1 at the first failed gate, saying why: [gates] are (failed,
+   reason) pairs in check order. *)
+let check_gates gates =
+  match List.find_opt fst gates with
+  | Some (_, reason) ->
+      Printf.printf "FAIL: %s\n%!" reason;
+      exit 1
+  | None -> ()
+
 let migration () =
   header "Plan migration: cold vs migrated tuning convergence";
   let module Migrate = Amos_service.Migrate in
@@ -745,10 +772,8 @@ let migration () =
               "migrated_best_s"; "gens_to_best_cold"; "gens_to_best_migrated";
               "win" ]
     rows;
-  if !wins < 2 then begin
-    Printf.printf "FAIL: migration must win on at least 2/3 operators\n%!";
-    exit 1
-  end
+  check_gates
+    [ (!wins < 2, "migration must win on at least 2/3 operators") ]
 
 (* ------------------------------------------------------------------ *)
 (* Plan server: cold tune vs warm hit vs deduped concurrent clients     *)
@@ -883,15 +908,12 @@ let serve () =
     rows;
   let geo = geomean speedups in
   Printf.printf "warm-hit speedup (geomean): %.1fx (gate: >= 10x)\n%!" geo;
-  if geo < 10. then begin
-    Printf.printf "FAIL: warm hits must be >= 10x faster than cold tunes\n%!";
-    exit 1
-  end;
-  if stats.Protocol.deduped < 1 then begin
-    Printf.printf "FAIL: %d identical concurrent tunes, none deduped\n%!"
-      clients;
-    exit 1
-  end
+  check_gates
+    [
+      (geo < 10., "warm hits must be >= 10x faster than cold tunes");
+      ( stats.Protocol.deduped < 1,
+        Printf.sprintf "%d identical concurrent tunes, none deduped" clients );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache economy: value-aware eviction vs the count-LRU baseline        *)
@@ -975,12 +997,12 @@ let cache_economy () =
     ];
   Printf.printf "scored/lru tuning-seconds retained: %.2fx (gate: >= 1.5x)\n%!"
     ratio;
-  if ratio < 1.5 then begin
-    Printf.printf
-      "FAIL: value-aware eviction must retain >= 1.5x the tuning seconds \
-       of count-LRU\n%!";
-    exit 1
-  end
+  check_gates
+    [
+      ( ratio < 1.5,
+        "value-aware eviction must retain >= 1.5x the tuning seconds of \
+         count-LRU" );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Plan fleet: warm plan served across daemons vs tuning it locally     *)
@@ -1130,52 +1152,32 @@ let fleet () =
        rows);
   (* one JSON line per op plus the aggregate, so the perf trajectory can
      be tracked across commits without parsing the CSV *)
-  let json =
-    let op_json (name, c, w, s) =
-      Printf.sprintf
-        "    {\"op\": \"%s\", \"cold_s\": %.6g, \"warm_via_peer_s\": %.6g, \
-         \"speedup\": %.6g}"
-        name c w s
-    in
-    String.concat "\n"
-      [
-        "{";
-        Printf.sprintf "  \"experiment\": \"fleet\",";
-        Printf.sprintf "  \"seed\": %d," budget.Fingerprint.seed;
-        Printf.sprintf "  \"smoke\": %b," smoke;
-        "  \"ops\": [";
-        String.concat ",\n" (List.map op_json rows);
-        "  ],";
-        Printf.sprintf "  \"geomean_speedup\": %.6g," geo;
-        Printf.sprintf "  \"gate_min_speedup\": 5.0,";
-        Printf.sprintf "  \"forwarded\": %d," stats_b.Protocol.forwarded;
-        Printf.sprintf "  \"peer_hits\": %d," stats_b.Protocol.peer_hits;
-        Printf.sprintf "  \"peer_fallbacks\": %d,"
-          stats_b.Protocol.peer_fallbacks;
-        Printf.sprintf "  \"fallback_local_tune_ok\": %b" fallback_ok;
-        "}";
-      ]
+  let op_json (name, c, w, s) =
+    Printf.sprintf
+      "    {\"op\": \"%s\", \"cold_s\": %.6g, \"warm_via_peer_s\": %.6g, \
+       \"speedup\": %.6g}"
+      name c w s
   in
-  let oc = open_out "BENCH_fleet.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "[written BENCH_fleet.json]\n%!";
+  write_report "BENCH_fleet.json" ~experiment:"fleet"
+    [
+      ("ops", "[\n" ^ String.concat ",\n" (List.map op_json rows) ^ "\n  ]");
+      ("geomean_speedup", Printf.sprintf "%.6g" geo);
+      ("gate_min_speedup", "5.0");
+      ("forwarded", string_of_int stats_b.Protocol.forwarded);
+      ("peer_hits", string_of_int stats_b.Protocol.peer_hits);
+      ("peer_fallbacks", string_of_int stats_b.Protocol.peer_fallbacks);
+      ("fallback_local_tune_ok", string_of_bool fallback_ok);
+    ];
   Printf.printf "warm-via-peer speedup (geomean): %.1fx (gate: >= 5x)\n%!" geo;
-  if geo < 5. then begin
-    Printf.printf
-      "FAIL: warm-via-peer lookups must be >= 5x faster than cold local \
-       tunes\n%!";
-    exit 1
-  end;
-  if not fallback_ok then begin
-    Printf.printf "FAIL: owner-down tune via B must fall back locally\n%!";
-    exit 1
-  end;
-  if stats_b.Protocol.peer_hits < List.length measured then begin
-    Printf.printf "FAIL: expected %d peer hits, saw %d\n%!"
-      (List.length measured) stats_b.Protocol.peer_hits;
-    exit 1
-  end
+  check_gates
+    [
+      ( geo < 5.,
+        "warm-via-peer lookups must be >= 5x faster than cold local tunes" );
+      (not fallback_ok, "owner-down tune via B must fall back locally");
+      ( stats_b.Protocol.peer_hits < List.length measured,
+        Printf.sprintf "expected %d peer hits, saw %d" (List.length measured)
+          stats_b.Protocol.peer_hits );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: warm lookups against a daemon whose every socket operation    *)
@@ -1305,45 +1307,30 @@ let chaos () =
       [ "p50_s"; Csv.f p50 ];
       [ "p99_s"; Csv.f p99 ];
     ];
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"experiment\": \"chaos\",";
-        Printf.sprintf "  \"seed\": %d," !seed_ref;
-        Printf.sprintf "  \"smoke\": %b," smoke;
-        Printf.sprintf "  \"fault_rate\": %.3f," fault_rate;
-        Printf.sprintf "  \"lookups\": %d," lookups;
-        Printf.sprintf "  \"successes\": %d," !successes;
-        Printf.sprintf "  \"success_rate\": %.6g," success_rate;
-        Printf.sprintf "  \"reconnect_retries\": %d," !retries;
-        Printf.sprintf "  \"injected_faults\": %d," injected;
-        Printf.sprintf "  \"p50_s\": %.6g," p50;
-        Printf.sprintf "  \"p99_s\": %.6g," p99;
-        Printf.sprintf "  \"gate_success_rate\": 1.0,";
-        Printf.sprintf "  \"gate_p99_s\": %.1f" p99_gate_s;
-        "}";
-      ]
-  in
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "[written BENCH_chaos.json]\n%!";
-  if !successes < lookups then begin
-    Printf.printf
-      "FAIL: every warm lookup must succeed under a %.0f%%%% fault rate\n%!"
-      (100. *. fault_rate);
-    exit 1
-  end;
-  if p99 > p99_gate_s then begin
-    Printf.printf "FAIL: lookup p99 %.3f s exceeds the %.1f s bound\n%!" p99
-      p99_gate_s;
-    exit 1
-  end;
-  if injected = 0 then begin
-    Printf.printf "FAIL: the chaos run injected no faults — gate is vacuous\n%!";
-    exit 1
-  end
+  write_report "BENCH_chaos.json" ~experiment:"chaos"
+    [
+      ("fault_rate", Printf.sprintf "%.3f" fault_rate);
+      ("lookups", string_of_int lookups);
+      ("successes", string_of_int !successes);
+      ("success_rate", Printf.sprintf "%.6g" success_rate);
+      ("reconnect_retries", string_of_int !retries);
+      ("injected_faults", string_of_int injected);
+      ("p50_s", Printf.sprintf "%.6g" p50);
+      ("p99_s", Printf.sprintf "%.6g" p99);
+      ("gate_success_rate", "1.0");
+      ("gate_p99_s", Printf.sprintf "%.1f" p99_gate_s);
+    ];
+  check_gates
+    [
+      ( !successes < lookups,
+        Printf.sprintf
+          "every warm lookup must succeed under a %.0f%% fault rate"
+          (100. *. fault_rate) );
+      ( p99 > p99_gate_s,
+        Printf.sprintf "lookup p99 %.3f s exceeds the %.1f s bound" p99
+          p99_gate_s );
+      (injected = 0, "the chaos run injected no faults — gate is vacuous");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Tuner throughput.  One full tune over the A100 mapping space of a
@@ -1448,53 +1435,35 @@ let tuner_throughput () =
       [ "vm_hwm_kb"; string_of_int hwm ];
       [ "identical"; string_of_bool !identical ];
     ];
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"experiment\": \"tuner_throughput\",";
-        Printf.sprintf "  \"seed\": %d," seed;
-        Printf.sprintf "  \"smoke\": %b," smoke;
-        Printf.sprintf "  \"workload\": \"resnet-%s-a100\"," label;
-        Printf.sprintf "  \"mappings\": %d," (List.length mappings);
-        Printf.sprintf "  \"evaluations\": %d," !evals;
-        Printf.sprintf "  \"evals_per_s_memo_on\": %.6g," !best_on;
-        Printf.sprintf "  \"evals_per_s_memo_off\": %.6g," !best_off;
-        Printf.sprintf "  \"speedup\": %.6g," speedup;
-        Printf.sprintf "  \"alloc_bytes_per_eval_on\": %.6g," !alloc_on;
-        Printf.sprintf "  \"alloc_bytes_per_eval_off\": %.6g," !alloc_off;
-        Printf.sprintf "  \"vm_hwm_kb\": %d," hwm;
-        Printf.sprintf "  \"identical\": %b," !identical;
-        Printf.sprintf "  \"gate_min_speedup\": %.1f," gate_speedup;
-        Printf.sprintf "  \"gate_min_evals_per_s\": %.0f," gate_floor;
-        Printf.sprintf "  \"gate_max_vm_hwm_kb\": %d" gate_hwm_kb;
-        "}";
-      ]
-  in
-  let oc = open_out "BENCH_tuner.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "[written BENCH_tuner.json]\n%!";
-  if not !identical then begin
-    Printf.printf
-      "FAIL: tuner results must be bit-identical to the reference\n%!";
-    exit 1
-  end;
-  if speedup < gate_speedup then begin
-    Printf.printf "FAIL: tuner speedup %.2fx below the %.1fx gate\n%!" speedup
-      gate_speedup;
-    exit 1
-  end;
-  if !best_on < gate_floor then begin
-    Printf.printf "FAIL: %.0f evals/s below the %.0f floor\n%!" !best_on
-      gate_floor;
-    exit 1
-  end;
-  if hwm > gate_hwm_kb then begin
-    Printf.printf "FAIL: peak RSS %d kB above the %d kB ceiling\n%!" hwm
-      gate_hwm_kb;
-    exit 1
-  end
+  write_report "BENCH_tuner.json" ~experiment:"tuner_throughput"
+    [
+      ("workload", Printf.sprintf "\"resnet-%s-a100\"" label);
+      ("mappings", string_of_int (List.length mappings));
+      ("evaluations", string_of_int !evals);
+      ("evals_per_s_memo_on", Printf.sprintf "%.6g" !best_on);
+      ("evals_per_s_memo_off", Printf.sprintf "%.6g" !best_off);
+      ("speedup", Printf.sprintf "%.6g" speedup);
+      ("alloc_bytes_per_eval_on", Printf.sprintf "%.6g" !alloc_on);
+      ("alloc_bytes_per_eval_off", Printf.sprintf "%.6g" !alloc_off);
+      ("vm_hwm_kb", string_of_int hwm);
+      ("identical", string_of_bool !identical);
+      ("gate_min_speedup", Printf.sprintf "%.1f" gate_speedup);
+      ("gate_min_evals_per_s", Printf.sprintf "%.0f" gate_floor);
+      ("gate_max_vm_hwm_kb", string_of_int gate_hwm_kb);
+    ];
+  check_gates
+    [
+      (not !identical, "tuner results must be bit-identical to the reference");
+      ( speedup < gate_speedup,
+        Printf.sprintf "tuner speedup %.2fx below the %.1fx gate" speedup
+          gate_speedup );
+      ( !best_on < gate_floor,
+        Printf.sprintf "%.0f evals/s below the %.0f floor" !best_on gate_floor
+      );
+      ( hwm > gate_hwm_kb,
+        Printf.sprintf "peak RSS %d kB above the %d kB ceiling" hwm gate_hwm_kb
+      );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Learned cost model: simulator-sparing screen                         *)
@@ -1620,53 +1589,37 @@ let learned_model () =
        (fun (name, label, b, c, bm, cm) ->
          [ name; label; string_of_int b; string_of_int c; Csv.f bm; Csv.f cm ])
        rows);
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"experiment\": \"learned_model\",";
-        Printf.sprintf "  \"seed\": %d," seed;
-        Printf.sprintf "  \"smoke\": %b," smoke;
-        Printf.sprintf "  \"accels\": [%s],"
-          (String.concat ", "
-             (List.map (Printf.sprintf "\"%s\"") accel_names));
-        Printf.sprintf "  \"layers\": [%s],"
-          (String.concat ", " (List.map (Printf.sprintf "\"%s\"") labels));
-        Printf.sprintf "  \"observations\": %d," model.Calibrate.n_obs;
-        Printf.sprintf "  \"rms_before\": %.6g," model.Calibrate.rms_before;
-        Printf.sprintf "  \"rms_after\": %.6g," model.Calibrate.rms_after;
-        Printf.sprintf "  \"baseline_sims\": %d," base_sims;
-        Printf.sprintf "  \"calibrated_sims\": %d," cal_sims;
-        Printf.sprintf "  \"sim_ratio\": %.6g," sim_ratio;
-        Printf.sprintf "  \"worst_latency_ratio\": %.6g," worst_latency_ratio;
-        Printf.sprintf "  \"identity_bit_identical\": %b," !identity_ok;
-        Printf.sprintf "  \"identity_seeds\": %d," (List.length seeds);
-        Printf.sprintf "  \"gate_min_sim_ratio\": %.1f," gate_ratio;
-        Printf.sprintf "  \"gate_max_latency_ratio\": %g" gate_latency;
-        "}";
-      ]
+  let strings l =
+    "[" ^ String.concat ", " (List.map (Printf.sprintf "\"%s\"") l) ^ "]"
   in
-  let oc = open_out "BENCH_model.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "[written BENCH_model.json]\n%!";
-  if not !identity_ok then begin
-    Printf.printf
-      "FAIL: identity model must be bit-identical to tuning without one\n%!";
-    exit 1
-  end;
-  if sim_ratio < gate_ratio then begin
-    Printf.printf
-      "FAIL: %.2fx fewer simulator measurements, below the %.1fx gate\n%!"
-      sim_ratio gate_ratio;
-    exit 1
-  end;
-  if worst_latency_ratio > gate_latency then begin
-    Printf.printf
-      "FAIL: calibrated screen worsened best-plan latency (%.6fx)\n%!"
-      worst_latency_ratio;
-    exit 1
-  end
+  write_report "BENCH_model.json" ~experiment:"learned_model"
+    [
+      ("accels", strings accel_names);
+      ("layers", strings labels);
+      ("observations", string_of_int model.Calibrate.n_obs);
+      ("rms_before", Printf.sprintf "%.6g" model.Calibrate.rms_before);
+      ("rms_after", Printf.sprintf "%.6g" model.Calibrate.rms_after);
+      ("baseline_sims", string_of_int base_sims);
+      ("calibrated_sims", string_of_int cal_sims);
+      ("sim_ratio", Printf.sprintf "%.6g" sim_ratio);
+      ("worst_latency_ratio", Printf.sprintf "%.6g" worst_latency_ratio);
+      ("identity_bit_identical", string_of_bool !identity_ok);
+      ("identity_seeds", string_of_int (List.length seeds));
+      ("gate_min_sim_ratio", Printf.sprintf "%.1f" gate_ratio);
+      ("gate_max_latency_ratio", Printf.sprintf "%g" gate_latency);
+    ];
+  check_gates
+    [
+      ( not !identity_ok,
+        "identity model must be bit-identical to tuning without one" );
+      ( sim_ratio < gate_ratio,
+        Printf.sprintf
+          "%.2fx fewer simulator measurements, below the %.1fx gate" sim_ratio
+          gate_ratio );
+      ( worst_latency_ratio > gate_latency,
+        Printf.sprintf "calibrated screen worsened best-plan latency (%.6fx)"
+          worst_latency_ratio );
+    ]
 
 (* ------------------------------------------------------------------ *)
 

@@ -52,10 +52,11 @@ type observation = {
   ob_measured : float;
 }
 
-(* Cooperative abort: an [?abort] poll returning [true] raises this at
-   the next generation boundary of the genetic search.  The exception
-   deliberately escapes [tune]'s per-mapping failure containment — an
-   aborted exploration has no result, partial or otherwise. *)
+(* Cooperative abort: a per-generation hook ([?progress], or [?tick] on
+   [search_mapping]) raises this at a generation boundary of the genetic
+   search.  The exception deliberately escapes [tune]'s per-mapping
+   failure containment — an aborted exploration has no result, partial
+   or otherwise. *)
 exception Aborted
 
 (* One per-generation snapshot of an in-flight exploration, reported
@@ -178,8 +179,8 @@ let predict eng s =
       Memo.add eng.cache s v;
       v
 
-let schedule_search ?tick ?abort ?(seeds = []) ~population ~generations ~rng
-    ~eng () =
+let schedule_search ?tick ?(seeds = []) ~population ~generations ~rng ~eng ()
+    =
   let score sched = (sched, predict eng sched) in
   (* seed schedules join the initial genetic population alongside the
      default and the random draws: they compete, they never replace *)
@@ -188,14 +189,12 @@ let schedule_search ?tick ?abort ?(seeds = []) ~population ~generations ~rng
     @ List.init population (fun _ -> score (Schedule.random_in eng.space rng))
   in
   let sorted l = List.sort (fun (_, a) (_, b) -> Float.compare a b) l in
-  let aborted () = match abort with None -> false | Some f -> f () in
   let rec go gen pop =
     if gen = 0 then sorted pop
     else begin
-      (* the abort flag is polled exactly here — the generation boundary
-         of the tentpole's "last waiter detached" semantics *)
-      if aborted () then raise Aborted;
       let ranked = sorted pop in
+      (* the generation boundary: a [tick] raising [Aborted] here tears
+         the search down before it breeds another generation *)
       (match (tick, ranked) with
       | Some f, (_, best) :: _ -> f best
       | _ -> ());
@@ -297,8 +296,8 @@ let unband ?model ~best score =
    independent RNG stream over the same mapping: shard [i] of a
    population split across workers passes [~salt:i], so the shards
    explore disjoint schedule sequences yet each remains reproducible. *)
-let search_mapping ?(salt = 0) ?(seeds = []) ?model ?observe ?tick ?abort
-    ~population ~generations ~measure_top ~accel mapping =
+let search_mapping ?(salt = 0) ?(seeds = []) ?model ?observe ?tick ~population
+    ~generations ~measure_top ~accel mapping =
   let eng = engine ?model ~accel mapping in
   let rng =
     Rng.create
@@ -307,7 +306,7 @@ let search_mapping ?(salt = 0) ?(seeds = []) ?model ?observe ?tick ?abort
   in
   let seeds = List.filter (Schedule.validate_in eng.space) seeds in
   let ranked =
-    schedule_search ?tick ?abort ~seeds ~population ~generations ~rng ~eng ()
+    schedule_search ?tick ~seeds ~population ~generations ~rng ~eng ()
   in
   let top_all = List.filteri (fun i _ -> i < measure_top) ranked in
   (* a calibrated model prunes the measured set two ways.  Runners-up
@@ -498,8 +497,8 @@ let tune_units fan ~must_keep ~cut ~screen ~search mappings =
    spend on its single hand-written mapping), and the best model-ranked
    plans are measured on the simulator. *)
 let tune_on fan ?(population = 16) ?(generations = 8) ?(measure_top = 3)
-    ?(initial_population = []) ?model ?observe ?progress ?abort ~rng ~accel
-    ~mappings () =
+    ?(initial_population = []) ?model ?observe ?progress ~rng ~accel ~mappings
+    () =
   if mappings = [] && initial_population = [] then
     invalid_arg "Explore.tune: no mappings";
   (* historical draw, kept so callers sharing an rng see the same stream *)
@@ -587,7 +586,7 @@ let tune_on fan ?(population = 16) ?(generations = 8) ?(measure_top = 3)
                     ?model:(unband ?model ~best:best_score score)
                     ?observe
                     ?tick:(tick ~population ticked)
-                    ?abort ~population ~generations ~measure_top ~accel m
+                    ~population ~generations ~measure_top ~accel m
                 in
                 count (n - !ticked);
                 r )))

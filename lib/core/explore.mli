@@ -72,10 +72,10 @@ type observation = {
     tuning run feed the observation log for free. *)
 
 exception Aborted
-(** Raised (out of {!tune} / {!search_mapping}) when the [?abort] poll
-    returns [true] at a generation boundary of the genetic search.  It
-    escapes the per-mapping failure containment: an aborted exploration
-    has no result at all. *)
+(** The way to stop an exploration: a per-generation hook ([?progress]
+    on {!tune}, [?tick] on {!search_mapping}) raises it at a generation
+    boundary of the genetic search.  It escapes the per-mapping failure
+    containment: an aborted exploration has no result at all. *)
 
 type progress = {
   pr_generation : int;  (** genetic generations completed so far *)
@@ -91,13 +91,16 @@ type progress = {
           completed generation of searches still running *)
 }
 (** One per-generation snapshot of an in-flight exploration, reported
-    through [?progress].  Like {!observation}, a pure side channel. *)
+    through [?progress].  Like {!observation}, a pure side channel,
+    except that the hook may raise {!Aborted} to stop the
+    exploration. *)
 
 type fanout = {
   workers : int;  (** work units run at once *)
   map : 'a 'b. ('a -> 'b) -> 'a array -> ('b, exn) Stdlib.result array;
       (** apply a unit to every input, capturing each outcome in input
-          order *)
+          order; once a unit fails with {!Aborted}, units not yet
+          started need not run *)
 }
 (** How the two-phase search runs each phase's independent work units:
     one after another in {!tune}, on OCaml 5 domains in
@@ -111,7 +114,6 @@ val tune :
   ?model:screen_model ->
   ?observe:(observation -> unit) ->
   ?progress:(progress -> unit) ->
-  ?abort:(unit -> bool) ->
   rng:Amos_tensor.Rng.t ->
   accel:Accelerator.t ->
   mappings:Mapping.t list ->
@@ -153,9 +155,9 @@ val tune :
     per simulator measurement with the {!observation} it produced.
 
     [progress] is called once per completed genetic generation with the
-    aggregated {!progress} snapshot; [abort] is polled at every
-    generation boundary, and returning [true] raises {!Aborted} out of
-    the whole exploration.  Neither affects results when unused.
+    aggregated {!progress} snapshot; raising {!Aborted} from it stops
+    the whole exploration, which then raises {!Aborted} itself.  While
+    it returns normally it affects no result.
 
     [tune] is {!tune_on} with a sequential fan-out: no retry, and
     {!Aborted} escapes at once. *)
@@ -169,7 +171,6 @@ val tune_on :
   ?model:screen_model ->
   ?observe:(observation -> unit) ->
   ?progress:(progress -> unit) ->
-  ?abort:(unit -> bool) ->
   rng:Amos_tensor.Rng.t ->
   accel:Accelerator.t ->
   mappings:Mapping.t list ->
@@ -262,7 +263,6 @@ val search_mapping :
   ?model:screen_model ->
   ?observe:(observation -> unit) ->
   ?tick:(float -> unit) ->
-  ?abort:(unit -> bool) ->
   population:int ->
   generations:int ->
   measure_top:int ->
@@ -280,9 +280,9 @@ val search_mapping :
     [model] / [observe] as in {!tune}: the model corrects the genetic
     ranking and its [sm_measure_cut] prunes the measured set; [observe]
     fires once per simulator measurement.  [tick] fires once per
-    completed generation with that generation's best predicted seconds;
-    [abort] is polled at each generation boundary and raises {!Aborted}
-    when it returns [true]. *)
+    completed generation, before the next is bred, with that
+    generation's best predicted seconds; an {!Aborted} it raises
+    escapes the search. *)
 
 val sample :
   n:int ->

@@ -173,8 +173,6 @@ let space m =
     s_dim_subs = Array.make n [||];
   }
 
-let space_dims sp = sp.s_dims
-
 let unroll_choices = [| 1; 2; 4; 8 |]
 
 let dim_blocks sp i =

@@ -76,7 +76,6 @@ type space
     search. *)
 
 val space : Mapping.t -> space
-val space_dims : space -> dim list
 
 val default_in : space -> t
 val random_in : space -> Amos_tensor.Rng.t -> t

@@ -52,10 +52,10 @@ let default_config ~socket_path =
 
 type tune_outcome = { value : Plan_cache.value; evaluations : int }
 
-(* [progress] / [abort] arrive as plain options (not optional arguments)
-   so the fully-labelled [tuner] shape stays erasure-free: progress
-   feeds the per-generation streaming frames, abort is the
-   last-waiter-detached flag polled at generation boundaries *)
+(* [progress] arrives as a plain option (not an optional argument) so
+   the fully-labelled [tuner] shape stays erasure-free: it feeds the
+   per-generation streaming frames, and raises [Explore.Aborted] once
+   the last waiter has detached *)
 type tuner =
   jobs:int ->
   accel:Accelerator.t ->
@@ -63,7 +63,6 @@ type tuner =
   budget:Fingerprint.budget ->
   seeds:Explore.candidate list ->
   progress:(Explore.progress -> unit) option ->
-  abort:(unit -> bool) option ->
   tune_outcome
 
 (* what a flight resolves to: every joiner (and the leader) gets one *)
@@ -165,16 +164,16 @@ let locked mu f =
 (* [model] / [observe] arrive as plain options (not optional arguments)
    so the fully-labelled [tuner] shape stays erasure-free *)
 let default_tuner_with ~model ~observe ~jobs ~accel ~op ~budget ~seeds
-    ~progress ~abort =
+    ~progress =
   let value, evaluations =
-    Batch_compile.tune_fresh ~seeds ?model ?observe ?progress ?abort
+    Batch_compile.tune_fresh ~seeds ?model ?observe ?progress
       ~jobs:(Some jobs) ~budget accel op
   in
   { value; evaluations }
 
-let default_tuner ~jobs ~accel ~op ~budget ~seeds ~progress ~abort =
+let default_tuner ~jobs ~accel ~op ~budget ~seeds ~progress =
   default_tuner_with ~model:None ~observe:None ~jobs ~accel ~op ~budget ~seeds
-    ~progress ~abort
+    ~progress
 
 (* --- request resolution -------------------------------------------- *)
 
@@ -291,7 +290,7 @@ let create ?tuner ?clock ?router config =
                 let model_path =
                   Filename.concat dir Amos_learn.Calibrate.file_name
                 in
-                fun ~jobs ~accel ~op ~budget ~seeds ~progress ~abort ->
+                fun ~jobs ~accel ~op ~budget ~seeds ~progress ->
                   let fingerprint = Fingerprint.key ~accel ~op ~budget in
                   let observe =
                     Some
@@ -312,7 +311,7 @@ let create ?tuner ?clock ?router config =
                     else None
                   in
                   default_tuner_with ~model ~observe ~jobs ~accel ~op ~budget
-                    ~seeds ~progress ~abort))
+                    ~seeds ~progress))
   in
   (* a client dying mid-reply must surface as EPIPE on the write, not
      kill the daemon *)
@@ -523,6 +522,49 @@ let migration_seeds t ~accel ~op ~budget =
       | None -> []
       | exception _ -> [])
 
+(* a plan served without tuning *)
+let served fingerprint plan source =
+  Protocol.Plan_r
+    {
+      Protocol.fingerprint;
+      plan;
+      source;
+      evaluations = 0;
+      tuning_seconds = 0.;
+    }
+
+(* The local tiers a [Lookup] or [Tune] climbs first: the hot cache,
+   then the plan cache, whose hit is re-admitted to the hot tier at the
+   tuning cost it amortizes.  [None] when both miss. *)
+let local_plan t { accel; op; fingerprint } ~budget =
+  match hot_lookup t fingerprint with
+  | Some plan -> Some (served fingerprint plan "hot")
+  | None -> (
+      match cache_lookup t ~accel ~op ~budget with
+      | Some value ->
+          let plan = wire_of_value value in
+          locked t.mu (fun () -> t.cache_hits <- t.cache_hits + 1);
+          hot_put t fingerprint plan
+            ~tuning_seconds:(cached_tuning_seconds t fingerprint);
+          Some (served fingerprint plan "cache")
+      | None -> None)
+
+(* [deadline] is [(deadline_ms, arrival)] from the request envelope:
+   the budget the client sent and the clock reading when the frame was
+   decoded.  [left_ms] is what this daemon's own elapsed time leaves of
+   it. *)
+let left_ms t (d, arrival) =
+  d - int_of_float (Float.max 0. (Clock.now t.clock -. arrival) *. 1000.)
+
+(* The hop may spend only what is left after the forwarding margin. *)
+let remaining_budget t ~deadline =
+  match deadline with
+  | None -> `No_deadline
+  | Some dl ->
+      let remaining = left_ms t dl - forward_margin_ms in
+      if remaining < min_forward_budget_ms then `Exhausted
+      else `Remaining remaining
+
 (* Consult the fleet router after both local layers miss.  [None] means
    "take the local path": no router is installed, the ring says this
    daemon owns the fingerprint, the request already crossed one hop
@@ -532,21 +574,6 @@ let migration_seeds t ~accel ~op ~budget =
    degrades to local work, never to a client-visible error.  A plan the
    owner served is re-admitted into the hot cache so the next request
    for it is local. *)
-(* [deadline] is [(deadline_ms, arrival)] from the request envelope:
-   the budget the client sent and the clock reading when the frame was
-   decoded.  The hop may spend only what is left after this daemon's
-   own elapsed time and the forwarding margin. *)
-let remaining_budget t ~deadline =
-  match deadline with
-  | None -> `No_deadline
-  | Some (d, arrival) ->
-      let elapsed_ms =
-        int_of_float (Float.max 0. (Clock.now t.clock -. arrival) *. 1000.)
-      in
-      let remaining = d - elapsed_ms - forward_margin_ms in
-      if remaining < min_forward_budget_ms then `Exhausted
-      else `Remaining remaining
-
 let route_to_owner t ~from_peer ~deadline ~fingerprint req =
   if from_peer then None
   else
@@ -602,50 +629,89 @@ let route_to_owner t ~from_peer ~deadline ~fingerprint req =
                   (Printexc.to_string e));
             None))
 
-let handle_tune t ~from_peer ~client ~env ~emit ~deadline ~migrate
-    ~accel:accel_name ~op:op_spec ~budget =
-  let { accel; op; fingerprint } = resolve t (accel_name, op_spec, budget) in
-  match hot_lookup t fingerprint with
-  | Some plan ->
-      (* a hot hit streams nothing: the final reply is the only frame *)
-      Some
-        (Protocol.Plan_r
+(* The one pool task behind every exploration the daemon runs: time the
+   tuner, store the plan, admit it to the hot tier and resolve the
+   flight.  A client tune ([quarantined = None]) fans each generation's
+   snapshot out to the flight's streaming waiters, and its progress hook
+   raises [Explore.Aborted] instead once the last waiter has detached:
+   the exploration tears itself down at that generation boundary and
+   the flight resolves busy, so a racing joiner retries fresh.  A
+   quarantine retune streams nothing and, once the fresh plan is
+   stored, removes the quarantined copy at [quarantined]. *)
+let tune_task t fl ~quarantined { accel; op; fingerprint } ~budget ~seeds () =
+  let progress =
+    match quarantined with
+    | Some _ -> None
+    | None ->
+        Some
+          (fun p ->
+            if Single_flight.abort_requested fl then raise Explore.Aborted;
+            Single_flight.publish t.flights fl (progress_body p))
+  in
+  let t0 = Clock.now t.clock in
+  match t.tuner ~jobs:t.config.jobs ~accel ~op ~budget ~seeds ~progress with
+  | { value; evaluations } ->
+      let dt = Clock.now t.clock -. t0 in
+      locked t.cache_mu (fun () ->
+          try
+            Plan_cache.store t.cache ~accel ~op ~budget ~tuning_seconds:dt
+              value
+          with e ->
+            Log.warn (fun m ->
+                m "plan store failed for %s: %s" fingerprint
+                  (Printexc.to_string e)));
+      (* only after a good plan is back in the cache does the
+         quarantined copy stop being post-mortem material *)
+      Option.iter
+        (fun qpath ->
+          (try Fs_io.remove (Plan_cache.fs_handle t.cache) qpath
+           with Sys_error _ | Fs_io.Injected _ -> ());
+          Log.info (fun m ->
+              m "re-tuned quarantined fingerprint %s" fingerprint))
+        quarantined;
+      let plan = wire_of_value value in
+      hot_put t fingerprint plan ~tuning_seconds:dt;
+      let source =
+        locked t.mu (fun () ->
+            match quarantined with
+            | None ->
+                t.tunes <- t.tunes + 1;
+                "tuned"
+            | Some _ ->
+                t.quarantine_retunes <- t.quarantine_retunes + 1;
+                "retuned")
+      in
+      Single_flight.complete t.flights fl
+        (Fl_plan
            {
              Protocol.fingerprint;
              plan;
-             source = "hot";
-             evaluations = 0;
-             tuning_seconds = 0.;
+             source;
+             evaluations;
+             tuning_seconds = dt;
            })
+  | exception Explore.Aborted ->
+      Single_flight.complete t.flights fl (Fl_busy (retry_hint t))
+  | exception e ->
+      let failed =
+        match quarantined with
+        | None -> "tuning failed: "
+        | Some _ -> "retune failed: "
+      in
+      Single_flight.complete t.flights fl
+        (Fl_error (failed ^ Printexc.to_string e))
+
+let handle_tune t ~from_peer ~client ~env ~emit ~deadline req
+    ((_, _, budget) as spec) =
+  let ({ accel; op; fingerprint } as r) = resolve t spec in
+  match local_plan t r ~budget with
+  | Some _ as hit ->
+      (* a local hit streams nothing: the final reply is the only frame *)
+      hit
   | None -> (
-      match cache_lookup t ~accel ~op ~budget with
-      | Some value ->
-          let plan = wire_of_value value in
-          locked t.mu (fun () -> t.cache_hits <- t.cache_hits + 1);
-          hot_put t fingerprint plan
-            ~tuning_seconds:(cached_tuning_seconds t fingerprint);
-          Some
-            (Protocol.Plan_r
-               {
-                 Protocol.fingerprint;
-                 plan;
-                 source = "cache";
-                 evaluations = 0;
-                 tuning_seconds = 0.;
-               })
-      | None ->
-          let forwarded =
-            let req =
-              if migrate then
-                Protocol.Migrate_tune
-                  { accel = accel_name; op = op_spec; budget }
-              else Protocol.Tune { accel = accel_name; op = op_spec; budget }
-            in
-            route_to_owner t ~from_peer ~deadline ~fingerprint req
-          in
-          (match forwarded with
-          | Some (Protocol.Plan_r _ as r) -> Some r
-          | Some _ | None ->
+      match route_to_owner t ~from_peer ~deadline ~fingerprint req with
+      | Some (Protocol.Plan_r _) as forwarded -> forwarded
+      | Some _ | None -> (
           if locked t.mu (fun () -> t.stopping) then
             Some (Protocol.Busy_r { retry_after_s = retry_hint t })
           else
@@ -656,84 +722,24 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline ~migrate
                 locked t.mu (fun () -> t.deduped <- t.deduped + 1);
                 register_stream t ~request_id w;
                 await_flight t ~streaming ~emit ~deduped:true ~request_id w
-            | `Lead w ->
+            | `Lead w -> (
                 let fl = Single_flight.flight w in
                 (* seeds are gathered before the task is queued so the
                    pool task touches the shared cache only for the final
                    store *)
                 let seeds =
-                  if migrate then migration_seeds t ~accel ~op ~budget else []
+                  match req with
+                  | Protocol.Migrate_tune _ ->
+                      migration_seeds t ~accel ~op ~budget
+                  | _ -> []
                 in
-                let task () =
-                  let t0 = Clock.now t.clock in
-                  (* per-generation snapshots fan out to every attached
-                     streaming waiter; the abort flag rises when the
-                     last of them detaches *)
-                  let progress =
-                    Some
-                      (fun p ->
-                        Single_flight.publish t.flights fl (progress_body p))
-                  in
-                  let abort =
-                    Some (fun () -> Single_flight.abort_requested fl)
-                  in
-                  let outcome =
-                    match
-                      t.tuner ~jobs:t.config.jobs ~accel ~op ~budget ~seeds
-                        ~progress ~abort
-                    with
-                    | o -> `Ok o
-                    | exception Explore.Aborted -> `Aborted
-                    | exception e -> `Error (Printexc.to_string e)
-                  in
-                  let dt = Clock.now t.clock -. t0 in
-                  match outcome with
-                  | `Ok { value; evaluations } ->
-                      locked t.cache_mu (fun () ->
-                          try
-                            Plan_cache.store t.cache ~accel ~op ~budget
-                              ~tuning_seconds:dt value
-                          with e ->
-                            Log.warn (fun m ->
-                                m "plan store failed for %s: %s" fingerprint
-                                  (Printexc.to_string e)));
-                      let plan = wire_of_value value in
-                      hot_put t fingerprint plan ~tuning_seconds:dt;
-                      locked t.mu (fun () -> t.tunes <- t.tunes + 1);
-                      Single_flight.complete t.flights fl
-                        (Fl_plan
-                           {
-                             Protocol.fingerprint;
-                             plan;
-                             source = "tuned";
-                             evaluations;
-                             tuning_seconds = dt;
-                           })
-                  | `Aborted ->
-                      (* every waiter walked away and the exploration
-                         tore itself down at a generation boundary; a
-                         racing joiner resolves busy and retries fresh *)
-                      Single_flight.complete t.flights fl
-                        (Fl_busy (retry_hint t))
-                  | `Error msg ->
-                      Single_flight.complete t.flights fl
-                        (Fl_error ("tuning failed: " ^ msg))
+                let deadline_ms =
+                  Option.map (fun dl -> max 0 (left_ms t dl)) deadline
                 in
-                let admission_deadline =
-                  match deadline with
-                  | None -> None
-                  | Some (d, arrival) ->
-                      let elapsed_ms =
-                        int_of_float
-                          (Float.max 0. (Clock.now t.clock -. arrival)
-                          *. 1000.)
-                      in
-                      Some (max 0 (d - elapsed_ms))
-                in
-                (match
-                   Admission.submit t.admission ~client
-                     ?deadline_ms:admission_deadline task
-                 with
+                match
+                  Admission.submit t.admission ~client ?deadline_ms
+                    (tune_task t fl ~quarantined:None r ~budget ~seeds)
+                with
                 | `Admitted ->
                     register_stream t ~request_id w;
                     pump t;
@@ -759,44 +765,19 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline ~migrate
                     ignore (Single_flight.detach t.flights w);
                     Some (Protocol.Deadline_hint_r { projected_wait_s }))))
 
-let handle_lookup t ~from_peer ~deadline ~accel:accel_name ~op:op_spec ~budget
-    =
-  let { accel; op; fingerprint } = resolve t (accel_name, op_spec, budget) in
-  match hot_lookup t fingerprint with
-  | Some plan ->
-      Protocol.Plan_r
-        {
-          Protocol.fingerprint;
-          plan;
-          source = "hot";
-          evaluations = 0;
-          tuning_seconds = 0.;
-        }
+let handle_lookup t ~from_peer ~deadline req ((_, _, budget) as spec) =
+  let r = resolve t spec in
+  match local_plan t r ~budget with
+  | Some hit -> hit
   | None -> (
-      match cache_lookup t ~accel ~op ~budget with
-      | Some value ->
-          let plan = wire_of_value value in
-          locked t.mu (fun () -> t.cache_hits <- t.cache_hits + 1);
-          hot_put t fingerprint plan
-            ~tuning_seconds:(cached_tuning_seconds t fingerprint);
-          Protocol.Plan_r
-            {
-              Protocol.fingerprint;
-              plan;
-              source = "cache";
-              evaluations = 0;
-              tuning_seconds = 0.;
-            }
-      | None -> (
-          (* the owner is authoritative for its fingerprints: its plan
-             is served, its miss is a miss, and an unreachable owner
-             degrades to the local answer — also a miss here *)
-          let req =
-            Protocol.Lookup { accel = accel_name; op = op_spec; budget }
-          in
-          match route_to_owner t ~from_peer ~deadline ~fingerprint req with
-          | Some (Protocol.Plan_r _ as r) -> r
-          | Some _ | None -> Protocol.Not_found_r))
+      (* the owner is authoritative for its fingerprints: its plan is
+         served, its miss is a miss, and an unreachable owner degrades
+         to the local answer — also a miss here *)
+      match
+        route_to_owner t ~from_peer ~deadline ~fingerprint:r.fingerprint req
+      with
+      | Some (Protocol.Plan_r _ as forwarded) -> forwarded
+      | Some _ | None -> Protocol.Not_found_r)
 
 let handle_compile t ~accel:accel_name ~network ~batch ~budget ~jobs =
   let accel = preset t accel_name in
@@ -841,66 +822,26 @@ let quarantine_suffix = ".plan.quarantined"
 
 (* re-tune one quarantined fingerprint on the pool; [false] when the
    pool is busy or another flight already owns the fingerprint *)
-let retune_quarantined t ~fp ~qpath ~accel ~op ~budget =
-  match Single_flight.acquire t.flights fp with
+let retune_quarantined t ~qpath r ~budget =
+  match Single_flight.acquire t.flights r.fingerprint with
   | `Join w ->
       (* a client-driven tune is already producing it; withdraw the
          interest this probe just registered *)
       ignore (Single_flight.detach t.flights w);
       false
-  | `Lead w ->
-      let f = Single_flight.flight w in
+  | `Lead w -> (
+      let fl = Single_flight.flight w in
       (* the drain's own waiter stays attached (never detached) so the
          abort flag cannot rise under a retune nobody is watching *)
-      let task () =
-        let t0 = Clock.now t.clock in
-        let outcome =
-          match
-            t.tuner ~jobs:t.config.jobs ~accel ~op ~budget ~seeds:[]
-              ~progress:None ~abort:None
-          with
-          | o -> Ok o
-          | exception e -> Error (Printexc.to_string e)
-        in
-        let dt = Clock.now t.clock -. t0 in
-        match outcome with
-        | Ok { value; evaluations } ->
-            locked t.cache_mu (fun () ->
-                try
-                  Plan_cache.store t.cache ~accel ~op ~budget
-                    ~tuning_seconds:dt value
-                with e ->
-                  Log.warn (fun m ->
-                      m "retune store failed for %s: %s" fp
-                        (Printexc.to_string e)));
-            (* only after a good plan is back in the cache does the
-               quarantined copy stop being post-mortem material *)
-            (try Fs_io.remove (Plan_cache.fs_handle t.cache) qpath
-             with Sys_error _ | Fs_io.Injected _ -> ());
-            let plan = wire_of_value value in
-            hot_put t fp plan ~tuning_seconds:dt;
-            locked t.mu (fun () ->
-                t.quarantine_retunes <- t.quarantine_retunes + 1);
-            Log.info (fun m -> m "re-tuned quarantined fingerprint %s" fp);
-            Single_flight.complete t.flights f
-              (Fl_plan
-                 {
-                   Protocol.fingerprint = fp;
-                   plan;
-                   source = "retuned";
-                   evaluations;
-                   tuning_seconds = dt;
-                 })
-        | Error msg ->
-            Single_flight.complete t.flights f
-              (Fl_error ("retune failed: " ^ msg))
-      in
-      (match Admission.submit t.admission ~client:"retune" task with
+      match
+        Admission.submit t.admission ~client:"retune"
+          (tune_task t fl ~quarantined:(Some qpath) r ~budget ~seeds:[])
+      with
       | `Admitted ->
           pump t;
           true
       | `Busy | `Deadline _ ->
-          Single_flight.complete t.flights f (Fl_busy (retry_hint t));
+          Single_flight.complete t.flights fl (Fl_busy (retry_hint t));
           false)
 
 (* One low-priority step of the background drain: only when the tuning
@@ -942,9 +883,8 @@ let drain_quarantined_once t =
                 in
                 match spec with
                 | None -> step rest (* never seen its spec: leave it *)
-                | Some ({ accel; op; _ }, budget) ->
-                    retune_quarantined t ~fp ~qpath ~accel ~op ~budget
-                    || step rest)
+                | Some (r, budget) ->
+                    retune_quarantined t ~qpath r ~budget || step rest)
         in
         step quarantined
       end
@@ -983,6 +923,14 @@ let stop t = drain_and_stop t
    dropped without another frame. *)
 let dispatch t ~from_peer ~client ~emit payload =
   locked t.mu (fun () -> t.requests <- t.requests + 1);
+  (* a request that fails to resolve or to serve (unknown accelerator,
+     bad DSL, a raising compile) answers a typed error *)
+  let answer f =
+    match f () with
+    | r -> (r, false)
+    | exception Failure msg -> (Some (Protocol.Error_r msg), false)
+    | exception e -> (Some (Protocol.Error_r (Printexc.to_string e)), false)
+  in
   match Protocol.decode_request payload with
   | Error msg -> (Some (Protocol.Error_r msg), false)
   | Ok (req, env) -> (
@@ -1016,36 +964,18 @@ let dispatch t ~from_peer ~client ~emit payload =
               locked t.mu (fun () -> t.cancels <- t.cancels + 1);
               (Some (Protocol.Ok_r "cancelled"), false)
           | None -> (Some Protocol.Not_found_r, false))
-      | Protocol.Lookup { accel; op; budget } -> (
-          match handle_lookup t ~from_peer ~deadline ~accel ~op ~budget with
-          | r -> (Some r, false)
-          | exception Failure msg -> (Some (Protocol.Error_r msg), false)
-          | exception e ->
-              (Some (Protocol.Error_r (Printexc.to_string e)), false))
-      | Protocol.Tune { accel; op; budget } -> (
-          match
-            handle_tune t ~from_peer ~client ~env ~emit ~deadline
-              ~migrate:false ~accel ~op ~budget
-          with
-          | r -> (r, false)
-          | exception Failure msg -> (Some (Protocol.Error_r msg), false)
-          | exception e ->
-              (Some (Protocol.Error_r (Printexc.to_string e)), false))
-      | Protocol.Migrate_tune { accel; op; budget } -> (
-          match
-            handle_tune t ~from_peer ~client ~env ~emit ~deadline
-              ~migrate:true ~accel ~op ~budget
-          with
-          | r -> (r, false)
-          | exception Failure msg -> (Some (Protocol.Error_r msg), false)
-          | exception e ->
-              (Some (Protocol.Error_r (Printexc.to_string e)), false))
-      | Protocol.Compile { accel; network; batch; budget; jobs } -> (
-          match handle_compile t ~accel ~network ~batch ~budget ~jobs with
-          | r -> (Some r, false)
-          | exception Failure msg -> (Some (Protocol.Error_r msg), false)
-          | exception e ->
-              (Some (Protocol.Error_r (Printexc.to_string e)), false)))
+      | Protocol.Lookup { accel; op; budget } ->
+          answer (fun () ->
+              Some
+                (handle_lookup t ~from_peer ~deadline req (accel, op, budget)))
+      | Protocol.Tune { accel; op; budget }
+      | Protocol.Migrate_tune { accel; op; budget } ->
+          answer (fun () ->
+              handle_tune t ~from_peer ~client ~env ~emit ~deadline req
+                (accel, op, budget))
+      | Protocol.Compile { accel; network; batch; budget; jobs } ->
+          answer (fun () ->
+              Some (handle_compile t ~accel ~network ~batch ~budget ~jobs)))
 
 (* --- connections ---------------------------------------------------- *)
 

@@ -135,7 +135,6 @@ type tuner =
   budget:Amos_service.Fingerprint.budget ->
   seeds:Amos.Explore.candidate list ->
   progress:(Amos.Explore.progress -> unit) option ->
-  abort:(unit -> bool) option ->
   tune_outcome
 (** The exploration a pool task runs.  Injectable so tests can observe
     scheduling behaviour (count invocations, block on a latch) without
@@ -145,11 +144,11 @@ type tuner =
 
     [progress] (when [Some]) must be invoked once per exploration
     generation with the aggregated best-so-far — the daemon fans it out
-    to streaming waiters.  [abort] (when [Some]) should be polled at
-    generation boundaries; a [true] means every waiter has walked away
-    and the tuner may raise [Amos.Explore.Aborted] instead of finishing
-    (the daemon then resolves the flight as busy).  Custom test tuners
-    are free to ignore both.
+    to streaming waiters.  Once every waiter has walked away, the call
+    raises [Amos.Explore.Aborted] instead; the tuner lets it escape
+    rather than finishing (the daemon then resolves the flight as busy).
+    A quarantine retune passes [None].  Custom test tuners are free to
+    ignore it.
 
     With a persistent cache directory and no custom tuner, the default
     additionally feeds the learned cost model: every simulator

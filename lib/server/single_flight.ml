@@ -150,8 +150,8 @@ let detach t w =
   Mutex.unlock t.mutex;
   remaining
 
-(* Lock-free single-word read: the exploration polls this once per
-   genetic generation.  The only writers flip it under the table mutex,
+(* Lock-free single-word read: the daemon's progress hook reads this
+   once per genetic generation.  The only writers flip it under the table mutex,
    and a stale [false] just delays the abort by one generation. *)
 let abort_requested f = f.abort
 

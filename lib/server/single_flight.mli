@@ -15,9 +15,10 @@
     thread, so a dead or slow client socket can never block the flight
     or its co-waiters.  When the {e last} attached waiter detaches from
     an unresolved flight, the flight's abort flag rises
-    ({!abort_requested}) — the exploration polls it at generation
-    boundaries and tears itself down; a fresh {!acquire} before the
-    exploration notices withdraws the request.
+    ({!abort_requested}) — the daemon's per-generation progress hook
+    reads it and raises [Amos.Explore.Aborted], tearing the exploration
+    down at that generation boundary; a fresh {!acquire} before the
+    hook notices withdraws the request.
 
     The leader must always complete its flight — including on failure,
     abort and admission-control rejection (complete with the
@@ -83,8 +84,8 @@ val detach : ('a, 'p) t -> ('a, 'p) waiter -> int
     return the current count without decrementing). *)
 
 val abort_requested : ('a, 'p) flight -> bool
-(** Lock-free read of the flight's abort flag — polled by the
-    exploration at generation boundaries.  Raised by the last
+(** Lock-free read of the flight's abort flag — read by the daemon's
+    progress hook once per exploration generation.  Raised by the last
     {!detach}; withdrawn by a fresh {!acquire} of the key. *)
 
 val in_flight : ('a, 'p) t -> int

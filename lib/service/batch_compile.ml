@@ -44,7 +44,7 @@ type t = {
 
 let scalar_seconds = Compiler.tuned_scalar_seconds
 
-let tune_fresh ?(seeds = []) ?model ?observe ?progress ?abort ~jobs
+let tune_fresh ?(seeds = []) ?model ?observe ?progress ~jobs
     ~(budget : Fingerprint.budget) accel op =
   match Explore.mappings accel op with
   | [] when seeds = [] -> (Plan_cache.Scalar, 0)
@@ -53,7 +53,7 @@ let tune_fresh ?(seeds = []) ?model ?observe ?progress ?abort ~jobs
         Par_tune.tune ?jobs ~population:budget.Fingerprint.population
           ~generations:budget.Fingerprint.generations
           ~measure_top:budget.Fingerprint.measure_top ~initial_population:seeds
-          ?model ?observe ?progress ?abort
+          ?model ?observe ?progress
           ~rng:(Rng.create budget.Fingerprint.seed)
           ~accel ~mappings ()
       in
@@ -223,8 +223,8 @@ let tune_op ?jobs ?budget ?model ?observe ~cache accel op =
   let _, value, source = tune_cached ctx accel op in
   (value, source)
 
-let compile ?jobs ?budget ?model ?observe ~cache accel pipeline =
-  let ctx = make_ctx ?jobs ?budget ?model ?observe cache in
+let compile ?jobs ?budget ~cache accel pipeline =
+  let ctx = make_ctx ?jobs ?budget cache in
   let plans =
     List.map
       (fun (stage_index, op) ->
@@ -249,9 +249,8 @@ let run t ~input ~weights =
    with dedup + caching.  Spatial layer times are re-derived from the plan
    (the structural estimate the tuner measured), so a warm compile needs
    no tuner at all. *)
-let compile_network ?jobs ?budget ?model ?observe ~cache accel
-    (net : Networks.t) =
-  let ctx = make_ctx ?jobs ?budget ?model ?observe cache in
+let compile_network ?jobs ?budget ~cache accel (net : Networks.t) =
+  let ctx = make_ctx ?jobs ?budget cache in
   let tensor_layers = ref 0 in
   let layers =
     List.map

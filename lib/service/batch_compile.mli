@@ -69,17 +69,12 @@ type t = {
 val compile :
   ?jobs:int ->
   ?budget:Fingerprint.budget ->
-  ?model:Explore.screen_model ->
-  ?observe:(fingerprint:string -> Explore.observation -> unit) ->
   cache:Plan_cache.t ->
   Accelerator.t ->
   Pipeline.t ->
   t
-(** [model] installs a calibrated screen ([Explore.tune]'s contract) in
-    every fresh tune this compile performs; cached stages never touch
-    it.  [observe] receives each simulator measurement of a fresh tune,
-    labelled with the stage's fingerprint — the hook the learned cost
-    model's observation log hangs off. *)
+(** Tunes every fresh tensor stage of the pipeline, serving repeats and
+    cached stages without tuning. *)
 
 val scalar_seconds : Accelerator.t -> Amos_ir.Operator.t -> float
 (** [Compiler.tuned_scalar_seconds]: the roofline spatial plans must
@@ -90,7 +85,6 @@ val tune_fresh :
   ?model:Explore.screen_model ->
   ?observe:(Explore.observation -> unit) ->
   ?progress:(Explore.progress -> unit) ->
-  ?abort:(unit -> bool) ->
   jobs:int option ->
   budget:Fingerprint.budget ->
   Accelerator.t ->
@@ -114,13 +108,16 @@ val tune_op :
   Plan_cache.value * source
 (** Single-operator entry: serve from the cache or tune and store.  The
     value races the spatial plan against the scalar roofline exactly as
-    [Compiler.tune] does, so [Scalar] means the scalar units won. *)
+    [Compiler.tune] does, so [Scalar] means the scalar units won.
+    [model] installs a calibrated screen ([Explore.tune]'s contract) in
+    a fresh tune; a cached stage never touches it.  [observe] receives
+    each simulator measurement of a fresh tune, labelled with the
+    fingerprint — the hook the learned cost model's observation log
+    hangs off. *)
 
 val compile_network :
   ?jobs:int ->
   ?budget:Fingerprint.budget ->
-  ?model:Explore.screen_model ->
-  ?observe:(fingerprint:string -> Explore.observation -> unit) ->
   cache:Plan_cache.t ->
   Accelerator.t ->
   Amos_workloads.Networks.t ->

@@ -22,39 +22,39 @@ let attempt f x =
    into a per-index slot, so the merge order — and therefore the final
    result — is independent of scheduling.  The work units themselves are
    deterministic (their RNG streams derive from the mapping, not the
-   worker), which is what makes this fan-out safe.
+   worker), which is what makes this fan-out safe.  At [jobs = 1] the
+   calling domain runs the same loop alone.
 
    Every task's outcome is captured as a [Result] inside the worker, so
    one raising task can neither kill its worker domain nor discard the
    slots its siblings already filled; the spawned domains are joined in
-   a [Fun.protect] finalizer, so no exit path leaks a running domain. *)
+   a [Fun.protect] finalizer, so no exit path leaks a running domain.
+   Once a task fails with [Explore.Aborted] no further index is handed
+   out: the exploration is being torn down, and a unit started now
+   would only build its engine and score a population for nobody. *)
 let parallel_map_result ~jobs f arr =
   let n = Array.length arr in
   let jobs = max 1 (min jobs n) in
-  if jobs = 1 then Array.map (attempt f) arr
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (attempt f arr.(i));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    Fun.protect
-      ~finally:(fun () -> List.iter Domain.join domains)
-      worker;
-    Array.map
-      (function
-        | Some r -> r
-        | None -> Error (Failure "Par_tune: task never executed"))
-      results
-  end
+  let results =
+    Array.make n (Error (Failure "Par_tune: task never executed"))
+  in
+  let next = Atomic.make 0 and aborted = Atomic.make false in
+  let rec worker () =
+    if not (Atomic.get aborted) then begin
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        let r = attempt f arr.(i) in
+        (match r with
+        | Error Explore.Aborted -> Atomic.set aborted true
+        | _ -> ());
+        results.(i) <- r;
+        worker ()
+      end
+    end
+  in
+  let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+  Fun.protect ~finally:(fun () -> List.iter Domain.join domains) worker;
+  results
 
 (* [Explore]'s two-phase skeleton runs its work units on this fan-out *)
 let fanout jobs =
@@ -64,28 +64,19 @@ let fanout jobs =
     map = (fun f units -> parallel_map_result ~jobs f units);
   }
 
-let tune_with ?jobs ?(must_keep = fun _ -> false) ?cut ~screen ~search
-    ~mappings () =
+let tune_with ?jobs ~screen ~search ~mappings () =
   if mappings = [] then invalid_arg "Par_tune.tune: no mappings";
-  Explore.tune_units (fanout jobs) ~must_keep ~cut ~screen ~search mappings
+  Explore.tune_units (fanout jobs)
+    ~must_keep:(fun _ -> false)
+    ~cut:None ~screen ~search mappings
 
 let tune ?jobs ?population ?generations ?measure_top
-    ?(initial_population = []) ?model ?observe ?progress ?abort ~rng ~accel
-    ~mappings () =
+    ?(initial_population = []) ?model ?observe ?progress ~rng ~accel ~mappings
+    () =
   if mappings = [] && initial_population = [] then
     invalid_arg "Par_tune.tune: no mappings";
   Explore.tune_on (fanout jobs) ?population ?generations ?measure_top
-    ~initial_population ?model ?observe ?progress ?abort ~rng ~accel ~mappings
-    ()
-
-let tune_op ?jobs ?population ?generations ?measure_top ?model ?observe
-    ?progress ?abort ~rng ~accel op =
-  match Explore.mappings accel op with
-  | [] -> None
-  | mappings ->
-      Some
-        (tune ?jobs ?population ?generations ?measure_top ?model ?observe
-           ?progress ?abort ~rng ~accel ~mappings ())
+    ~initial_population ?model ?observe ?progress ~rng ~accel ~mappings ()
 
 (* Persistent bounded worker pool: long-lived domains pulling thunks
    from a capacity-bounded queue.  Unlike [parallel_map_result] (which

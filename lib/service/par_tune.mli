@@ -17,7 +17,6 @@
     found.  Per-mapping failures surface in [Explore.result.failures]. *)
 
 open Amos
-open Amos_ir
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count], capped at 8. *)
@@ -25,8 +24,10 @@ val default_jobs : unit -> int
 val parallel_map_result :
   jobs:int -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 (** Order-preserving parallel map with per-task failure capture and one
-    retry.  All spawned domains are joined before this returns, on every
-    exit path. *)
+    retry.  A task failing with [Explore.Aborted] is not retried, and no
+    task starts once its failure is recorded: the slots of tasks that
+    never ran read [Error (Failure _)].  All spawned domains are joined
+    before this returns, on every exit path. *)
 
 val tune :
   ?jobs:int ->
@@ -37,7 +38,6 @@ val tune :
   ?model:Explore.screen_model ->
   ?observe:(Explore.observation -> unit) ->
   ?progress:(Explore.progress -> unit) ->
-  ?abort:(unit -> bool) ->
   rng:Amos_tensor.Rng.t ->
   accel:Accelerator.t ->
   mappings:Mapping.t list ->
@@ -50,19 +50,17 @@ val tune :
     retry path — when both [mappings] and [initial_population] are
     empty.
 
-    [model], [observe], [progress] and [abort] reach every worker
-    domain as in [Explore.tune_on]: [observe] and [progress] fire under
-    one lock, so a single-threaded consumer (appending to
-    [Amos_learn.Obs_log], a daemon's progress fan-out) is safe as-is,
-    though the order of observations across domains follows their
-    scheduling.  The first worker to see [abort] return [true] raises
-    [Explore.Aborted], which re-raises out of [tune] after all domains
-    joined, never as a per-mapping failure. *)
+    [model], [observe] and [progress] reach every worker domain as in
+    [Explore.tune_on]: [observe] and [progress] fire under one lock, so
+    a single-threaded consumer (appending to [Amos_learn.Obs_log], a
+    daemon's progress fan-out) is safe as-is, though the order of
+    observations across domains follows their scheduling.  Once a
+    work unit fails with [Explore.Aborted] (raised by [progress]), no
+    further unit starts; the exception re-raises out of [tune] after
+    all domains joined, never as a per-mapping failure. *)
 
 val tune_with :
   ?jobs:int ->
-  ?must_keep:(Mapping.t -> bool) ->
-  ?cut:float ->
   screen:(Mapping.t -> float * int) ->
   search:
     (Mapping.t -> score:float -> best_score:float -> Explore.plan list * int) ->
@@ -70,31 +68,14 @@ val tune_with :
   unit ->
   Explore.result
 (** [Explore.tune_units] on [jobs] domains: the skeleton of {!tune}
-    with the two per-mapping work units supplied by the caller and no
-    population split.  [must_keep] (default none) and [cut] pick the
-    survivors; each search call receives the survivor's own screen
-    [score] and the [best_score] among all survivors (see
-    [Explore.unband]).  A work unit failing with [Explore.Aborted]
-    re-raises after all domains joined instead of being recorded.
-    Raises [Invalid_argument] when [mappings] is empty.  Exposed so the
-    failure-isolation contract is directly testable with units that
-    raise on demand. *)
-
-val tune_op :
-  ?jobs:int ->
-  ?population:int ->
-  ?generations:int ->
-  ?measure_top:int ->
-  ?model:Explore.screen_model ->
-  ?observe:(Explore.observation -> unit) ->
-  ?progress:(Explore.progress -> unit) ->
-  ?abort:(unit -> bool) ->
-  rng:Amos_tensor.Rng.t ->
-  accel:Accelerator.t ->
-  Operator.t ->
-  Explore.result option
-(** Same contract as [Explore.tune_op]; [model], [observe], [progress]
-    and [abort] as in {!tune}. *)
+    with the two per-mapping work units supplied by the caller, no
+    population split, no seeded mappings and no survivor cut.  Each
+    search call receives the survivor's own screen [score] and the
+    [best_score] among all survivors (see [Explore.unband]).  A work
+    unit failing with [Explore.Aborted] re-raises after all domains
+    joined instead of being recorded.  Raises [Invalid_argument] when
+    [mappings] is empty.  Exposed so the failure-isolation contract is
+    directly testable with units that raise on demand. *)
 
 (** Persistent bounded worker pool over OCaml 5 domains.
 

@@ -38,7 +38,7 @@ let tune_req ?(m = 4) () =
 
 let instant_tuner () =
   let calls = Atomic.make 0 in
-  let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ ~abort:_ =
+  let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
     Atomic.incr calls;
     { Server.value = Plan_cache.Scalar; evaluations = 1 }
   in
@@ -553,7 +553,7 @@ let wait_for ?(timeout = 10.) msg pred =
 let start_gated_stream_server () =
   let gate = Semaphore.Counting.make 0 in
   let calls = Atomic.make 0 in
-  let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress ~abort:_ =
+  let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress =
     Atomic.incr calls;
     Option.iter
       (fun f ->

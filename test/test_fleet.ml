@@ -233,7 +233,7 @@ let breaker_tests =
 
 let instant_tuner () =
   let calls = Atomic.make 0 in
-  let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ ~abort:_ =
+  let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
     Atomic.incr calls;
     { Server.value = Plan_cache.Scalar; evaluations = 1 }
   in

@@ -394,12 +394,9 @@ let screen_tests =
         let op = an_op () in
         let base = small_tune accel op in
         let par =
-          match
-            Par_tune.tune_op ~jobs:2 ~population:4 ~generations:2
-              ~model:(Screen.identity ~accel) ~rng:(Rng.create 42) ~accel op
-          with
-          | Some r -> r
-          | None -> Alcotest.fail "toy operator must be mappable"
+          Par_tune.tune ~jobs:2 ~population:4 ~generations:2
+            ~model:(Screen.identity ~accel) ~rng:(Rng.create 42) ~accel
+            ~mappings:(Explore.mappings accel op) ()
         in
         Alcotest.(check bool) "best measured" true
           (feq base.Explore.best.Explore.measured

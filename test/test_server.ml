@@ -553,7 +553,7 @@ let tune_req text =
 let gated_tuner () =
   let gate = Semaphore.Counting.make 0 in
   let calls = Atomic.make 0 in
-  let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ ~abort:_ =
+  let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
     Atomic.incr calls;
     Semaphore.Counting.acquire gate;
     { Server.value = Plan_cache.Scalar; evaluations = 1 }
@@ -684,7 +684,7 @@ let daemon_tests =
         Alcotest.(check bool) "socket released" false (Sys.file_exists socket));
     Alcotest.test_case "hot-and-cache-layers-serve-repeats" `Quick (fun () ->
         let calls = Atomic.make 0 in
-        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ ~abort:_ =
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
           Atomic.incr calls;
           { Server.value = Plan_cache.Scalar; evaluations = 5 }
         in
@@ -734,7 +734,7 @@ let daemon_tests =
         let dir = temp_name "amosd-cache" in
         Sys.mkdir dir 0o755;
         let calls = Atomic.make 0 in
-        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ ~abort:_ =
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
           Atomic.incr calls;
           { Server.value = Plan_cache.Scalar; evaluations = 5 }
         in
@@ -770,7 +770,7 @@ let daemon_tests =
     Alcotest.test_case "stats-report-hot-and-cache-economy" `Quick (fun () ->
         let dir = temp_name "amosd-eco-stats" in
         Sys.mkdir dir 0o755;
-        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ ~abort:_ =
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
           { Server.value = Plan_cache.Scalar; evaluations = 1 }
         in
         let server, thread, socket = start_server ~tuner ~cache_dir:dir () in
@@ -818,7 +818,7 @@ let daemon_tests =
            an accumulating series of them *)
         let dir = temp_name "amosd-eco-readmit" in
         Sys.mkdir dir 0o755;
-        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ ~abort:_ =
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
           { Server.value = Plan_cache.Scalar; evaluations = 1 }
         in
         let server1, thread1, socket1 =
@@ -861,7 +861,7 @@ let daemon_tests =
         let dir = temp_name "amosd-eco-retune" in
         Sys.mkdir dir 0o755;
         let calls = Atomic.make 0 in
-        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ ~abort:_ =
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
           Atomic.incr calls;
           { Server.value = Plan_cache.Scalar; evaluations = 1 }
         in
@@ -1000,8 +1000,7 @@ let stream_tests =
     Alcotest.test_case "streaming-tune-interleaves-progress" `Quick (fun () ->
         (* a tuner that reports three generations: the streaming client
            must see all three frames, in order, before the final plan *)
-        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress
-            ~abort:_ =
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress =
           (match progress with
           | Some f ->
               List.iter
@@ -1040,7 +1039,7 @@ let stream_tests =
         Server.stop server;
         Thread.join thread);
     Alcotest.test_case "hot-hit-streams-nothing" `Quick (fun () ->
-        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress ~abort:_ =
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress =
           Option.iter
             (fun f ->
               f
@@ -1121,23 +1120,28 @@ let stream_tests =
     Alcotest.test_case "last-waiter-cancel-aborts-exploration" `Quick
       (fun () ->
         let observed_abort = Atomic.make false in
-        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_
-            ~abort =
-          (* poll the abort flag like [Explore.schedule_search] does at
-             generation boundaries, bounded so a missed cancel cannot
-             hang the suite *)
-          let rec poll n =
-            if n <= 0 then ()
-            else
-              match abort with
-              | Some f when f () ->
-                  Atomic.set observed_abort true;
-                  raise Explore.Aborted
-              | _ ->
-                  Thread.delay 0.01;
-                  poll (n - 1)
-          in
-          poll 500;
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress =
+          (* report a generation every 10 ms like [Explore.tune] does,
+             bounded so a missed cancel cannot hang the suite: once the
+             last waiter has detached, the daemon's hook raises
+             [Explore.Aborted], which the tuner lets escape *)
+          let report = Option.get progress in
+          for g = 1 to 500 do
+            (match
+               report
+                 {
+                   Explore.pr_generation = g;
+                   pr_best_predicted = infinity;
+                   pr_best_measured = infinity;
+                   pr_evaluations = g;
+                 }
+             with
+            | () -> ()
+            | exception (Explore.Aborted as e) ->
+                Atomic.set observed_abort true;
+                raise e);
+            Thread.delay 0.01
+          done;
           { Server.value = Plan_cache.Scalar; evaluations = 1 }
         in
         let server, thread, socket = start_server ~tuner () in
@@ -1176,8 +1180,7 @@ let stream_tests =
            queued task — with zero real sleeping anywhere *)
         let clock = Clock.virtual_ () in
         let gate = Semaphore.Counting.make 0 in
-        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_
-            ~abort:_ =
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
           Semaphore.Counting.acquire gate;
           Clock.advance clock 5.0;
           { Server.value = Plan_cache.Scalar; evaluations = 1 }
@@ -1243,7 +1246,7 @@ let first_mapping ~accel ~op =
   | [] -> Plan_cache.Scalar
 
 let first_mapping_tuner calls ~jobs:_ ~accel ~op ~budget:_ ~seeds:_
-    ~progress:_ ~abort:_ =
+    ~progress:_ =
   Atomic.incr calls;
   { Server.value = first_mapping ~accel ~op; evaluations = 1 }
 
@@ -1372,8 +1375,7 @@ let memo_tests =
         Thread.join thread);
     Alcotest.test_case "specs-past-the-memo-bound-are-still-served" `Quick
       (fun () ->
-        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_
-            ~abort:_ =
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
           { Server.value = Plan_cache.Scalar; evaluations = 1 }
         in
         let server, thread, socket =
@@ -1430,7 +1432,7 @@ let memo_tests =
         let dir = temp_name "amosd-kind-retune" in
         Sys.mkdir dir 0o755;
         let calls = Atomic.make 0 in
-        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ ~abort:_ =
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
           Atomic.incr calls;
           { Server.value = Plan_cache.Scalar; evaluations = 1 }
         in

@@ -206,13 +206,10 @@ let par_tune_tests =
     Alcotest.test_case "jobs-1-and-4-identical" `Quick (fun () ->
         let accel = toy_accel () in
         let op = Ops.conv2d ~n:2 ~c:2 ~k:3 ~p:3 ~q:3 ~r:2 ~s:2 () in
+        let mappings = Explore.mappings accel op in
         let run jobs =
-          match
-            Par_tune.tune_op ~jobs ~population:4 ~generations:2
-              ~rng:(Rng.create 7) ~accel op
-          with
-          | Some r -> r
-          | None -> Alcotest.fail "expected a result"
+          Par_tune.tune ~jobs ~population:4 ~generations:2 ~rng:(Rng.create 7)
+            ~accel ~mappings ()
         in
         let r1 = run 1 and r4 = run 4 in
         let b1 = r1.Explore.best and b4 = r4.Explore.best in
@@ -244,9 +241,8 @@ let par_tune_tests =
         in
         let par, par_frames =
           with_frames (fun progress ->
-              Option.get
-                (Par_tune.tune_op ~jobs:1 ~population:6 ~generations:3
-                   ~progress ~rng:(Rng.create 7) ~accel op))
+              Par_tune.tune ~jobs:1 ~population:6 ~generations:3 ~progress
+                ~rng:(Rng.create 7) ~accel ~mappings ())
         in
         check_same_result seq par;
         Alcotest.(check (list string))
@@ -301,6 +297,46 @@ let par_tune_tests =
         Alcotest.(check bool) "split-path winner validates" true
           (Schedule.validate b1.Explore.candidate.Explore.mapping
              b1.Explore.candidate.Explore.schedule));
+    Alcotest.test_case "abort-through-progress-stops-every-fan-out" `Quick
+      (fun () ->
+        (* a progress hook raising [Explore.Aborted] at frame [n] ends
+           the tune on every fan-out: the exception escapes instead of a
+           result (so no failure is recorded), and no work unit starts
+           after it, so each other worker reaches at most one more
+           generation boundary *)
+        let accel = toy_accel () in
+        let op = Ops.conv2d ~n:2 ~c:2 ~k:3 ~p:3 ~q:3 ~r:2 ~s:2 () in
+        let mappings = Explore.mappings accel op in
+        let n = 3 in
+        let check_abort name ~workers tune =
+          (* the hook fires under the tuner's lock *)
+          let calls = ref 0 in
+          let progress _ =
+            incr calls;
+            if !calls >= n then raise Explore.Aborted
+          in
+          (match tune ~progress with
+          | r ->
+              Alcotest.failf "%s: the aborted tune returned, %d failures" name
+                (List.length r.Explore.failures)
+          | exception Explore.Aborted -> ());
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d hook calls, at most %d + %d - 1" name
+               !calls n workers)
+            true
+            (!calls >= n && !calls <= n + workers - 1)
+        in
+        check_abort "sequential" ~workers:1 (fun ~progress ->
+            Explore.tune ~population:4 ~generations:2 ~measure_top:2
+              ~progress ~rng:(Rng.create 7) ~accel ~mappings ());
+        List.iter
+          (fun jobs ->
+            check_abort (Printf.sprintf "jobs %d" jobs) ~workers:jobs
+              (fun ~progress ->
+                Par_tune.tune ~jobs ~population:4 ~generations:2
+                  ~measure_top:2 ~progress ~rng:(Rng.create 7) ~accel
+                  ~mappings ()))
+          [ 1; 2; List.length mappings + 2 ]);
   ]
 
 (* --- pinned tuning outcomes -------------------------------------------- *)

@@ -625,7 +625,7 @@ let robustness () =
       (try
          let v, _ = Batch_compile.tune_op ~budget ~cache:faulty accel op in
          Plan_cache.store faulty ~accel ~op ~budget v
-       with Fs_io.Crashed _ | Fs_io.Injected _ -> ());
+       with Fs_io.Crashed _ -> ());
       let t0 = Unix.gettimeofday () in
       let r = Plan_cache.fsck ~dir () in
       let ms = 1e3 *. (Unix.gettimeofday () -. t0) in

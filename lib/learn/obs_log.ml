@@ -94,20 +94,10 @@ let parse_line line =
       with Failure _ -> None)
   | _ -> None
 
-(* Split the log into complete lines, dropping a torn trailing fragment
-   (a writer died mid-append); checks the version stamp.  Shared by
-   [read] and [scan]. *)
+(* The log's complete lines without the version stamp, which must name
+   this version.  Shared by [read] and [scan]. *)
 let complete_lines ~path text =
-  let len = String.length text in
-  let torn = len > 0 && text.[len - 1] <> '\n' in
-  let upto =
-    if not torn then len
-    else match String.rindex_opt text '\n' with Some i -> i + 1 | None -> 0
-  in
-  let lines =
-    List.filter (fun l -> l <> "")
-      (String.split_on_char '\n' (String.sub text 0 upto))
-  in
+  let lines, torn = Fs_io.complete_lines text in
   (match lines with
   | first :: _ when first = version_line -> ()
   | first :: _
@@ -123,7 +113,7 @@ let complete_lines ~path text =
   let body =
     match lines with first :: rest when first = version_line -> rest | l -> l
   in
-  (body, torn, len)
+  (body, torn, String.length text)
 
 let read ?fs ~dir () =
   let fs = match fs with Some fs -> fs | None -> Fs_io.real () in
@@ -155,9 +145,8 @@ let heal ?fs ~dir () =
   let path = path_in dir in
   if not (Fs_io.exists fs path) then false
   else
-    let text = Fs_io.read_file fs path in
-    let len = String.length text in
-    if len > 0 && text.[len - 1] <> '\n' then begin
+    let _, torn = Fs_io.complete_lines (Fs_io.read_file fs path) in
+    if torn then begin
       (* terminate the fragment: it parses as a skipped line from now
          on, and later appends land on a fresh line *)
       Fs_io.append_line fs path "";

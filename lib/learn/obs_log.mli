@@ -61,8 +61,8 @@ val append :
   features:float array ->
   unit
 (** One record, one [O_APPEND] write; the timestamp is read from the
-    handle's clock.  May raise [Fs_io.Injected] / [Fs_io.Crashed] under
-    fault injection — callers treat the log as best-effort. *)
+    handle's clock.  May raise [Unix.Unix_error] (disk errors) or
+    [Fs_io.Crashed] — callers treat the log as best-effort. *)
 
 val observer :
   t ->

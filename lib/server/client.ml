@@ -95,9 +95,7 @@ let request ?deadline_ms t req =
           ->
             poison t "request timed out"
         | exception Unix.Unix_error (e, _, _) ->
-            poison t ("transport error: " ^ Unix.error_message e)
-        | exception Net_io.Injected msg ->
-            poison t ("transport error: " ^ msg))
+            poison t ("transport error: " ^ Unix.error_message e))
 
 (* Streaming is the same exchange with interleaved [Progress_r] frames
    before the final reply; the final frame is whatever a non-streaming
@@ -130,8 +128,6 @@ let request_stream ?deadline_ms ?request_id ~on_progress t req =
               poison t "request timed out"
           | exception Unix.Unix_error (e, _, _) ->
               poison t ("transport error: " ^ Unix.error_message e)
-          | exception Net_io.Injected msg ->
-              poison t ("transport error: " ^ msg)
         in
         match
           Protocol.write_frame ~net:t.net t.fd
@@ -143,9 +139,7 @@ let request_stream ?deadline_ms ?request_id ~on_progress t req =
           ->
             poison t "request timed out"
         | exception Unix.Unix_error (e, _, _) ->
-            poison t ("transport error: " ^ Unix.error_message e)
-        | exception Net_io.Injected msg -> poison t ("transport error: " ^ msg)
-        )
+            poison t ("transport error: " ^ Unix.error_message e))
 
 let cancel t ~request_id = request t (Protocol.Cancel { request_id })
 

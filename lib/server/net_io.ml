@@ -1,109 +1,15 @@
 type op = Connect | Read | Write
+type mode = Reset | Timeout | Stall of float | Short of int | Corrupt
 
-type mode =
-  | Fail of string
-  | Reset
-  | Timeout
-  | Stall of float
-  | Short of int
-  | Corrupt
+include Amos_service.Fault_plan.Make (struct
+  type nonrec op = op
+  type nonrec mode = mode
+end)
 
-type fault = { op : op; after : int; mode : mode }
-
-exception Injected of string
-
-(* chaos draws must be deterministic and private: the global [Random]
-   state belongs to the tests and the tuner *)
-type chaos_state = {
-  mutable lcg : int64;
-  chaos_rate : float;
-  chaos_classes : mode array;
-  mutable next_class : int;
-}
-
-type plan = Passthrough | Faults of fault list ref | Chaos of chaos_state
-
-type t = {
-  plan : plan;
-  counts : (op, int) Hashtbl.t;
-  mutable fired : int;
-  mu : Mutex.t;  (* connection handlers are threads; counters must agree *)
-}
-
-let make plan =
-  { plan; counts = Hashtbl.create 4; fired = 0; mu = Mutex.create () }
-
-let real () = make Passthrough
 let default = real ()
-let faulty faults = make (Faults (ref faults))
 
-let default_chaos_classes stall_s =
-  [| Short 3; Stall stall_s; Reset; Corrupt; Timeout |]
-
-let chaos ?(stall_s = 0.05) ?classes ~rate ~seed () =
-  let classes =
-    match classes with
-    | Some (_ :: _ as l) -> Array.of_list l
-    | Some [] | None -> default_chaos_classes stall_s
-  in
-  make
-    (Chaos
-       {
-         lcg = Int64.of_int (seed lxor 0x5deece66);
-         chaos_rate = Float.max 0. (Float.min 1. rate);
-         chaos_classes = classes;
-         next_class = 0;
-       })
-
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-let op_count t opk =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.counts opk with Some c -> c | None -> 0)
-
-let injected t = locked t (fun () -> t.fired)
-
-(* 48-bit LCG (the java.util.Random constants): tiny, portable, and
-   deterministic across OCaml versions, unlike [Random.State] *)
-let lcg_next st =
-  st.lcg <-
-    Int64.logand
-      (Int64.add (Int64.mul st.lcg 0x5deece66dL) 0xbL)
-      0xffff_ffff_ffffL;
-  Int64.to_float (Int64.shift_right_logical st.lcg 17) /. 2147483648.
-
-(* count the call and return the armed fault mode, if any; [Faults]
-   triggers are one-shot, [Chaos] draws fresh every call *)
-let trip t opk =
-  locked t (fun () ->
-      let c =
-        match Hashtbl.find_opt t.counts opk with Some c -> c | None -> 0
-      in
-      Hashtbl.replace t.counts opk (c + 1);
-      let mode =
-        match t.plan with
-        | Passthrough -> None
-        | Faults faults ->
-            let rec pick acc = function
-              | [] -> None
-              | f :: rest when f.op = opk && f.after = c ->
-                  faults := List.rev_append acc rest;
-                  Some f.mode
-              | f :: rest -> pick (f :: acc) rest
-            in
-            pick [] !faults
-        | Chaos st ->
-            if lcg_next st < st.chaos_rate then begin
-              let k = st.next_class in
-              st.next_class <- (k + 1) mod Array.length st.chaos_classes;
-              Some st.chaos_classes.(k)
-            end
-            else None
-      in
-      (match mode with Some _ -> t.fired <- t.fired + 1 | None -> ());
-      mode)
+let chaos ?(stall_s = 0.05) ~rate ~seed () =
+  chaos ~rate ~seed [| Short 3; Stall stall_s; Reset; Corrupt; Timeout |]
 
 let reset_exn what = Unix.Unix_error (Unix.ECONNRESET, what, "")
 let timeout_exn what = Unix.Unix_error (Unix.EAGAIN, what, "")
@@ -118,7 +24,6 @@ let corrupt_bytes buf off len =
 let read t fd buf off len =
   match trip t Read with
   | None -> Unix.read fd buf off len
-  | Some (Fail msg) -> raise (Injected msg)
   | Some Reset -> raise (reset_exn "read")
   | Some Timeout -> raise (timeout_exn "read")
   | Some (Stall dt) ->
@@ -133,7 +38,6 @@ let read t fd buf off len =
 let write t fd buf off len =
   match trip t Write with
   | None -> Unix.write fd buf off len
-  | Some (Fail msg) -> raise (Injected msg)
   | Some Reset -> raise (reset_exn "write")
   | Some Timeout -> raise (timeout_exn "write")
   | Some (Stall dt) ->
@@ -149,7 +53,6 @@ let write t fd buf off len =
 let connect t f =
   match trip t Connect with
   | None -> f ()
-  | Some (Fail msg) -> raise (Injected msg)
   | Some (Reset | Corrupt | Short _) ->
       raise (Unix.Unix_error (Unix.ECONNREFUSED, "connect", ""))
   | Some Timeout -> raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))
@@ -189,20 +92,18 @@ let parse_faults s =
     | "write" -> Write
     | o -> bad_spec "op" o
   in
+  let mode_of = function
+    | [ "reset" ] -> Reset
+    | [ "timeout" ] -> Timeout
+    | [ "corrupt" ] -> Corrupt
+    | [ "short"; n ] -> Short (int_of_string n)
+    | [ "stall"; dt ] -> Stall (float_of_string dt)
+    | m -> bad_spec "mode" (String.concat ":" m)
+  in
   let fault_of item =
     match String.split_on_char ':' (String.trim item) with
-    | [ op; after; "reset" ] ->
-        { op = op_of op; after = int_of_string after; mode = Reset }
-    | [ op; after; "timeout" ] ->
-        { op = op_of op; after = int_of_string after; mode = Timeout }
-    | [ op; after; "corrupt" ] ->
-        { op = op_of op; after = int_of_string after; mode = Corrupt }
-    | [ op; after; "short"; n ] ->
-        { op = op_of op; after = int_of_string after; mode = Short (int_of_string n) }
-    | [ op; after; "stall"; dt ] ->
-        { op = op_of op; after = int_of_string after; mode = Stall (float_of_string dt) }
-    | [ op; after; "fail"; msg ] ->
-        { op = op_of op; after = int_of_string after; mode = Fail msg }
+    | op :: after :: mode ->
+        { op = op_of op; after = int_of_string after; mode = mode_of mode }
     | _ -> bad_spec "AMOS_NET_FAULTS entry" item
   in
   match

@@ -4,28 +4,19 @@
     plan server moves over a socket — frame reads, frame writes, and
     outbound connects — goes through a {!t} handle.  The default
     handle ({!real}, shared as {!default}) passes straight through to
-    the OS; a handle built with {!faulty} carries a {e fault plan} of
-    one-shot triggers, each firing on the [after]-th call of a given
-    operation kind, so the network pathologies that are rare races in
-    production — a peer resetting mid-frame, a kernel delivering a
+    the OS; {!faulty} and {!chaos} build handles over an
+    {!Amos_service.Fault_plan} (its one-shot and seeded-chaos rules
+    apply unchanged), so the network pathologies that are rare races
+    in production — a peer resetting mid-frame, a kernel delivering a
     4-byte read, a stalled-but-alive owner, bit rot on the wire —
     become reproducible, deterministic schedules a unit test can
     assert recovery against.
-
-    {!chaos} builds a handle that faults {e probabilistically} but
-    {e deterministically}: each mediated call draws from a private
-    seeded generator and fails with the configured rate, cycling
-    through the fault classes.  Two runs with the same seed see the
-    same fault schedule.  This powers the chaos bench and the
-    [AMOS_NET_CHAOS] smoke environment ({!of_env}).
 
     Faults surface exactly the way the OS would surface them:
     [Reset] and [Timeout] raise [Unix.Unix_error] ([ECONNRESET] /
     [EAGAIN]), [Short] returns a legal partial count the caller's
     read/write loop must absorb, [Corrupt] hands back damaged bytes
-    that only the frame decoder can detect.  Only [Fail] raises the
-    library-private {!Injected}, for faults that model no specific
-    errno. *)
+    that only the frame decoder can detect. *)
 
 type op =
   | Connect  (** outbound connection establishment *)
@@ -33,8 +24,6 @@ type op =
   | Write  (** socket writes *)
 
 type mode =
-  | Fail of string
-      (** the operation does not happen; raises [Injected] *)
   | Reset
       (** raises [Unix.Unix_error (ECONNRESET, _, _)] — the peer
           vanished mid-operation *)
@@ -59,8 +48,6 @@ type fault = {
   mode : mode;
 }
 
-exception Injected of string
-
 type t
 
 val real : unit -> t
@@ -71,15 +58,12 @@ val default : t
     [?net] is omitted. *)
 
 val faulty : fault list -> t
-(** Each fault fires once, on the [after]-th call of its [op] kind
-    made through this handle, then disarms — exactly like
-    {!Amos_service.Fs_io.faulty}. *)
+(** One-shot triggers, as {!Amos_service.Fault_plan.Make.faulty}. *)
 
-val chaos : ?stall_s:float -> ?classes:mode list -> rate:float -> seed:int -> unit -> t
-(** Every mediated call faults with probability [rate], drawing from a
-    private deterministic generator seeded with [seed] and cycling
-    through [classes] (default: short, stall of [stall_s] (default
-    50 ms), reset, corrupt, timeout).  [rate] is clamped to [0,1]. *)
+val chaos : ?stall_s:float -> rate:float -> seed:int -> unit -> t
+(** Seeded chaos at [rate], as {!Amos_service.Fault_plan.Make.chaos},
+    cycling through short, stall of [stall_s] (default 50 ms), reset,
+    corrupt, timeout.  Powers the chaos bench and [AMOS_NET_CHAOS]. *)
 
 val of_env : unit -> t
 (** Build a handle from the environment, for smoke tests that need to
@@ -87,7 +71,7 @@ val of_env : unit -> t
 
     - [AMOS_NET_CHAOS="rate=0.1,seed=7"] (optional [,stall=0.05])
       builds {!chaos};
-    - [AMOS_NET_FAULTS="read:2:reset;write:0:short:10;connect:1:fail:boom"]
+    - [AMOS_NET_FAULTS="read:2:reset;write:0:short:10;connect:1:stall:0.5"]
       builds {!faulty} from [op:after:mode[:arg]] triples;
     - neither set: {!default}.
 

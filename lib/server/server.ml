@@ -665,7 +665,7 @@ let tune_task t fl ~quarantined { accel; op; fingerprint } ~budget ~seeds () =
       Option.iter
         (fun qpath ->
           (try Fs_io.remove (Plan_cache.fs_handle t.cache) qpath
-           with Sys_error _ | Fs_io.Injected _ -> ());
+           with Unix.Unix_error _ -> ());
           Log.info (fun m ->
               m "re-tuned quarantined fingerprint %s" fingerprint))
         quarantined;
@@ -869,8 +869,7 @@ let drain_quarantined_once t =
           | fp :: rest -> (
               let qpath = Filename.concat dir (fp ^ quarantine_suffix) in
               if Fs_io.exists fs (Filename.concat dir (fp ^ ".plan")) then begin
-                (try Fs_io.remove fs qpath
-                 with Sys_error _ | Fs_io.Injected _ -> ());
+                (try Fs_io.remove fs qpath with Unix.Unix_error _ -> ());
                 true
               end
               else
@@ -984,7 +983,7 @@ let send_response t fd resp =
     Protocol.write_frame ~net:t.config.net fd (Protocol.encode_response resp)
   with
   | () -> true
-  | exception (Unix.Unix_error _ | Sys_error _ | Net_io.Injected _) -> false
+  | exception (Unix.Unix_error _ | Sys_error _) -> false
 
 (* TCP connections must introduce themselves before the first request:
    the hello carries the protocol version and the shared token, and a
@@ -1005,13 +1004,13 @@ let handshake t fd =
     (try
        Protocol.write_frame ~net:t.config.net fd
          (Protocol.encode_hello_reply (Protocol.Hello_denied reason))
-     with Unix.Unix_error _ | Sys_error _ | Net_io.Injected _ -> ());
+     with Unix.Unix_error _ | Sys_error _ -> ());
     None
   in
   match Protocol.read_frame ~net:t.config.net fd with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       deny "handshake deadline exceeded"
-  | exception (Unix.Unix_error _ | Sys_error _ | Net_io.Injected _) -> None
+  | exception (Unix.Unix_error _ | Sys_error _) -> None
   | Error `Eof -> None
   | Error (`Bad msg) -> deny ("bad hello frame: " ^ msg)
   | Ok payload -> (
@@ -1034,9 +1033,7 @@ let handshake t fd =
                 (Protocol.encode_hello_reply Protocol.Hello_ok)
             with
             | () -> Some h.Protocol.peer
-            | exception (Unix.Unix_error _ | Sys_error _ | Net_io.Injected _)
-              ->
-                None))
+            | exception (Unix.Unix_error _ | Sys_error _) -> None))
 
 let handle_conn t kind fd =
   let admitted =
@@ -1077,10 +1074,6 @@ let handle_conn t kind fd =
           ->
             if locked t.mu (fun () -> t.stopped) then () else loop ()
         | exception (Unix.Unix_error _ | Sys_error _) -> ()
-        | exception Net_io.Injected _ ->
-            (* an injected connection fault ends this connection, like
-               the real reset it stands in for — never the daemon *)
-            ()
         | Error `Eof -> ()
         | Error (`Bad msg) ->
             (* framing is broken: answer once, then drop the connection —

@@ -31,17 +31,8 @@ let read_entries fs ~dir =
   if not (Fs_io.exists fs p) then []
   else
     match Fs_io.read_file fs p with
-    | exception (Sys_error _ | Fs_io.Injected _) -> []
-    | text ->
-        let len = String.length text in
-        let lines = String.split_on_char '\n' text in
-        (* drop the fragment after the last newline: a torn append *)
-        let complete =
-          if len > 0 && text.[len - 1] <> '\n' then
-            match List.rev lines with [] -> [] | _ :: r -> List.rev r
-          else lines
-        in
-        List.filter_map parse_line complete
+    | exception Unix.Unix_error _ -> []
+    | text -> List.filter_map parse_line (fst (Fs_io.complete_lines text))
 
 let load ?fs ?clock ~dir () =
   let fs = match fs with Some fs -> fs | None -> Fs_io.real () in

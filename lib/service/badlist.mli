@@ -31,8 +31,8 @@ val size : t -> int
 val mark : t -> fingerprint:string -> reason:string -> unit
 (** Record a fingerprint as known-bad (in memory and on disk); a
     fingerprint already marked is left alone.  May raise
-    [Fs_io.Injected] / [Fs_io.Crashed] under fault injection — the
-    in-memory set is updated first, so the caller's run is unaffected. *)
+    [Unix.Unix_error] (disk errors) or [Fs_io.Crashed] — the in-memory
+    set is updated first, so the caller's run is unaffected. *)
 
 val entries : t -> (string * float * string) list
 (** [(fingerprint, marked-at, reason)] triples, sorted. *)

@@ -90,12 +90,9 @@ type ctx = {
 let make_ctx ?jobs ?(budget = Fingerprint.default_budget) ?model ?observe
     cache =
   let badlist =
-    match Plan_cache.dir cache with
-    | None -> None
-    | Some dir -> (
-        match Badlist.load ~fs:(Plan_cache.fs_handle cache) ~dir () with
-        | t -> Some t
-        | exception (Fs_io.Injected _ | Sys_error _) -> None)
+    Option.map
+      (fun dir -> Badlist.load ~fs:(Plan_cache.fs_handle cache) ~dir ())
+      (Plan_cache.dir cache)
   in
   {
     cache;
@@ -197,9 +194,7 @@ let tune_cached ctx accel op =
                     try
                       Badlist.mark b ~fingerprint
                         ~reason:(op_name ^ ": " ^ Printexc.to_string e)
-                    with
-                    | Fs_io.Crashed _ as e -> raise e
-                    | Fs_io.Injected _ | Sys_error _ -> ())
+                    with Unix.Unix_error _ -> ())
                 | None -> ());
                 (Plan_cache.Scalar, Degraded)))
   in

@@ -1,47 +1,20 @@
 type op = Append | Write | Rename | Remove | Read | Lock
 
 type mode =
-  | Fail of string
+  | Fail of Unix.error
   | Crash_before
   | Crash_after
   | Torn of int
 
-type fault = {
-  op : op;
-  after : int;
-  mode : mode;
-}
+include Fault_plan.Make (struct
+  type nonrec op = op
+  type nonrec mode = mode
+end)
 
-exception Injected of string
 exception Crashed of string
 
-type t = {
-  mutable faults : fault list;
-  counts : (op, int) Hashtbl.t;
-}
-
-let real () = { faults = []; counts = Hashtbl.create 8 }
-let faulty faults = { faults; counts = Hashtbl.create 8 }
-
-let op_count t opk =
-  match Hashtbl.find_opt t.counts opk with Some c -> c | None -> 0
-
-(* Count the call and return the armed fault mode, if any.  Faults are
-   one-shot: a fired trigger is removed so recovery code running over
-   the same handle does not re-trip it. *)
-let trip t opk =
-  let c = op_count t opk in
-  Hashtbl.replace t.counts opk (c + 1);
-  let rec pick acc = function
-    | [] -> None
-    | f :: rest when f.op = opk && f.after = c ->
-        t.faults <- List.rev_append acc rest;
-        Some f.mode
-    | f :: rest -> pick (f :: acc) rest
-  in
-  pick [] t.faults
-
 let crashed what path = raise (Crashed (what ^ " " ^ path))
+let failed e call path = raise (Unix.Unix_error (e, call, path))
 
 (* --- non-faulting probes ------------------------------------------- *)
 
@@ -57,7 +30,16 @@ let mtime _t path =
   | { Unix.st_mtime; _ } -> st_mtime
   | exception Unix.Unix_error _ -> 0.
 
-let mkdir_p _t path = if not (Sys.file_exists path) then Sys.mkdir path 0o755
+(* create first, climb on ENOENT: no existence check a concurrent
+   creator can race, and EEXIST from one is success *)
+let rec mkdir_p t path =
+  let mkdir () =
+    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  in
+  try mkdir ()
+  with Unix.Unix_error (Unix.ENOENT, _, _) when Filename.dirname path <> path ->
+    mkdir_p t (Filename.dirname path);
+    mkdir ()
 
 let list_dir _t path =
   match Sys.readdir path with
@@ -66,24 +48,33 @@ let list_dir _t path =
 
 (* --- faultable operations ------------------------------------------ *)
 
+(* not [Fun.protect]: it would wrap a failing close in [Finally_raised],
+   which no handler of OS errors catches *)
+let with_fd path flags f =
+  let fd = Unix.openfile path flags 0o644 in
+  match f fd with
+  | v ->
+      Unix.close fd;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Printexc.raise_with_backtrace e bt
+
 let write_payload ~what t opk flags path payload =
   match trip t opk with
-  | Some (Fail msg) -> raise (Injected msg)
+  | Some (Fail e) -> failed e "write" path
   | Some Crash_before -> crashed what path
   | (None | Some Crash_after | Some (Torn _)) as mode ->
-      let fd = Unix.openfile path flags 0o644 in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          match mode with
-          | Some (Torn n) ->
-              let n = max 0 (min n (String.length payload)) in
-              ignore (Unix.write_substring fd payload 0 n)
-          | _ ->
-              let len = String.length payload in
-              let written = Unix.write_substring fd payload 0 len in
-              if written <> len then
-                raise (Injected (Printf.sprintf "short write on %s" path)));
+      let len =
+        match mode with
+        | Some (Torn n) -> max 0 (min n (String.length payload))
+        | _ -> String.length payload
+      in
+      (* [Unix.write] repeats until the whole payload is written or the
+         OS reports an error *)
+      with_fd path flags (fun fd ->
+          ignore (Unix.write_substring fd payload 0 len));
       (match mode with
       | Some (Torn _) | Some Crash_after -> crashed what path
       | _ -> ())
@@ -98,45 +89,69 @@ let append_line t path line =
     [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
     path (line ^ "\n")
 
+(* one buffer sized by [fstat]: no channel buffer and no growing copies
+   on the disk-tier lookup path.  A file that shrank mid-read yields
+   what was there; one that grew yields the size [fstat] saw. *)
+let read_whole path =
+  with_fd path [ Unix.O_RDONLY ] (fun fd ->
+      let size = (Unix.fstat fd).Unix.st_size in
+      let buf = Bytes.create size in
+      let rec fill off =
+        if off = size then off
+        else
+          match Unix.read fd buf off (size - off) with
+          | 0 -> off
+          | n -> fill (off + n)
+      in
+      let n = fill 0 in
+      if n = size then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 n)
+
 let read_file t path =
   match trip t Read with
-  | Some (Fail msg) -> raise (Injected msg)
+  | Some (Fail e) -> failed e "read" path
   | Some (Crash_before | Crash_after | Torn _) -> crashed "read" path
-  | None -> In_channel.with_open_bin path In_channel.input_all
+  | None -> read_whole path
 
 let rename t src dst =
   match trip t Rename with
-  | Some (Fail msg) -> raise (Injected msg)
+  | Some (Fail e) -> failed e "rename" src
   | Some (Crash_before | Torn _) -> crashed "rename" src
   | Some Crash_after ->
-      Sys.rename src dst;
+      Unix.rename src dst;
       crashed "rename" src
-  | None -> Sys.rename src dst
+  | None -> Unix.rename src dst
 
 let remove t path =
   match trip t Remove with
-  | Some (Fail msg) -> raise (Injected msg)
+  | Some (Fail e) -> failed e "unlink" path
   | Some (Crash_before | Torn _) -> crashed "remove" path
   | Some Crash_after ->
-      Sys.remove path;
+      Unix.unlink path;
       crashed "remove" path
-  | None -> Sys.remove path
+  | None -> Unix.unlink path
 
 let with_lock t path f =
   match trip t Lock with
-  | Some (Fail msg) -> raise (Injected msg)
+  | Some (Fail e) -> failed e "lockf" path
   | Some (Crash_before | Crash_after | Torn _) -> crashed "lock" path
   | None ->
-      let fd =
-        Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.lockf fd Unix.F_ULOCK 0 with Unix.Unix_error _ -> ());
-          Unix.close fd)
-        (fun () ->
+      (* closing the descriptor releases the lock *)
+      with_fd path [ Unix.O_RDWR; Unix.O_CREAT ] (fun fd ->
           Unix.lockf fd Unix.F_LOCK 0;
           f ())
+
+(* --- append-only logs ---------------------------------------------- *)
+
+(* the element after the last newline is "" for a well-formed log and
+   the torn fragment otherwise *)
+let complete_lines text =
+  let rec go acc = function
+    | [] | [ "" ] -> (List.rev acc, false)
+    | [ _fragment ] -> (List.rev acc, true)
+    | "" :: rest -> go acc rest
+    | line :: rest -> go (line :: acc) rest
+  in
+  go [] (String.split_on_char '\n' text)
 
 (* --- unique temp names --------------------------------------------- *)
 

@@ -2,18 +2,19 @@
 
     Every disk operation the plan service performs goes through a
     {!t} handle.  The default handle ({!real}) passes straight through
-    to the OS; a handle built with {!faulty} carries a {e fault plan} —
-    a list of one-shot triggers, each firing on the [after]-th call of a
-    given operation kind — so crash consistency becomes a unit-testable
+    to the OS; a handle built with {!faulty} carries a {!Fault_plan} of
+    one-shot triggers, so crash consistency becomes a unit-testable
     property: "the journal append never lands", "the entry write is
     torn after 10 bytes", "the rename is interrupted" are all
     reproducible, deterministic schedules rather than rare races.
 
-    Two distinct exceptions keep failure modes apart:
-    {!Injected} models an OS error the process survives and must handle
-    (EIO, ENOSPC); {!Crashed} models the process dying mid-operation —
-    tests catch it, abandon the handle, and reopen the directory with a
-    fresh {!real} handle, exactly like a restart after a power cut. *)
+    A faultable operation raises only two exceptions.  [Unix.Unix_error]
+    is an OS error the process survives and must handle (EIO, ENOSPC,
+    EISDIR); an injected {!Fail} raises it exactly as the OS would, so
+    one handler covers the real and the injected failure.  {!Crashed}
+    models the process dying mid-operation — tests catch it, abandon
+    the handle, and reopen the directory with a fresh {!real} handle,
+    exactly like a restart after a power cut. *)
 
 type op =
   | Append  (** O_APPEND journal writes *)
@@ -24,9 +25,9 @@ type op =
   | Lock  (** lock-file acquisition *)
 
 type mode =
-  | Fail of string
-      (** the operation does not happen; raises [Injected] (an OS error
-          such as ENOSPC the caller is expected to survive) *)
+  | Fail of Unix.error
+      (** the operation does not happen; raises [Unix.Unix_error] with
+          that error, the system call's name and the path *)
   | Crash_before  (** raises [Crashed] without performing the operation *)
   | Crash_after  (** performs the operation fully, then raises [Crashed] *)
   | Torn of int
@@ -40,7 +41,6 @@ type fault = {
   mode : mode;
 }
 
-exception Injected of string
 exception Crashed of string
 
 type t
@@ -49,17 +49,16 @@ val real : unit -> t
 (** No faults; plain OS operations. *)
 
 val faulty : fault list -> t
-(** Each fault fires once, on the [after]-th call of its [op] kind made
-    through this handle, then disarms. *)
+(** One-shot triggers, as {!Fault_plan.Make.faulty}. *)
 
 val op_count : t -> op -> int
 (** How many calls of [op] this handle has mediated (fired or not). *)
 
 (** {2 Operations}
 
-    All paths are plain OS paths.  [exists], [file_size], [mkdir_p] and
-    [list_dir] never fault: they are read-only probes the fault plans
-    do not need to schedule against. *)
+    All paths are plain OS paths.  [exists], [file_size], [mtime],
+    [mkdir_p] and [list_dir] never fault: the fault plans do not need
+    to schedule against them. *)
 
 val exists : t -> string -> bool
 val file_size : t -> string -> int
@@ -70,6 +69,9 @@ val mtime : t -> string -> float
     does not exist.  A non-faulting probe, like {!file_size}. *)
 
 val mkdir_p : t -> string -> unit
+(** Create the directory and any missing parents.  An existing entry,
+    or one a concurrent process creates meanwhile, is success. *)
+
 val list_dir : t -> string -> string list
 (** Basenames, [[]] when the directory does not exist. *)
 
@@ -91,6 +93,13 @@ val with_lock : t -> string -> (unit -> 'a) -> 'a
     lock on [path] (created if missing).  Released on any exit.  POSIX
     record locks are per-process: two handles in the same process do
     not block each other — the lock serializes {e processes}. *)
+
+(** {2 Append-only logs} *)
+
+val complete_lines : string -> string list * bool
+(** [complete_lines text] is the non-empty newline-terminated lines of
+    [text], in order, and whether a torn fragment (a writer died
+    mid-append) follows the last newline. *)
 
 (** {2 Unique temp names} *)
 

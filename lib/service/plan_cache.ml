@@ -138,14 +138,7 @@ let replay_journal fs dir ~now index =
   if not (Fs_io.exists fs path) then (0, 0, false)
   else begin
     let text = Fs_io.read_file fs path in
-    let len = String.length text in
-    let torn = len > 0 && text.[len - 1] <> '\n' in
-    let lines = String.split_on_char '\n' text in
-    (* drop the element after the last newline: "" when the file is
-       well-formed, the torn fragment otherwise *)
-    let complete =
-      match List.rev lines with [] -> [] | _ :: rest -> List.rev rest
-    in
+    let complete, torn = Fs_io.complete_lines text in
     let ops = ref 0 in
     List.iter
       (fun line ->
@@ -174,9 +167,9 @@ let replay_journal fs dir ~now index =
                 | _ -> () (* garbage line: ignore *))
             | [ "del"; fp ] -> Hashtbl.remove index fp
             | _ -> () (* garbage line (healed torn write): ignore *));
-            if line <> "" then incr ops)
+            incr ops)
       complete;
-    (!ops, len, torn)
+    (!ops, String.length text, torn)
   end
 
 (* drop index entries whose file vanished behind our back *)
@@ -376,8 +369,7 @@ let read_entry fs dir fp =
   if not (Fs_io.exists fs path) then `Absent
   else
     match Fs_io.read_file fs path with
-    | exception Sys_error _ -> `Unreadable
-    | exception Fs_io.Injected _ -> `Unreadable
+    | exception Unix.Unix_error _ -> `Unreadable
     | content -> (
         match parse_entry fp content with
         | Some (kind, meta) -> `Ok (kind, meta)
@@ -390,9 +382,8 @@ let evict_everywhere t fp =
   | Some d ->
       if Hashtbl.mem t.index fp then begin
         Hashtbl.remove t.index fp;
-        (try Fs_io.remove t.fs (entry_path d fp) with
-        | Sys_error _ | Fs_io.Injected _ -> ());
-        try append_journal t ("del " ^ fp) with Fs_io.Injected _ -> ()
+        (try Fs_io.remove t.fs (entry_path d fp) with Unix.Unix_error _ -> ());
+        try append_journal t ("del " ^ fp) with Unix.Unix_error _ -> ()
       end
 
 (* --- budget enforcement -------------------------------------------- *)
@@ -687,8 +678,8 @@ let clear t =
           let _ = replay_journal t.fs d ~now t.index in
           Hashtbl.iter
             (fun fp _ ->
-              try Fs_io.remove t.fs (entry_path d fp) with
-              | Sys_error _ -> ())
+              try Fs_io.remove t.fs (entry_path d fp)
+              with Unix.Unix_error _ -> ())
             (Hashtbl.copy t.index);
           Hashtbl.reset t.index;
           write_journal t.fs d [];
@@ -739,17 +730,7 @@ let obs_line_is_record line =
    ["amos-obs"] first line, any version — fsck repairs, it does not
    enforce) counts as neither *)
 let obs_scan_text text =
-  let len = String.length text in
-  let torn = len > 0 && text.[len - 1] <> '\n' in
-  let upto =
-    if not torn then len
-    else match String.rindex_opt text '\n' with Some i -> i + 1 | None -> 0
-  in
-  let lines =
-    List.filter
-      (fun l -> l <> "")
-      (String.split_on_char '\n' (String.sub text 0 upto))
-  in
+  let lines, torn = Fs_io.complete_lines text in
   let body =
     match lines with
     | first :: rest
@@ -803,7 +784,7 @@ let fsck ?fs ?clock ?quarantine_ttl ~dir () =
             if Fs_io.is_tmp name then begin
               (* abandoned by a crashed writer: targets were never
                  renamed into place, so the content is unreferenced *)
-              (try Fs_io.remove fs path with Sys_error _ -> ());
+              (try Fs_io.remove fs path with Unix.Unix_error _ -> ());
               incr tmp_removed
             end
             else if Filename.check_suffix name ".plan.quarantined" then begin
@@ -816,14 +797,14 @@ let fsck ?fs ?clock ?quarantine_ttl ~dir () =
               | Some ttl when now -. Fs_io.mtime fs path > ttl -> (
                   match Fs_io.remove fs path with
                   | () -> incr reclaimed
-                  | exception (Sys_error _ | Fs_io.Injected _) -> ())
+                  | exception Unix.Unix_error _ -> ())
               | Some _ | None -> ()
             end
             else if Filename.check_suffix name ".plan" then begin
               let fp = Filename.chop_suffix name ".plan" in
               let parsed =
                 match Fs_io.read_file fs path with
-                | exception (Sys_error _ | Fs_io.Injected _) -> None
+                | exception Unix.Unix_error _ -> None
                 | content ->
                     Option.map
                       (fun (_, meta) -> (String.length content, meta))
@@ -833,7 +814,7 @@ let fsck ?fs ?clock ?quarantine_ttl ~dir () =
               | None ->
                   (* positive corruption: quarantine, never serve *)
                   (try Fs_io.rename fs path (quarantine_path dir fp)
-                   with Sys_error _ -> ());
+                   with Unix.Unix_error _ -> ());
                   Hashtbl.remove index fp;
                   incr quarantined
               | Some (size, meta) ->
@@ -876,7 +857,7 @@ let fsck ?fs ?clock ?quarantine_ttl ~dir () =
           if not (Fs_io.exists fs path) then (0, 0, false)
           else
             match Fs_io.read_file fs path with
-            | exception (Sys_error _ | Fs_io.Injected _) -> (0, 0, false)
+            | exception Unix.Unix_error _ -> (0, 0, false)
             | text ->
                 let records, skipped, torn = obs_scan_text text in
                 if torn then
@@ -884,7 +865,7 @@ let fsck ?fs ?clock ?quarantine_ttl ~dir () =
                      fresh line; a failing append leaves it for the
                      next fsck (readers skip it either way) *)
                   (try Fs_io.append_line fs path ""
-                   with Sys_error _ | Fs_io.Injected _ -> ());
+                   with Unix.Unix_error _ -> ());
                 (records, skipped, torn)
         in
         {

@@ -146,7 +146,7 @@ val store :
   ?tuning_seconds:float ->
   t -> accel:Accelerator.t -> op:Operator.t -> budget:Fingerprint.budget ->
   value -> unit
-(** May raise [Fs_io.Injected] (disk errors): the in-memory layer is
+(** May raise [Unix.Unix_error] (disk errors): the in-memory layer is
     already updated when that happens, and the on-disk state is left
     consistent (possibly without the new entry).  [provenance] (for
     plans that won via migration) is serialized into the plan text.

@@ -1,12 +1,15 @@
 (* Deterministic fault injection over the plan service's disk layer.
 
-   Every test drives [Plan_cache] through an [Fs_io.faulty] handle that
-   fails or "crashes the process" at one scheduled operation, then
-   reopens the directory with a clean handle — exactly what a compiler
-   restarting after a power cut does — and asserts the crash-consistency
-   contract: the cache reopens cleanly, [fsck] repairs or quarantines
-   (never serves) whatever the crash left behind, and a warm lookup
-   either hits a validated plan or misses into a re-tune. *)
+   Every test drives [Plan_cache] through an [Fs_io.faulty] handle (the
+   one-shot [Fault_plan] the network layer shares) that fails or
+   "crashes the process" at one scheduled operation, then reopens the
+   directory with a clean handle — exactly what a compiler restarting
+   after a power cut does — and asserts the crash-consistency contract:
+   the cache reopens cleanly, [fsck] repairs or quarantines (never
+   serves) whatever the crash left behind, and a warm lookup either hits
+   a validated plan or misses into a re-tune.  An injected [Fail] raises
+   the [Unix.Unix_error] the OS would, so a real OS error (a directory
+   where the marker file belongs) must degrade the same way. *)
 
 open Amos
 module Ops = Amos_workloads.Ops
@@ -77,7 +80,7 @@ let assert_recovers ~dir ~accel ~op ~value ~expect_live ~expect_hit () =
   Alcotest.(check bool) "final fsck clean" true (Plan_cache.fsck_clean r3)
 
 (* store one entry through a fault plan; returns whether the store
-   visibly failed (Injected or simulated crash) *)
+   visibly failed (an OS error or a simulated crash) *)
 let store_under_faults ~dir faults =
   let accel = toy_accel () in
   let op = an_op () in
@@ -87,7 +90,7 @@ let store_under_faults ~dir faults =
   let failed =
     match Plan_cache.store cache ~accel ~op ~budget:small_budget value with
     | () -> false
-    | exception (Fs_io.Injected _ | Fs_io.Crashed _) -> true
+    | exception (Unix.Unix_error _ | Fs_io.Crashed _) -> true
   in
   (accel, op, value, failed)
 
@@ -102,7 +105,7 @@ let fault_point_tests =
   [
     (* 1: ENOSPC on the entry tmp write — nothing lands *)
     mk "enospc-on-entry-write"
-      [ { Fs_io.op = Fs_io.Write; after = 0; mode = Fs_io.Fail "ENOSPC" } ]
+      [ { Fs_io.op = Fs_io.Write; after = 0; mode = Fs_io.Fail Unix.ENOSPC } ]
       ~must_fail:true ~expect_live:0 ~expect_hit:false;
     (* 2: torn entry tmp write (crash mid-write) — partial tmp left *)
     mk "torn-entry-tmp-write"
@@ -125,12 +128,24 @@ let fault_point_tests =
     (* 6: ENOSPC on the journal add — same shape as the orphan case but
        through the survivable-error path *)
     mk "enospc-on-journal-append"
-      [ { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Fail "ENOSPC" } ]
+      [ { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Fail Unix.ENOSPC } ]
       ~must_fail:true ~expect_live:1 ~expect_hit:true;
   ]
 
 let journal_tests =
   [
+    Alcotest.test_case "create-makes-missing-parents" `Quick (fun () ->
+        let dir =
+          List.fold_left Filename.concat (temp_dir "amos-mkdir")
+            [ "a"; "b"; "c" ]
+        in
+        let cache = Plan_cache.create ~dir () in
+        Plan_cache.store cache ~accel:(toy_accel ()) ~op:(an_op ())
+          ~budget:small_budget Plan_cache.Scalar;
+        (* reopening an existing tree is no error either *)
+        ignore (Plan_cache.create ~dir ());
+        Alcotest.(check int) "entry stored in the new tree" 1
+          (Plan_cache.fsck ~dir ()).Plan_cache.live);
     Alcotest.test_case "add-without-entry-file-dropped" `Quick (fun () ->
         let accel = toy_accel () in
         let op = an_op () in
@@ -457,7 +472,7 @@ let degradation_tests =
            failing, compile must still complete with tuned plans *)
         let faults =
           List.init 64 (fun i ->
-              { Fs_io.op = Fs_io.Write; after = i; mode = Fs_io.Fail "EIO" })
+              { Fs_io.op = Fs_io.Write; after = i; mode = Fs_io.Fail Unix.EIO })
         in
         let cache = Plan_cache.create ~fs:(Fs_io.faulty faults) ~dir () in
         let t =
@@ -527,7 +542,7 @@ let known_bad_tests =
            compile's own degradation handling must be untouched *)
         let faults =
           List.init 16 (fun i ->
-              { Fs_io.op = Fs_io.Append; after = i; mode = Fs_io.Fail "EIO" })
+              { Fs_io.op = Fs_io.Append; after = i; mode = Fs_io.Fail Unix.EIO })
         in
         let cache = Plan_cache.create ~fs:(Fs_io.faulty faults) ~dir () in
         let _, s1 =
@@ -545,6 +560,71 @@ let known_bad_tests =
         in
         Alcotest.(check bool) "re-attempted, not Known_bad" true
           (s2 = Batch_compile.Degraded));
+    Alcotest.test_case "real-marker-write-error-degrades" `Quick (fun () ->
+        (* a directory where the marker file belongs: the OS, not a
+           fault plan, refuses the append (EISDIR), and the run must
+           degrade exactly as it does under an injected error *)
+        let accel = toy_accel () in
+        let dir = temp_dir "amos-known-bad-eisdir" in
+        Sys.mkdir (Filename.concat dir Badlist.file_name) 0o755;
+        let broken = { small_budget with Fingerprint.measure_top = 0 } in
+        let cache = Plan_cache.create ~dir () in
+        let _, s =
+          Batch_compile.tune_op ~jobs:1 ~budget:broken ~cache accel (an_op ())
+        in
+        Alcotest.(check bool) "tune degrades" true (s = Batch_compile.Degraded);
+        let net =
+          {
+            Amos_workloads.Networks.name = "tiny";
+            batch = 1;
+            layers = [ (Amos_workloads.Networks.Tensor_op (an_op ()), 1) ];
+          }
+        in
+        let _, service =
+          Batch_compile.compile_network ~jobs:1 ~budget:broken ~cache accel
+            net
+        in
+        Alcotest.(check int) "network compile completes degraded" 1
+          service.Batch_compile.degraded_stages);
+    Alcotest.test_case "quarantine-rename-failure-never-serves" `Quick
+      (fun () ->
+        let accel = toy_accel () in
+        let op = an_op () in
+        let dir = temp_dir "amos-fsck-rename-eio" in
+        let cache = Plan_cache.create ~dir () in
+        Plan_cache.store cache ~accel ~op ~budget:small_budget
+          Plan_cache.Scalar;
+        Array.iter
+          (fun f ->
+            if Filename.check_suffix f ".plan" then
+              Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+                  output_string oc "garbage: not a plan header\n"))
+          (Sys.readdir dir);
+        (* EIO on fsck's first rename, the quarantine: fsck completes,
+           and the entry leaves the index even though the file stays *)
+        let fs =
+          Fs_io.faulty
+            [
+              { Fs_io.op = Fs_io.Rename; after = 0; mode = Fs_io.Fail Unix.EIO };
+            ]
+        in
+        let r = Plan_cache.fsck ~fs ~dir () in
+        Alcotest.(check int) "corruption counted" 1 r.Plan_cache.quarantined;
+        Alcotest.(check int) "nothing live" 0 r.Plan_cache.live;
+        Alcotest.(check bool) "corrupt entry never served" true
+          (Plan_cache.lookup (Plan_cache.create ~dir ()) ~accel ~op
+             ~budget:small_budget
+          = None);
+        (* a fault-free fsck moves the stranded file into quarantine *)
+        let r2 = Plan_cache.fsck ~dir () in
+        Alcotest.(check int) "healthy fsck quarantines" 1
+          r2.Plan_cache.quarantined;
+        Alcotest.(check bool) "quarantine file present" true
+          (Array.exists
+             (fun f -> Filename.check_suffix f ".plan.quarantined")
+             (Sys.readdir dir));
+        Alcotest.(check bool) "clean afterwards" true
+          (Plan_cache.fsck_clean (Plan_cache.fsck ~dir ())));
   ]
 
 (* --- cache-economy eviction under faults ------------------------------- *)
@@ -606,7 +686,7 @@ let economy_fault_tests =
         ~budget:small_budget Plan_cache.Scalar
     with
     | () -> false
-    | exception (Fs_io.Injected _ | Fs_io.Crashed _) -> true
+    | exception (Unix.Unix_error _ | Fs_io.Crashed _) -> true
   in
   [
     Alcotest.test_case "crash-after-victim-unlink" `Quick (fun () ->
@@ -655,7 +735,7 @@ let economy_fault_tests =
         let failed =
           evicting_store ~dir ~accel
             (List.init 4 (fun i ->
-                 { Fs_io.op = Fs_io.Remove; after = i; mode = Fs_io.Fail "EIO" }))
+                 { Fs_io.op = Fs_io.Remove; after = i; mode = Fs_io.Fail Unix.EIO }))
         in
         Alcotest.(check bool) "store survives the unlink failure" false failed;
         let r = Plan_cache.fsck ~dir () in
@@ -751,7 +831,7 @@ let quarantine_ttl_tests =
            file as reclaimed, and leave it for the next run *)
         let fs =
           Fs_io.faulty
-            [ { Fs_io.op = Fs_io.Remove; after = 0; mode = Fs_io.Fail "EIO" } ]
+            [ { Fs_io.op = Fs_io.Remove; after = 0; mode = Fs_io.Fail Unix.EIO } ]
         in
         let r = Plan_cache.fsck ~fs ~quarantine_ttl:3600. ~dir () in
         Alcotest.(check int) "failed remove not counted" 0

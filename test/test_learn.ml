@@ -236,7 +236,7 @@ let obs_log_tests =
            the log as best-effort and keep the tune alive *)
         let faulty =
           Fs_io.faulty
-            [ { Fs_io.op = Append; after = 0; mode = Fail "ENOSPC" } ]
+            [ { Fs_io.op = Append; after = 0; mode = Fail Unix.ENOSPC } ]
         in
         let flog = Obs_log.create ~fs:faulty ~dir () in
         let observe =

@@ -1039,6 +1039,26 @@ let prop_reference =
                (Spatial_sim.Kernel.summarize (Codegen.lower accel m s)))
            (Schedule.default m :: drawn))
 
+(* --- append-only logs ------------------------------------------------- *)
+
+module Fs_io = Amos_service.Fs_io
+
+(* every log reader (journal, known-bad markers, observations) trusts
+   [complete_lines] to keep exactly the whole lines and to flag a torn
+   tail; empty lines drop out, as every reader ignores them *)
+let prop_complete_lines =
+  let no_newline =
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '\r' ]) (0 -- 4))
+  in
+  QCheck.Test.make ~count:cases
+    ~name:"complete_lines keeps whole lines and flags the fragment"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list string) string)
+       QCheck.Gen.(pair (list_size (0 -- 6) no_newline) no_newline))
+    (fun (ls, f) ->
+      let text = String.concat "" (List.map (fun l -> l ^ "\n") ls) ^ f in
+      Fs_io.complete_lines text = (List.filter (fun l -> l <> "") ls, f <> ""))
+
 let suites =
   [
     ( "props.algorithm1",
@@ -1069,6 +1089,7 @@ let suites =
     ("props.fingerprint", [ to_alcotest prop_fingerprint_oracle ]);
     ("props.schedule_menus", [ to_alcotest prop_schedule_menus ]);
     ("props.reference", [ to_alcotest prop_reference ]);
+    ("props.log_lines", [ to_alcotest prop_complete_lines ]);
     ( "props.economy",
       List.map to_alcotest
         [

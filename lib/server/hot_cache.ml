@@ -4,9 +4,9 @@
    the persistent cache ({!Amos_service.Retain.item}) and eviction
    removes the lowest retention score first, so a burst of cheap
    lookups cannot flush the plans that were expensive to tune.  Admits
-   dedup on fingerprint — re-admitting an entry updates it in place and
-   never double-counts its bytes (the FIFO's order queue could hold the
-   same fingerprint twice).
+   dedup on fingerprint — re-admitting an entry replaces it and never
+   double-counts its bytes (the FIFO's order queue could hold the same
+   fingerprint twice).
 
    Not thread-safe: the server already serializes hot-cache access
    under its state mutex, and tests drive it single-threaded with a
@@ -14,16 +14,11 @@
 
 open Amos_service
 
-type 'a slot = {
-  value : 'a;
-  item : Retain.item;
-}
-
 type 'a t = {
   clock : Clock.t;
   capacity : int;
   max_bytes : int option;
-  slots : (string, 'a slot) Hashtbl.t;
+  table : 'a Retain.Table.t;
   mutable evictions : int;
 }
 
@@ -32,74 +27,39 @@ let create ?max_bytes ~capacity ~clock () =
     clock;
     capacity = max 1 capacity;
     max_bytes;
-    slots = Hashtbl.create 64;
+    table = Retain.Table.create ();
     evictions = 0;
   }
 
-let size t = Hashtbl.length t.slots
-
-let bytes t =
-  Hashtbl.fold (fun _ s acc -> acc + s.item.Retain.bytes) t.slots 0
-
-let tuning_seconds t =
-  Hashtbl.fold (fun _ s acc -> acc +. s.item.Retain.tuning_seconds) t.slots 0.
-
+let size t = Retain.Table.length t.table
+let bytes t = Retain.Table.bytes t.table
+let tuning_seconds t = Retain.Table.tuning_seconds t.table
 let evictions t = t.evictions
 
-let find t fp =
-  match Hashtbl.find_opt t.slots fp with
-  | Some s ->
-      s.item.Retain.last_access <- Clock.now t.clock;
-      Some s.value
-  | None -> None
+let find t fp = Retain.Table.touch t.table fp ~now:(Clock.now t.clock)
 
-let mem t fp = Hashtbl.mem t.slots fp
+let mem t fp = Retain.Table.mem t.table fp
 
 let over_budget t =
-  Hashtbl.length t.slots > t.capacity
-  ||
-  match t.max_bytes with Some b -> bytes t > b | None -> false
+  size t > t.capacity
+  || match t.max_bytes with Some b -> bytes t > b | None -> false
 
-let evict_lowest t =
-  let now = Clock.now t.clock in
-  let victim =
-    Hashtbl.fold
-      (fun fp s acc ->
-        let score = Retain.score ~now s.item in
-        match acc with
-        | Some (bfp, best) when best < score || (best = score && bfp <= fp) ->
-            acc
-        | _ -> Some (fp, score))
-      t.slots None
+(* admit first, then evict: the fresh entry competes on its score, but
+   the last entry standing always stays *)
+let put t fp value ~bytes ~tuning_seconds =
+  Retain.Table.set t.table fp value
+    { Retain.bytes; tuning_seconds; last_access = Clock.now t.clock };
+  let rec evict () =
+    if over_budget t && size t > 1 then
+      match Retain.Table.victim `Scored ~now:(Clock.now t.clock) t.table with
+      | Some (vfp, _) ->
+          Retain.Table.remove t.table vfp;
+          t.evictions <- t.evictions + 1;
+          evict ()
+      | None -> ()
   in
-  match victim with
-  | Some (vfp, _) ->
-      Hashtbl.remove t.slots vfp;
-      t.evictions <- t.evictions + 1;
-      true
-  | None -> false
-
-let put t fp value ~bytes:b ~tuning_seconds:ts =
-  let now = Clock.now t.clock in
-  (match Hashtbl.find_opt t.slots fp with
-  | Some s ->
-      (* re-admit: refresh in place — never a second accounting of the
-         same fingerprint *)
-      s.item.Retain.bytes <- b;
-      s.item.Retain.tuning_seconds <- ts;
-      s.item.Retain.last_access <- now;
-      Hashtbl.replace t.slots fp { s with value }
-  | None ->
-      Hashtbl.replace t.slots fp
-        {
-          value;
-          item =
-            { Retain.bytes = b; tuning_seconds = ts; last_access = now };
-        });
-  while over_budget t && Hashtbl.length t.slots > 1 && evict_lowest t do
-    ()
-  done
+  evict ()
 
 let clear t =
-  Hashtbl.reset t.slots;
+  Retain.Table.reset t.table;
   t.evictions <- 0

@@ -2,14 +2,14 @@
 
     The in-process layer in front of the persistent {!Plan_cache}:
     already-encoded wire plans served without touching disk.  Entries
-    carry the cache economy's value accounting
-    ({!Amos_service.Retain.item}) and eviction removes the lowest
-    {!Amos_service.Retain.score} first — a burst of cheap lookups
-    cannot flush the plans that were expensive to tune, which the PR-4
-    FIFO allowed.
+    live in a {!Amos_service.Retain.Table}, the table under both
+    {!Plan_cache} layers too, and eviction removes its [`Scored] victim,
+    the lowest {!Amos_service.Retain.score} first — a burst of cheap
+    lookups cannot flush the plans that were expensive to tune, which
+    the FIFO it replaced allowed.
 
-    Admission dedups on fingerprint: re-admitting updates the entry in
-    place and never double-counts its bytes.
+    Admission dedups on fingerprint: re-admitting replaces the entry
+    and never double-counts its bytes.
 
     Not thread-safe — the server serializes access under its own state
     mutex. *)
@@ -29,14 +29,14 @@ val find : 'a t -> string -> 'a option
 val mem : 'a t -> string -> bool
 
 val put : 'a t -> string -> 'a -> bytes:int -> tuning_seconds:float -> unit
-(** Admit (or refresh, in place) and then evict lowest-scoring entries
-    while over capacity or over the byte budget.  At least one entry is
+(** Admit (or replace) first, then evict lowest-scoring entries while
+    over capacity or over the byte budget.  At least one entry is
     always retained, even when it alone exceeds [max_bytes] — the hot
     layer is a cache of last resort, not a correctness gate. *)
 
 val size : 'a t -> int
 val bytes : 'a t -> int
-(** Accounted bytes currently held. *)
+(** Accounted bytes currently held (a running total, not a scan). *)
 
 val tuning_seconds : 'a t -> float
 (** Total tuning seconds the hot layer currently protects. *)

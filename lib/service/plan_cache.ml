@@ -4,7 +4,7 @@ type value =
   | Spatial of Mapping.t * Schedule.t
   | Scalar
 
-type policy = [ `Scored | `Lru ]
+type policy = Retain.policy
 
 type stats = {
   hits : int;
@@ -31,8 +31,6 @@ type meta = {
 type entry = {
   kind : [ `Spatial of string (* Plan_io text *) | `Scalar ];
   meta : meta;
-  item : Retain.item;
-  mutable last_use : int;
 }
 
 type t = {
@@ -42,13 +40,13 @@ type t = {
   policy : policy;
   budget : Retain.budget;
   mem_capacity : int;
-  mem : (string, entry) Hashtbl.t;
-  index : (string, Retain.item) Hashtbl.t;
-      (** live on-disk fingerprints with their value accounting *)
+  mem : entry Retain.Table.t;
+  index : unit Retain.Table.t;
+      (** live on-disk fingerprints with their value accounting; each
+          tier owns its items, and a hit stamps both through [touch] *)
   mutable eviction_log : (string * float * float) list;
       (** newest first: (fingerprint, victim score, lowest retained
           score) recorded at each budget eviction *)
-  mutable tick : int;
   mutable journal_ops : int;  (** lines in the journal file *)
   mutable journal_bytes : int;
       (** journal size we have replayed; a mismatch with the file means
@@ -112,11 +110,12 @@ let append_journal t line =
       t.journal_bytes <- t.journal_bytes + String.length line + 1
 
 (* full journal rewrite: callers must hold the directory lock *)
-let write_journal fs dir entries =
+let write_journal fs dir index =
   let path = journal_path dir in
   let tmp = Fs_io.fresh_tmp path in
   let entries =
-    List.sort (fun (a, _) (b, _) -> compare a b) entries
+    Retain.Table.fold (fun fp () it acc -> (fp, it) :: acc) index []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let content =
     version_line ^ "\n"
@@ -153,7 +152,7 @@ let replay_journal fs dir ~now index =
             (match parts with
             | [ "add"; fp ] ->
                 (* legacy line from before the cache economy *)
-                Hashtbl.replace index fp
+                Retain.Table.set index fp ()
                   {
                     Retain.bytes = Fs_io.file_size fs (entry_path dir fp);
                     tuning_seconds = Retain.default_tuning_seconds;
@@ -162,10 +161,10 @@ let replay_journal fs dir ~now index =
             | [ "add"; fp; b; s ] -> (
                 match (int_of_string_opt b, float_of_string_opt s) with
                 | Some bytes, Some tuning_seconds ->
-                    Hashtbl.replace index fp
+                    Retain.Table.set index fp ()
                       { Retain.bytes; tuning_seconds; last_access = now }
                 | _ -> () (* garbage line: ignore *))
-            | [ "del"; fp ] -> Hashtbl.remove index fp
+            | [ "del"; fp ] -> Retain.Table.remove index fp
             | _ -> () (* garbage line (healed torn write): ignore *));
             incr ops)
       complete;
@@ -174,20 +173,18 @@ let replay_journal fs dir ~now index =
 
 (* drop index entries whose file vanished behind our back *)
 let drop_vanished fs dir index =
-  Hashtbl.iter
-    (fun fp _ ->
-      if not (Fs_io.exists fs (entry_path dir fp)) then
-        Hashtbl.remove index fp)
-    (Hashtbl.copy index)
-
-let index_entries index = Hashtbl.fold (fun fp it acc -> (fp, it) :: acc) index []
+  Retain.Table.fold
+    (fun fp () _ gone ->
+      if Fs_io.exists fs (entry_path dir fp) then gone else fp :: gone)
+    index []
+  |> List.iter (Retain.Table.remove index)
 
 let create ?(mem_capacity = 256) ?max_bytes ?max_tuning_seconds
     ?(policy = `Scored) ?clock ?fs ?dir () =
   let fs = match fs with Some fs -> fs | None -> Fs_io.real () in
   let clock = match clock with Some c -> c | None -> Clock.real () in
   let budget = { Retain.max_bytes; max_tuning_seconds } in
-  let index = Hashtbl.create 64 in
+  let index = Retain.Table.create () in
   let journal_ops = ref 0 in
   let journal_bytes = ref 0 in
   (match dir with
@@ -210,13 +207,13 @@ let create ?(mem_capacity = 256) ?max_bytes ?max_tuning_seconds
          re-stamps).  The rewrite happens under the directory lock,
          from a fresh replay, so a concurrent compactor cannot
          resurrect deleted entries. *)
-      if !journal_ops > (2 * Hashtbl.length index) + 16 then
+      if !journal_ops > (2 * Retain.Table.length index) + 16 then
         Fs_io.with_lock fs (lock_path d) (fun () ->
-            Hashtbl.reset index;
+            Retain.Table.reset index;
             let _, _, _ = replay_journal fs d ~now index in
             drop_vanished fs d index;
-            write_journal fs d (index_entries index);
-            journal_ops := Hashtbl.length index;
+            write_journal fs d index;
+            journal_ops := Retain.Table.length index;
             journal_bytes := Fs_io.file_size fs (journal_path d)));
   {
     dir;
@@ -225,10 +222,9 @@ let create ?(mem_capacity = 256) ?max_bytes ?max_tuning_seconds
     policy;
     budget;
     mem_capacity = max 1 mem_capacity;
-    mem = Hashtbl.create 64;
+    mem = Retain.Table.create ();
     index;
     eviction_log = [];
-    tick = 0;
     journal_ops = !journal_ops;
     journal_bytes = !journal_bytes;
     hits = 0;
@@ -245,7 +241,7 @@ let refresh t =
   | Some d ->
       let sz = Fs_io.file_size t.fs (journal_path d) in
       if sz <> t.journal_bytes then begin
-        Hashtbl.reset t.index;
+        Retain.Table.reset t.index;
         let now = Clock.now t.clock in
         let ops, bytes, _torn = replay_journal t.fs d ~now t.index in
         drop_vanished t.fs d t.index;
@@ -253,46 +249,26 @@ let refresh t =
         t.journal_bytes <- bytes
       end
 
-let touch t e =
-  t.tick <- t.tick + 1;
-  e.last_use <- t.tick;
-  e.item.Retain.last_access <- Clock.now t.clock
+(* a memory hit is an access in both tiers that hold the entry: stamp
+   both, and return the memory tier's entry *)
+let touch t fp =
+  let now = Clock.now t.clock in
+  let hit = Retain.Table.touch t.mem fp ~now in
+  if Option.is_some hit then ignore (Retain.Table.touch t.index fp ~now);
+  hit
 
-(* [refresh] rebuilds the index with fresh item records, so a memory
-   entry's item and the index's can diverge into two physical records
-   for the same fingerprint; keep their access stamps in step *)
-let sync_index_access t fp (it : Retain.item) =
-  match Hashtbl.find_opt t.index fp with
-  | Some idx when idx != it -> idx.Retain.last_access <- it.Retain.last_access
-  | _ -> ()
-
-let mem_insert t fp kind meta item =
-  if not (Hashtbl.mem t.mem fp) && Hashtbl.length t.mem >= t.mem_capacity
-  then begin
-    let now = Clock.now t.clock in
-    let victim =
-      Hashtbl.fold
-        (fun vfp e acc ->
-          let key =
-            match t.policy with
-            | `Scored -> Retain.score ~now e.item
-            | `Lru -> float_of_int e.last_use
-          in
-          match acc with
-          | Some (bfp, best) when best < key || (best = key && bfp <= vfp) ->
-              acc
-          | _ -> Some (vfp, key))
-        t.mem None
-    in
-    match victim with
-    | Some (vfp, _) ->
-        Hashtbl.remove t.mem vfp;
-        t.lru_evictions <- t.lru_evictions + 1
-    | None -> ()
-  end;
-  let e = { kind; meta; item; last_use = 0 } in
-  touch t e;
-  Hashtbl.replace t.mem fp e
+(* evict before admitting, so a fresh entry is never its own victim *)
+let mem_insert t fp entry it =
+  if
+    (not (Retain.Table.mem t.mem fp))
+    && Retain.Table.length t.mem >= t.mem_capacity
+  then
+    Option.iter
+      (fun (vfp, _) ->
+        Retain.Table.remove t.mem vfp;
+        t.lru_evictions <- t.lru_evictions + 1)
+      (Retain.Table.victim t.policy ~now:(Clock.now t.clock) t.mem);
+  Retain.Table.set t.mem fp entry it
 
 (* --- disk layer ---------------------------------------------------- *)
 
@@ -376,23 +352,17 @@ let read_entry fs dir fp =
         | None -> `Invalid)
 
 let evict_everywhere t fp =
-  Hashtbl.remove t.mem fp;
+  Retain.Table.remove t.mem fp;
   match t.dir with
   | None -> ()
   | Some d ->
-      if Hashtbl.mem t.index fp then begin
-        Hashtbl.remove t.index fp;
+      if Retain.Table.mem t.index fp then begin
+        Retain.Table.remove t.index fp;
         (try Fs_io.remove t.fs (entry_path d fp) with Unix.Unix_error _ -> ());
         try append_journal t ("del " ^ fp) with Unix.Unix_error _ -> ()
       end
 
 (* --- budget enforcement -------------------------------------------- *)
-
-let disk_totals t =
-  Hashtbl.fold
-    (fun _ it (b, s) ->
-      (b + it.Retain.bytes, s +. it.Retain.tuning_seconds))
-    t.index (0, 0.)
 
 let eviction_log_cap = 512
 
@@ -409,53 +379,30 @@ let push_eviction t fp score min_retained =
    entry — value-blind by construction, kept so the economy can be
    benchmarked against it on identical code paths. *)
 let enforce_budgets t =
-  match t.dir with
-  | None -> 0
-  | Some _ ->
-      let evicted = ref 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        let bytes, tuning_seconds = disk_totals t in
-        if Hashtbl.length t.index = 0
-           || not (Retain.over t.budget ~bytes ~tuning_seconds)
-        then continue_ := false
-        else begin
-          let now = Clock.now t.clock in
-          let victim =
-            Hashtbl.fold
-              (fun fp it acc ->
-                let key =
-                  match t.policy with
-                  | `Scored -> Retain.score ~now it
-                  | `Lru -> it.Retain.last_access
-                in
-                match acc with
-                | Some (bfp, best, _) when best < key || (best = key && bfp <= fp)
-                  ->
-                    acc
-                | _ -> Some (fp, key, Retain.score ~now it))
-              t.index None
+  let rec evict n =
+    if
+      not
+        (Retain.over t.budget
+           ~bytes:(Retain.Table.bytes t.index)
+           ~tuning_seconds:(Retain.Table.tuning_seconds t.index))
+    then n
+    else
+      let now = Clock.now t.clock in
+      match Retain.Table.victim t.policy ~now t.index with
+      | None -> n
+      | Some (vfp, victim) ->
+          evict_everywhere t vfp;
+          t.budget_evictions <- t.budget_evictions + 1;
+          (* the lowest score left is the next [`Scored] victim's *)
+          let min_retained =
+            match Retain.Table.victim `Scored ~now t.index with
+            | Some (_, it) -> Retain.score ~now it
+            | None -> infinity
           in
-          match victim with
-          | None -> continue_ := false
-          | Some (vfp, _, vscore) ->
-              let min_retained =
-                Hashtbl.fold
-                  (fun fp it acc ->
-                    if fp = vfp then acc
-                    else
-                      let s = Retain.score ~now it in
-                      match acc with Some m when m <= s -> acc | _ -> Some s)
-                  t.index None
-              in
-              evict_everywhere t vfp;
-              t.budget_evictions <- t.budget_evictions + 1;
-              incr evicted;
-              push_eviction t vfp vscore
-                (match min_retained with Some m -> m | None -> infinity)
-        end
-      done;
-      !evicted
+          push_eviction t vfp (Retain.score ~now victim) min_retained;
+          evict (n + 1)
+  in
+  evict 0
 
 let trim t =
   refresh t;
@@ -471,48 +418,30 @@ let validate ~accel ~op kind =
       | Some (m, sched) -> Some (Spatial (m, sched))
       | None -> None)
 
-(* item for an entry found on disk but (defensively) absent from the
-   index: account it from the file itself *)
-let item_of_file t d fp meta =
-  {
-    Retain.bytes = Fs_io.file_size t.fs (entry_path d fp);
-    tuning_seconds =
-      (match meta.tuned_in with
-      | Some s -> s
-      | None -> Retain.default_tuning_seconds);
-    last_access = Clock.now t.clock;
-  }
-
 let lookup t ~accel ~op ~budget =
   let fp = Fingerprint.key ~accel ~op ~budget in
   let kind =
-    match Hashtbl.find_opt t.mem fp with
-    | Some e ->
-        touch t e;
-        sync_index_access t fp e.item;
-        Some e.kind
+    match touch t fp with
+    | Some e -> Some e.kind
     | None -> (
         match t.dir with
-        | Some d ->
+        | Some d -> (
             (* absent from our view of the index: another process may
                have tuned and stored it since we last replayed *)
-            if not (Hashtbl.mem t.index fp) then refresh t;
-            if not (Hashtbl.mem t.index fp) then None
-            else (
-              match read_entry t.fs d fp with
-              | `Ok (kind, meta) ->
-                  let item =
-                    match Hashtbl.find_opt t.index fp with
-                    | Some it -> it
-                    | None -> item_of_file t d fp meta
-                  in
-                  mem_insert t fp kind meta item;
-                  Some kind
-              | `Absent | `Unreadable -> None
-              | `Invalid ->
-                  t.corrupt_evictions <- t.corrupt_evictions + 1;
-                  evict_everywhere t fp;
-                  None)
+            if not (Retain.Table.mem t.index fp) then refresh t;
+            match Retain.Table.item t.index fp with
+            | None -> None
+            | Some it -> (
+                match read_entry t.fs d fp with
+                | `Ok (kind, meta) ->
+                    mem_insert t fp { kind; meta } it;
+                    ignore (touch t fp);
+                    Some kind
+                | `Absent | `Unreadable -> None
+                | `Invalid ->
+                    t.corrupt_evictions <- t.corrupt_evictions + 1;
+                    evict_everywhere t fp;
+                    None))
         | None -> None)
   in
   match kind with
@@ -555,15 +484,17 @@ let lookup_migratable t ~accel ~op ~budget =
         else acc
   in
   let from_mem =
-    Hashtbl.fold (fun fp e acc -> candidate fp e.kind e.meta acc) t.mem []
+    Retain.Table.fold
+      (fun fp e _ acc -> candidate fp e.kind e.meta acc)
+      t.mem []
   in
   let from_disk =
     match t.dir with
     | None -> []
     | Some d ->
-        Hashtbl.fold
-          (fun fp _ acc ->
-            if Hashtbl.mem t.mem fp then acc
+        Retain.Table.fold
+          (fun fp () _ acc ->
+            if Retain.Table.mem t.mem fp then acc
             else
               match read_entry t.fs d fp with
               | `Ok (kind, meta) -> candidate fp kind meta acc
@@ -594,65 +525,45 @@ let store ?provenance ?tuning_seconds t ~accel ~op ~budget v =
     }
   in
   let content = entry_content fp ~op_name:op.Amos_ir.Operator.name ~meta kind in
-  let bytes = String.length content in
-  let now = Clock.now t.clock in
-  let prev_acct =
-    Option.map
-      (fun (it : Retain.item) -> (it.Retain.bytes, it.Retain.tuning_seconds))
-      (Hashtbl.find_opt t.index fp)
-  in
-  (* reuse the live accounting record where one exists, so memory and
-     index layers keep observing the same value *)
   let item =
-    let existing =
-      match Hashtbl.find_opt t.index fp with
-      | Some it -> Some it
-      | None -> Option.map (fun e -> e.item) (Hashtbl.find_opt t.mem fp)
-    in
-    match existing with
-    | Some it ->
-        it.Retain.bytes <- bytes;
-        it.Retain.tuning_seconds <- ts;
-        it.Retain.last_access <- now;
-        it
-    | None -> { Retain.bytes; tuning_seconds = ts; last_access = now }
+    {
+      Retain.bytes = String.length content;
+      tuning_seconds = ts;
+      last_access = Clock.now t.clock;
+    }
   in
-  mem_insert t fp kind meta item;
+  mem_insert t fp { kind; meta } item;
   (match t.dir with
   | None -> ()
   | Some d ->
       (* entry file first (atomic tmp+rename), journal add second: a
          crash between the two leaves an orphan entry file that fsck
-         adopts — never a journal line pointing at nothing served.  An
-         overwrite whose accounting changed re-stamps the add line so
-         the persisted value follows the entry (later adds win on
-         replay); an identical overwrite appends nothing. *)
+         adopts — never a journal line pointing at nothing served.  The
+         index follows the file only once it landed.  An overwrite whose
+         accounting changed re-stamps the add line so the persisted
+         value follows the entry (later adds win on replay); an
+         identical overwrite appends nothing. *)
       let target = entry_path d fp in
       let tmp = Fs_io.fresh_tmp target in
       Fs_io.write_file t.fs tmp content;
       Fs_io.rename t.fs tmp target;
-      Hashtbl.replace t.index fp item;
-      (match prev_acct with
-      | Some (b, s) when b = bytes && s = ts -> ()
-      | Some _ | None -> append_journal t (add_line fp item));
+      let unchanged =
+        match Retain.Table.item t.index fp with
+        | Some prev ->
+            prev.Retain.bytes = item.Retain.bytes
+            && prev.Retain.tuning_seconds = ts
+        | None -> false
+      in
+      Retain.Table.set t.index fp () item;
+      if not unchanged then append_journal t (add_line fp item);
       ignore (enforce_budgets t));
   t.stores <- t.stores + 1
 
-let mem_size t = Hashtbl.length t.mem
-let disk_size t = Hashtbl.length t.index
-let disk_bytes t = fst (disk_totals t)
-let disk_tuning_seconds t = snd (disk_totals t)
-
-let info t ~fingerprint =
-  match Hashtbl.find_opt t.index fingerprint with
-  | Some it ->
-      Some
-        {
-          Retain.bytes = it.Retain.bytes;
-          tuning_seconds = it.Retain.tuning_seconds;
-          last_access = it.Retain.last_access;
-        }
-  | None -> None
+let mem_size t = Retain.Table.length t.mem
+let disk_size t = Retain.Table.length t.index
+let disk_bytes t = Retain.Table.bytes t.index
+let disk_tuning_seconds t = Retain.Table.tuning_seconds t.index
+let info t ~fingerprint = Retain.Table.item t.index fingerprint
 
 let eviction_log t = t.eviction_log
 
@@ -667,25 +578,24 @@ let stats t =
   }
 
 let clear t =
-  Hashtbl.reset t.mem;
+  Retain.Table.reset t.mem;
   (match t.dir with
   | None -> ()
   | Some d ->
       Fs_io.with_lock t.fs (lock_path d) (fun () ->
           (* include entries other processes added since our replay *)
-          Hashtbl.reset t.index;
+          Retain.Table.reset t.index;
           let now = Clock.now t.clock in
           let _ = replay_journal t.fs d ~now t.index in
-          Hashtbl.iter
-            (fun fp _ ->
+          Retain.Table.fold
+            (fun fp () _ () ->
               try Fs_io.remove t.fs (entry_path d fp)
               with Unix.Unix_error _ -> ())
-            (Hashtbl.copy t.index);
-          Hashtbl.reset t.index;
-          write_journal t.fs d [];
+            t.index ();
+          Retain.Table.reset t.index;
+          write_journal t.fs d t.index;
           t.journal_ops <- 0;
           t.journal_bytes <- Fs_io.file_size t.fs (journal_path d)));
-  t.tick <- 0;
   t.eviction_log <- [];
   t.hits <- 0;
   t.misses <- 0;
@@ -701,6 +611,7 @@ type fsck_report = {
   bytes : int;
   adopted : int;
   quarantined : int;
+  unreadable : int;
   dropped : int;
   tmp_removed : int;
   torn_repaired : bool;
@@ -755,6 +666,7 @@ let fsck ?fs ?clock ?quarantine_ttl ~dir () =
       bytes = 0;
       adopted = 0;
       quarantined = 0;
+      unreadable = 0;
       dropped = 0;
       tmp_removed = 0;
       torn_repaired = false;
@@ -766,26 +678,29 @@ let fsck ?fs ?clock ?quarantine_ttl ~dir () =
     }
   else
     Fs_io.with_lock fs (lock_path dir) (fun () ->
-        let index = Hashtbl.create 64 in
+        let index = Retain.Table.create () in
         let now = Clock.now clock in
         let _, _, torn = replay_journal fs dir ~now index in
+        (* the rewritten journal's entries, accounted off the files
+           themselves: actual size, and the tuning cost recorded in the
+           entry header (the journal's figure is a fallback for
+           pre-economy entries) *)
+        let live = Retain.Table.create () in
         let adopted = ref 0
         and quarantined = ref 0
-        and dropped = ref 0
+        and unreadable = ref 0
         and tmp_removed = ref 0
         and reclaimed = ref 0 in
-        (* value accounting measured off the files themselves: actual
-           size, and the tuning cost recorded in the entry header (the
-           journal's figure is a fallback for pre-economy entries) *)
-        let measured = Hashtbl.create 64 in
         List.iter
           (fun name ->
             let path = Filename.concat dir name in
             if Fs_io.is_tmp name then begin
               (* abandoned by a crashed writer: targets were never
-                 renamed into place, so the content is unreferenced *)
-              (try Fs_io.remove fs path with Unix.Unix_error _ -> ());
-              incr tmp_removed
+                 renamed into place, so the content is unreferenced.  A
+                 failing remove leaves it for the next fsck. *)
+              match Fs_io.remove fs path with
+              | () -> incr tmp_removed
+              | exception Unix.Unix_error _ -> ()
             end
             else if Filename.check_suffix name ".plan.quarantined" then begin
               (* TTL-based reclamation: quarantine preserves corrupt
@@ -802,56 +717,45 @@ let fsck ?fs ?clock ?quarantine_ttl ~dir () =
             end
             else if Filename.check_suffix name ".plan" then begin
               let fp = Filename.chop_suffix name ".plan" in
-              let parsed =
-                match Fs_io.read_file fs path with
-                | exception Unix.Unix_error _ -> None
-                | content ->
-                    Option.map
-                      (fun (_, meta) -> (String.length content, meta))
-                      (parse_entry fp content)
-              in
-              match parsed with
-              | None ->
+              let journaled = Retain.Table.item index fp in
+              match read_entry fs dir fp with
+              | `Ok (_, meta) ->
+                  (* no journal add: an orphan (crash between rename and
+                     append) — adopt it *)
+                  if journaled = None then incr adopted;
+                  Retain.Table.set live fp ()
+                    {
+                      Retain.bytes = Fs_io.file_size fs path;
+                      tuning_seconds =
+                        (match (meta.tuned_in, journaled) with
+                        | Some s, _ -> s
+                        | None, Some it -> it.Retain.tuning_seconds
+                        | None, None -> Retain.default_tuning_seconds);
+                      last_access = now;
+                    }
+              | `Unreadable ->
+                  (* an IO error is no evidence against the plan: keep
+                     the file and its journal add as they stand; an
+                     orphan waits for an fsck that can read it *)
+                  incr unreadable;
+                  Option.iter (Retain.Table.set live fp ()) journaled
+              | `Invalid ->
                   (* positive corruption: quarantine, never serve *)
                   (try Fs_io.rename fs path (quarantine_path dir fp)
                    with Unix.Unix_error _ -> ());
-                  Hashtbl.remove index fp;
+                  Retain.Table.remove index fp;
                   incr quarantined
-              | Some (size, meta) ->
-                  Hashtbl.replace measured fp (size, meta.tuned_in);
-                  if not (Hashtbl.mem index fp) then begin
-                    (* orphan: entry landed, journal add did not (crash
-                       between rename and append) — adopt it *)
-                    Hashtbl.replace index fp
-                      {
-                        Retain.bytes = size;
-                        tuning_seconds =
-                          (match meta.tuned_in with
-                          | Some s -> s
-                          | None -> Retain.default_tuning_seconds);
-                        last_access = now;
-                      };
-                    incr adopted
-                  end
+              | `Absent -> (* removed since the listing *) ()
             end)
           (Fs_io.list_dir fs dir);
-        (* journal adds whose entry file is gone or was quarantined;
-           surviving entries get their accounting rebuilt from the
-           measured sizes, not the journal's claim *)
-        Hashtbl.iter
-          (fun fp (it : Retain.item) ->
-            match Hashtbl.find_opt measured fp with
-            | None ->
-                Hashtbl.remove index fp;
-                incr dropped
-            | Some (size, tuned_in) ->
-                it.Retain.bytes <- size;
-                (match tuned_in with
-                | Some s -> it.Retain.tuning_seconds <- s
-                | None -> ()))
-          (Hashtbl.copy index);
+        (* journal adds whose entry file is gone *)
+        let dropped =
+          Retain.Table.fold
+            (fun fp () _ n -> if Retain.Table.mem live fp then n else n + 1)
+            index 0
+        in
         (* the rewrite repairs torn lines and compacts in one stroke *)
-        write_journal fs dir (index_entries index);
+        write_journal fs dir live;
         let obs_records, obs_skipped, obs_torn =
           let path = Filename.concat dir obs_file_name in
           if not (Fs_io.exists fs path) then (0, 0, false)
@@ -869,12 +773,12 @@ let fsck ?fs ?clock ?quarantine_ttl ~dir () =
                 (records, skipped, torn)
         in
         {
-          live = Hashtbl.length index;
-          bytes =
-            Hashtbl.fold (fun _ it acc -> acc + it.Retain.bytes) index 0;
+          live = Retain.Table.length live;
+          bytes = Retain.Table.bytes live;
           adopted = !adopted;
           quarantined = !quarantined;
-          dropped = !dropped;
+          unreadable = !unreadable;
+          dropped;
           tmp_removed = !tmp_removed;
           torn_repaired = torn;
           quarantine_reclaimed = !reclaimed;
@@ -890,15 +794,17 @@ let describe_fsck r =
      accounted bytes  : %d\n\
      adopted orphans  : %d\n\
      quarantined      : %d\n\
+     unreadable       : %d\n\
      dropped adds     : %d\n\
      tmp files swept  : %d\n\
      torn journal     : %s\n\
      quarantine swept : %d\n\
      known-bad marks  : %d\n\
      observations     : %d (%d skipped, torn %s)\n"
-    r.live r.bytes r.adopted r.quarantined r.dropped r.tmp_removed
+    r.live r.bytes r.adopted r.quarantined r.unreadable r.dropped
+    r.tmp_removed
     (if r.torn_repaired then "repaired" else "no")
     r.quarantine_reclaimed r.known_bad r.obs_records r.obs_skipped
     (if r.obs_torn_repaired then "repaired" else "no")
 
-let fsck_clean r = r.quarantined = 0 && r.dropped = 0
+let fsck_clean r = r.quarantined = 0 && r.unreadable = 0 && r.dropped = 0

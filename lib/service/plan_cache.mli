@@ -24,13 +24,15 @@
     injectable {!Clock} — persisted through the journal
     ([add <fp> <bytes> <tuning_seconds>]; bare legacy [add <fp>] lines
     load with the file's size and {!Retain.default_tuning_seconds}).
-    When [max_bytes] / [max_tuning_seconds] budgets are set, the disk
-    layer evicts the lowest {!Retain.score} (tuning-seconds-saved per
-    byte, age-decayed) until it fits again; the in-memory layer uses the
-    same score for its capacity evictions.  Passing [policy:`Lru]
-    selects a value-blind least-recently-accessed baseline instead —
-    kept so [bench cache_economy] can compare the two on identical code
-    paths.
+    Both layers keep their entries in a {!Retain.Table} — each owns its
+    items, and a hit stamps the entry in both.  When [max_bytes] /
+    [max_tuning_seconds] budgets are set, the disk layer evicts the
+    table's {!Retain.Table.victim} — the lowest {!Retain.score}
+    (tuning-seconds-saved per byte, age-decayed) — until it fits again;
+    the in-memory layer evicts its own victim before admitting past
+    [mem_capacity].  Passing [policy:`Lru] orders both layers by last
+    access instead, a value-blind baseline kept so [bench cache_economy]
+    can compare the two on identical code paths.
 
     {2 Crash consistency and multi-process sharing}
 
@@ -64,9 +66,7 @@ type value =
   | Spatial of Mapping.t * Schedule.t
   | Scalar  (** the tuner decided this operator runs on the scalar units *)
 
-type policy =
-  [ `Scored  (** evict lowest retention score ({!Retain.score}) first *)
-  | `Lru  (** value-blind least-recently-accessed baseline *) ]
+type policy = Retain.policy
 
 val journal_version : int
 (** Format version stamped as the first line of every journal this code
@@ -147,8 +147,9 @@ val store :
   t -> accel:Accelerator.t -> op:Operator.t -> budget:Fingerprint.budget ->
   value -> unit
 (** May raise [Unix.Unix_error] (disk errors): the in-memory layer is
-    already updated when that happens, and the on-disk state is left
-    consistent (possibly without the new entry).  [provenance] (for
+    already updated when that happens, and the on-disk state and its
+    accounting are left consistent (possibly without the new entry, or
+    with the entry it would have overwritten).  [provenance] (for
     plans that won via migration) is serialized into the plan text.
     [tuning_seconds] (default {!Retain.default_tuning_seconds}) is the
     exploration cost this entry amortizes — it drives the retention
@@ -179,7 +180,7 @@ val disk_tuning_seconds : t -> float
 (** Total tuning seconds the disk layer currently protects. *)
 
 val info : t -> fingerprint:string -> Retain.item option
-(** A copy of the value accounting for one live on-disk entry. *)
+(** The value accounting for one live on-disk entry. *)
 
 val eviction_log : t -> (string * float * float) list
 (** Newest first, capped: [(fingerprint, victim score, lowest retained
@@ -202,8 +203,11 @@ type fsck_report = {
       (** orphan entry files (valid header, no journal line) re-added *)
   quarantined : int;
       (** corrupt entry files renamed to [*.plan.quarantined] *)
+  unreadable : int;
+      (** entry files a read error kept fsck from checking; each keeps
+          its file and journal add (an orphan stays unadopted) *)
   dropped : int;  (** journal adds whose entry file is gone or corrupt *)
-  tmp_removed : int;  (** abandoned temp files swept *)
+  tmp_removed : int;  (** abandoned temp files removed *)
   torn_repaired : bool;  (** the journal did not end in a newline *)
   quarantine_reclaimed : int;
       (** quarantine files older than the TTL that were removed *)
@@ -228,7 +232,8 @@ val fsck :
     files themselves (actual size, [tuned_in] header), so crash-torn
     journals recover correct value records.  Safe to run against a live
     directory (writers only append).  Never deletes plan content:
-    corrupt files are renamed, not removed — except that passing
+    corrupt files are renamed, not removed, and a file that cannot be
+    read is left as it is — except that passing
     [quarantine_ttl] (seconds; omitted = keep forever) reclaims
     quarantine files whose mtime is older than the TTL, judged against
     [clock] (default {!Clock.real}).  The report also counts the
@@ -240,6 +245,6 @@ val fsck :
     are informational too. *)
 
 val fsck_clean : fsck_report -> bool
-(** No quarantined entries and no dropped journal lines. *)
+(** No quarantined or unreadable entries and no dropped journal lines. *)
 
 val describe_fsck : fsck_report -> string

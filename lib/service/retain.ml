@@ -13,9 +13,9 @@
    share one code path, and it is pinned by a QCheck property. *)
 
 type item = {
-  mutable bytes : int;
-  mutable tuning_seconds : float;
-  mutable last_access : float;
+  bytes : int;
+  tuning_seconds : float;
+  last_access : float;
 }
 
 (* entries written before value metadata existed load with this
@@ -55,3 +55,71 @@ let describe_budget b =
     | None -> "unlimited tuning-seconds"
   in
   bytes ^ ", " ^ secs
+
+type policy = [ `Scored | `Lru ]
+
+module Table = struct
+  type 'a slot = { value : 'a; mutable item : item }
+
+  type 'a t = {
+    slots : (string, 'a slot) Hashtbl.t;
+    mutable bytes : int;
+    mutable tuning_seconds : float;
+  }
+
+  let create () = { slots = Hashtbl.create 64; bytes = 0; tuning_seconds = 0. }
+  let length t = Hashtbl.length t.slots
+  let bytes t = t.bytes
+  let tuning_seconds t = t.tuning_seconds
+  let mem t fp = Hashtbl.mem t.slots fp
+  let item t fp = Option.map (fun s -> s.item) (Hashtbl.find_opt t.slots fp)
+
+  let fold f t acc =
+    Hashtbl.fold (fun fp s acc -> f fp s.value s.item acc) t.slots acc
+
+  let reset t =
+    Hashtbl.reset t.slots;
+    t.bytes <- 0;
+    t.tuning_seconds <- 0.
+
+  let remove t fp =
+    match Hashtbl.find_opt t.slots fp with
+    | None -> ()
+    | Some s ->
+        Hashtbl.remove t.slots fp;
+        (* an emptied table reads exactly zero, whatever rounding the
+           running float sum picked up on the way *)
+        if Hashtbl.length t.slots = 0 then reset t
+        else begin
+          t.bytes <- t.bytes - s.item.bytes;
+          t.tuning_seconds <- t.tuning_seconds -. s.item.tuning_seconds
+        end
+
+  let set t fp value item =
+    remove t fp;
+    Hashtbl.replace t.slots fp { value; item };
+    t.bytes <- t.bytes + item.bytes;
+    t.tuning_seconds <- t.tuning_seconds +. item.tuning_seconds
+
+  let touch t fp ~now =
+    match Hashtbl.find t.slots fp with
+    | s ->
+        s.item <- { s.item with last_access = now };
+        Some s.value
+    | exception Not_found -> None
+
+  (* lowest key first, ties to the smallest fingerprint, so the choice
+     never depends on the table's iteration order *)
+  let victim policy ~now t =
+    let key it =
+      match policy with `Scored -> score ~now it | `Lru -> it.last_access
+    in
+    Hashtbl.fold
+      (fun fp s acc ->
+        let k = key s.item in
+        match acc with
+        | Some (bfp, bk, _) when bk < k || (bk = k && bfp <= fp) -> acc
+        | _ -> Some (fp, k, s.item))
+      t.slots None
+    |> Option.map (fun (fp, _, it) -> (fp, it))
+end

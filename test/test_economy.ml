@@ -352,6 +352,30 @@ let eviction_tests =
           (Plan_cache.info cache ~fingerprint:(fp_of accel b) = None);
         Alcotest.(check bool) "refreshed entry survives" true
           (Plan_cache.info cache ~fingerprint:(fp_of accel a) <> None));
+    Alcotest.test_case "memory-hit-after-refresh-protects-disk-entry" `Quick
+      (fun () ->
+        (* a replay gives the index its own items; a hit served from the
+           memory layer must still stamp the index, or trim judges x by
+           its replay-time access *)
+        let accel = toy_accel () in
+        let x, y, z = (op_a (), op_b (), op_c ()) in
+        let dir = temp_dir "amos-eco-refresh" in
+        let clock = Clock.virtual_ () in
+        let a = Plan_cache.create ~max_tuning_seconds:2.5 ~clock ~dir () in
+        store a ~accel x ~tuning_seconds:1.;
+        store a ~accel y ~tuning_seconds:1.;
+        store (Plan_cache.create ~clock ~dir ()) ~accel z ~tuning_seconds:2.;
+        Alcotest.(check bool) "a miss replays the journal" true
+          (lookup a ~accel (Ops.gemm ~m:4 ~n:8 ~k:6 ()) = None);
+        Clock.advance clock (2. *. Retain.default_half_life);
+        Alcotest.(check bool) "x served from memory" true
+          (lookup a ~accel x <> None);
+        ignore (Plan_cache.trim a);
+        Alcotest.(check bool) "x kept" true
+          (Plan_cache.info a ~fingerprint:(fp_of accel x) <> None);
+        Alcotest.(check bool) "y and z evicted" true
+          (Plan_cache.info a ~fingerprint:(fp_of accel y) = None
+          && Plan_cache.info a ~fingerprint:(fp_of accel z) = None));
     Alcotest.test_case "trim-enforces-budget-on-grown-dir" `Quick (fun () ->
         (* another process grows the directory past this handle's
            budget; an explicit trim brings it back under *)

@@ -130,6 +130,48 @@ let fault_point_tests =
     mk "enospc-on-journal-append"
       [ { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Fail Unix.ENOSPC } ]
       ~must_fail:true ~expect_live:1 ~expect_hit:true;
+    Alcotest.test_case "unreadable-entry-kept-by-fsck" `Quick (fun () ->
+        let accel = toy_accel () in
+        let op = an_op () in
+        let dir = temp_dir "amos-fsck-read-eio" in
+        Plan_cache.store (Plan_cache.create ~dir ()) ~accel ~op
+          ~budget:small_budget (tune_value accel op);
+        (* EIO on the entry's read (read 0 is fsck's journal replay): a
+           read error is no evidence of corruption *)
+        let fs =
+          Fs_io.faulty
+            [ { Fs_io.op = Fs_io.Read; after = 1; mode = Fs_io.Fail Unix.EIO } ]
+        in
+        let r = Plan_cache.fsck ~fs ~dir () in
+        Alcotest.(check int) "nothing quarantined" 0 r.Plan_cache.quarantined;
+        Alcotest.(check int) "unreadable counted" 1 r.Plan_cache.unreadable;
+        Alcotest.(check bool) "not clean while unchecked" false
+          (Plan_cache.fsck_clean r);
+        Alcotest.(check bool) "a fresh handle still hits" true
+          (Plan_cache.lookup (Plan_cache.create ~dir ()) ~accel ~op
+             ~budget:small_budget
+          <> None);
+        let r2 = Plan_cache.fsck ~dir () in
+        Alcotest.(check bool) "fault-free fsck clean" true
+          (Plan_cache.fsck_clean r2);
+        Alcotest.(check int) "entry live" 1 r2.Plan_cache.live);
+    Alcotest.test_case "failed-tmp-remove-not-counted" `Quick (fun () ->
+        let dir = temp_dir "amos-fsck-tmp-eio" in
+        let tmp = Filename.concat dir "x.plan.tmp-1-1" in
+        Out_channel.with_open_bin tmp (fun oc -> output_string oc "partial");
+        let fs =
+          Fs_io.faulty
+            [ { Fs_io.op = Fs_io.Remove; after = 0; mode = Fs_io.Fail Unix.EIO } ]
+        in
+        let r = Plan_cache.fsck ~fs ~dir () in
+        Alcotest.(check int) "failed remove not counted" 0
+          r.Plan_cache.tmp_removed;
+        Alcotest.(check bool) "tmp left for the next fsck" true
+          (Sys.file_exists tmp);
+        let r2 = Plan_cache.fsck ~dir () in
+        Alcotest.(check int) "healthy fsck removes it" 1
+          r2.Plan_cache.tmp_removed;
+        Alcotest.(check bool) "tmp gone" false (Sys.file_exists tmp));
   ]
 
 let journal_tests =
@@ -753,6 +795,41 @@ let economy_fault_tests =
         ignore (Plan_cache.trim reopened);
         Alcotest.(check bool) "back under budget" true
           (Plan_cache.disk_tuning_seconds reopened <= 8.));
+    Alcotest.test_case "failed-overwrite-keeps-accounting" `Quick (fun () ->
+        (* EIO on the overwrite's tmp write (write 0 is the first
+           store's): the index keeps the accounting of the file that is
+           still on disk, so the retry on the same handle re-stamps the
+           journal *)
+        let dir = temp_dir "amos-eco-fault-overwrite" in
+        let accel = toy_accel () in
+        let fs =
+          Fs_io.faulty
+            [ { Fs_io.op = Fs_io.Write; after = 1; mode = Fs_io.Fail Unix.EIO } ]
+        in
+        let cache = Plan_cache.create ~fs ~clock:(Clock.virtual_ ()) ~dir () in
+        let store ts =
+          Plan_cache.store ~tuning_seconds:ts cache ~accel ~op:(eco_a ())
+            ~budget:small_budget Plan_cache.Scalar
+        in
+        let cost cache =
+          match
+            Plan_cache.info cache
+              ~fingerprint:
+                (Fingerprint.key ~accel ~op:(eco_a ()) ~budget:small_budget)
+          with
+          | Some it -> it.Amos_service.Retain.tuning_seconds
+          | None -> Alcotest.fail "entry must stay accounted"
+        in
+        store 1.;
+        (match store 2. with
+        | () -> Alcotest.fail "the overwrite must fail"
+        | exception Unix.Unix_error _ -> ());
+        Alcotest.(check (float 0.)) "accounting of the file on disk" 1.
+          (cost cache);
+        store 2.;
+        Alcotest.(check (float 0.)) "retry accounted" 2. (cost cache);
+        Alcotest.(check (float 0.)) "journal follows the entry" 2.
+          (cost (Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir ())));
     Alcotest.test_case "torn-store-accounting-rebuilt" `Quick (fun () ->
         (* crash mid-tmp-write: nothing lands, and fsck's rebuilt byte
            accounting reflects only the entries that exist *)

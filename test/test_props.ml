@@ -720,6 +720,144 @@ let prop_score_translation_invariant =
       Retain.score ~now item
       = Retain.score ~now:(float_of_int (last + age + delta)) shifted)
 
+(* --- retention table --------------------------------------------------- *)
+
+(* random edits of one [Retain.Table] on a virtual clock, over a small
+   alphabet of fingerprints, sizes (0 and 1 byte score alike) and integer
+   costs, so that scores and access stamps tie often and integer sums
+   stay exact *)
+type rt_step =
+  | R_set of int * int * int  (* fingerprint, bytes, tuning seconds *)
+  | R_touch of int
+  | R_remove of int
+  | R_reset
+  | R_advance of int  (* quarter half-lives *)
+
+let rt_fps = [| "fp-a"; "fp-b"; "fp-c"; "fp-d" |]
+
+let show_rt_step = function
+  | R_set (i, b, ts) -> Printf.sprintf "set(%s, %dB, %ds)" rt_fps.(i) b ts
+  | R_touch i -> Printf.sprintf "touch(%s)" rt_fps.(i)
+  | R_remove i -> Printf.sprintf "remove(%s)" rt_fps.(i)
+  | R_reset -> "reset"
+  | R_advance q -> Printf.sprintf "advance(%d/4 half-life)" q
+
+let gen_rt_step =
+  let open QCheck.Gen in
+  let fp = int_range 0 (Array.length rt_fps - 1) in
+  frequency
+    [
+      ( 5,
+        map3
+          (fun i b ts -> R_set (i, b, ts))
+          fp
+          (oneofl [ 0; 1; 100; 200 ])
+          (int_range 0 3) );
+      (3, map (fun i -> R_touch i) fp);
+      (2, map (fun i -> R_remove i) fp);
+      (1, return R_reset);
+      (3, map (fun q -> R_advance q) (int_range 0 4));
+    ]
+
+(* the victim rule each cache tier folded for itself before they shared
+   one table: lowest key, ties to the smallest fingerprint *)
+let oracle_victim policy ~now items =
+  List.fold_left
+    (fun acc (fp, (it : Retain.item)) ->
+      let key =
+        match policy with
+        | `Scored -> Retain.score ~now it
+        | `Lru -> it.Retain.last_access
+      in
+      match acc with
+      | Some (bfp, best) when best < key || (best = key && bfp <= fp) -> acc
+      | _ -> Some (fp, key))
+    None items
+  |> Option.map fst
+
+(* after every step the table agrees with an association-list model:
+   same bindings, totals equal to a fold over the items, and the same
+   victim as the oracle under both policies *)
+let prop_retain_table =
+  QCheck.Test.make ~count:cases ~name:"table totals and victim match a fold"
+    (QCheck.make
+       ~print:(fun steps -> String.concat "; " (List.map show_rt_step steps))
+       QCheck.Gen.(list_size (int_range 1 40) gen_rt_step))
+    (fun steps ->
+      let clock = Clock.virtual_ () in
+      let table = Retain.Table.create () in
+      let model = ref [] in
+      let agrees () =
+        let now = Clock.now clock in
+        let items = List.map (fun (fp, (_, it)) -> (fp, it)) !model in
+        Retain.Table.length table = List.length !model
+        && List.sort compare
+             (Retain.Table.fold
+                (fun fp v it acc -> (fp, (v, it)) :: acc)
+                table [])
+           = List.sort compare !model
+        && Array.for_all
+             (fun fp ->
+               let m = List.assoc_opt fp !model in
+               Retain.Table.mem table fp = Option.is_some m
+               && Retain.Table.item table fp = Option.map snd m)
+             rt_fps
+        && Retain.Table.bytes table
+           = List.fold_left (fun acc (_, it) -> acc + it.Retain.bytes) 0 items
+        && Retain.Table.tuning_seconds table
+           = List.fold_left
+               (fun acc (_, it) -> acc +. it.Retain.tuning_seconds)
+               0. items
+        && List.for_all
+             (fun policy ->
+               Option.map fst (Retain.Table.victim policy ~now table)
+               = oracle_victim policy ~now items)
+             [ `Scored; `Lru ]
+      in
+      List.for_all
+        (fun (n, step) ->
+          let now = Clock.now clock in
+          let step_ok =
+            match step with
+            | R_set (i, bytes, ts) ->
+                let it =
+                  {
+                    Retain.bytes;
+                    tuning_seconds = float_of_int ts;
+                    last_access = now;
+                  }
+                in
+                Retain.Table.set table rt_fps.(i) n it;
+                model :=
+                  (rt_fps.(i), (n, it)) :: List.remove_assoc rt_fps.(i) !model;
+                true
+            | R_touch i ->
+                let hit = Retain.Table.touch table rt_fps.(i) ~now in
+                let want = Option.map fst (List.assoc_opt rt_fps.(i) !model) in
+                model :=
+                  List.map
+                    (fun (fp, (v, it)) ->
+                      if fp = rt_fps.(i) then
+                        (fp, (v, { it with Retain.last_access = now }))
+                      else (fp, (v, it)))
+                    !model;
+                hit = want
+            | R_remove i ->
+                Retain.Table.remove table rt_fps.(i);
+                model := List.remove_assoc rt_fps.(i) !model;
+                true
+            | R_reset ->
+                Retain.Table.reset table;
+                model := [];
+                true
+            | R_advance q ->
+                Clock.advance clock
+                  (float_of_int q *. Retain.default_half_life /. 4.);
+                true
+          in
+          step_ok && agrees ())
+        (List.mapi (fun n step -> (n, step)) steps))
+
 (* --- packed Bin_matrix vs per-cell Naive oracle ---------------------- *)
 
 (* Differential tests of the word-packed binary-matrix kernel against the
@@ -1097,4 +1235,5 @@ let suites =
           prop_eviction_order;
           prop_score_translation_invariant;
         ] );
+    ("props.retain_table", [ to_alcotest prop_retain_table ]);
   ]

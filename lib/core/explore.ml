@@ -106,87 +106,95 @@ let mapping_key (m : Mapping.t) =
   (Mapping.describe m, m.Mapping.matching.Matching.intr.Intrinsic.name)
 
 (* Fold an [initial_population] of seed plans into a mapping space:
-   returns the extended mapping list (seed mappings join the space when
-   not already present), the per-mapping seed schedules, and the is-seeded
-   predicate.  Seeds attach by structural key, so every fan-out sees them
-   identically. *)
+   returns the extended mapping list (a seed mapping joins the space when
+   no space mapping has its structural key), the per-mapping seed
+   schedules, and the is-seeded predicate.  Seeds attach by structural
+   key, computed once per mapping and only when there are seeds; both
+   answers then go by physical identity on the returned list, which every
+   fan-out builds its work units from. *)
 let merge_seed_population ~mappings initial_population =
-  let seed_tbl = Hashtbl.create 8 in
-  let seed_mappings = ref [] in
-  List.iter
-    (fun c ->
-      let k = mapping_key c.mapping in
-      if not (Hashtbl.mem seed_tbl k) then
-        seed_mappings := c.mapping :: !seed_mappings;
-      Hashtbl.replace seed_tbl k
-        (c.schedule
-        :: (match Hashtbl.find_opt seed_tbl k with Some l -> l | None -> [])))
-    initial_population;
-  let known = List.map mapping_key mappings in
-  let extra =
-    List.filter
-      (fun m -> not (List.mem (mapping_key m) known))
-      (List.rev !seed_mappings)
-  in
-  let seeds_for m =
-    match Hashtbl.find_opt seed_tbl (mapping_key m) with
-    | Some l -> List.rev l
-    | None -> []
-  in
-  let is_seeded m = Hashtbl.mem seed_tbl (mapping_key m) in
-  (mappings @ extra, seeds_for, is_seeded)
+  match initial_population with
+  | [] -> (mappings, (fun _ -> []), fun _ -> false)
+  | _ ->
+      let seed_tbl = Hashtbl.create 8 in
+      let seed_mappings = ref [] in
+      List.iter
+        (fun c ->
+          let k = mapping_key c.mapping in
+          let prior = Hashtbl.find_opt seed_tbl k in
+          if Option.is_none prior then seed_mappings := (c.mapping, k) :: !seed_mappings;
+          Hashtbl.replace seed_tbl k
+            (c.schedule :: Option.value prior ~default:[]))
+        initial_population;
+      let keyed = List.map (fun m -> (m, mapping_key m)) mappings in
+      let known = Hashtbl.create 64 in
+      List.iter (fun (_, k) -> Hashtbl.replace known k ()) keyed;
+      let extra =
+        List.filter (fun (_, k) -> not (Hashtbl.mem known k))
+          (List.rev !seed_mappings)
+      in
+      let seeded =
+        List.filter_map
+          (fun (m, k) ->
+            Option.map (fun l -> (m, List.rev l)) (Hashtbl.find_opt seed_tbl k))
+          (keyed @ extra)
+      in
+      ( mappings @ List.map fst extra,
+        (fun m -> Option.value (List.assq_opt m seeded) ~default:[]),
+        fun m -> List.mem_assq m seeded )
 
-(* the per-schedule memo, keyed on every field (see {!Schedule.hash}) *)
+(* the search's per-schedule memo, keyed on every field (see
+   {!Schedule.hash}) *)
 module Memo = Hashtbl.Make (Schedule)
 
 (* One mapping's evaluation state.  The schedule-independent half of
    lowering is prepared once ({!Codegen.prepare}), the perf-model config
-   constants are hoisted once ({!Perf_model.context}), schedules are
-   drawn from a precomputed {!Schedule.space}, and predicted seconds are
-   memoized per schedule: converged genetic populations re-propose the
-   same schedules constantly.  Every float is the one a full
-   [Codegen.lower] per candidate computes, which the test suite checks
-   against a recompute-everything reference. *)
+   constants are hoisted once ({!Perf_model.context}), and schedules are
+   drawn from a precomputed {!Schedule.space}.  Every float is the one a
+   full [Codegen.lower] per candidate computes, which the test suite
+   checks against a recompute-everything reference. *)
 type engine = {
   space : Schedule.space;
   prepared : Codegen.prepared;
   ctx : Perf_model.ctx;
   correct : Spatial_sim.Kernel.summary -> float -> float;
       (* the screen model's correction; the identity without a model *)
-  cache : float Memo.t;
 }
 
 let engine ?model ~accel mapping =
-  let space = Schedule.space mapping in
-  let prepared = Codegen.prepare accel mapping in
   {
-    space;
-    prepared;
+    space = Schedule.space mapping;
+    prepared = Codegen.prepare accel mapping;
     ctx = Perf_model.context accel.Accelerator.config;
     correct = (match model with None -> fun _ p -> p | Some m -> m.sm_correct);
-    cache = Memo.create 64;
   }
 
-(* predicted seconds, corrected by the screen model, memoized *)
+(* predicted seconds, corrected by the screen model *)
 let predict eng s =
-  match Memo.find_opt eng.cache s with
-  | Some v -> v
-  | None ->
-      let summary = Codegen.summarize_prepared eng.prepared s in
-      let v =
-        eng.correct summary (Perf_model.predict_seconds_summary eng.ctx summary)
-      in
-      Memo.add eng.cache s v;
-      v
+  let summary = Codegen.summarize_prepared eng.prepared s in
+  eng.correct summary (Perf_model.predict_seconds_summary eng.ctx summary)
 
-let schedule_search ?tick ?(seeds = []) ~population ~generations ~rng ~eng ()
-    =
-  let score sched = (sched, predict eng sched) in
+(* [predict] memoized per schedule: converged genetic populations
+   re-propose the same schedules constantly.  A screen's seven draws
+   rarely repeat, so it predicts each directly. *)
+let memoized eng =
+  let cache = Memo.create 64 in
+  fun s ->
+    match Memo.find_opt cache s with
+    | Some v -> v
+    | None ->
+        let v = predict eng s in
+        Memo.add cache s v;
+        v
+
+let schedule_search ?tick ?(seeds = []) ~population ~generations ~rng ~space
+    ~predict () =
+  let score sched = (sched, predict sched) in
   (* seed schedules join the initial genetic population alongside the
      default and the random draws: they compete, they never replace *)
   let initial =
-    (score (Schedule.default_in eng.space) :: List.map score seeds)
-    @ List.init population (fun _ -> score (Schedule.random_in eng.space rng))
+    (score (Schedule.default_in space) :: List.map score seeds)
+    @ List.init population (fun _ -> score (Schedule.random_in space rng))
   in
   let sorted l = List.sort (fun (_, a) (_, b) -> Float.compare a b) l in
   let rec go gen pop =
@@ -207,7 +215,7 @@ let schedule_search ?tick ?(seeds = []) ~population ~generations ~rng ~eng ()
               if Rng.bool rng then
                 Schedule.crossover rng a
                   parents.(Rng.int rng (Array.length parents))
-              else Schedule.mutate_in eng.space rng a
+              else Schedule.mutate_in space rng a
             in
             score sched)
       in
@@ -305,8 +313,10 @@ let search_mapping ?(salt = 0) ?(seeds = []) ?model ?observe ?tick ~population
        else Hashtbl.hash (mapping_seed mapping, salt))
   in
   let seeds = List.filter (Schedule.validate_in eng.space) seeds in
+  let predict = memoized eng in
   let ranked =
-    schedule_search ?tick ~seeds ~population ~generations ~rng ~eng ()
+    schedule_search ?tick ~seeds ~population ~generations ~rng
+      ~space:eng.space ~predict ()
   in
   let top_all = List.filteri (fun i _ -> i < measure_top) ranked in
   (* a calibrated model prunes the measured set two ways.  Runners-up
@@ -397,7 +407,7 @@ let search_mapping ?(salt = 0) ?(seeds = []) ?model ?observe ?tick ~population
   let seed_extras =
     List.filter_map
       (fun s ->
-        if List.mem s already then None else Some (s, predict eng s))
+        if List.mem s already then None else Some (s, predict s))
       seeds
   in
   let plans = banded_plans @ escalated_plans @ List.map measure_plan seed_extras in

@@ -129,21 +129,23 @@ val tune :
 
     [initial_population] seeds the search with known-good plans (e.g.
     plans migrated from a sibling accelerator, see
-    [Amos_service.Migrate]): seed mappings join the mapping space and
-    always earn a full schedule search, seed schedules join that
-    mapping's genetic initial population, and every seed is measured —
-    so seeds {e compete with} the random candidates and the result is
-    never worse than the best seed, but a seed never displaces a random
-    candidate from the budget.
+    [Amos_service.Migrate]): a seed joins the space mapping with its
+    structural key ({!mapping_key}), or joins the space as a new
+    mapping when none has it; seeded mappings always earn a full
+    schedule search, seed schedules join that mapping's genetic initial
+    population, and every seed is measured — so seeds {e compete with}
+    the random candidates and the result is never worse than the best
+    seed, but a seed never displaces a random candidate from the
+    budget.  A tune without seeds computes no key.
 
     Raises [Invalid_argument] when both [mappings] and
     [initial_population] are empty, or no candidate is feasible.
 
     Evaluation is allocation-lean: the schedule-independent half of
-    lowering is prepared once per mapping ({!Codegen.prepare}),
-    predicted seconds are memoized per schedule, perf-model config
-    constants are hoisted ({!Perf_model.context}), schedules are drawn
-    from a precomputed {!Schedule.space}, and screening reads
+    lowering is prepared once per mapping ({!Codegen.prepare}), a
+    genetic search memoizes predicted seconds per schedule, perf-model
+    config constants are hoisted ({!Perf_model.context}), schedules are
+    drawn from a precomputed {!Schedule.space}, and screening reads
     {!Codegen.summarize_prepared} instead of building kernels.  The test
     suite checks that the result — best plan, history, evaluation
     counts — is bit-identical to a reference that lowers every

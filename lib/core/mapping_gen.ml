@@ -99,7 +99,8 @@ let candidates view intr ~src_perm =
       (s, ks))
     view.Mac_view.op.Operator.iters
 
-let generate ?(filter = true) view intr =
+(* Algorithm 1 over every candidate assignment, in generation order *)
+let enumerate ~filter view intr =
   let results = ref [] in
   let ws = Matching.workspace () in
   List.iter
@@ -145,6 +146,109 @@ let generate ?(filter = true) view intr =
       go 0)
     (src_perms view intr);
   List.rev !results
+
+(* --- the structural memo ------------------------------------------------ *)
+
+(* Everything [enumerate] reads, and nothing more: the filter flag; the
+   intrinsic's iteration kinds and extents (the automorphism test pairs
+   iterations of equal extent and kind) and each operand's slots by
+   position; the number of view sources; and per software iteration, in
+   op order, its access column under the identity correspondence (a
+   [src_perm] only reorders its rows), its reduction flag and its
+   independence flag.  Names, [Iter.t] ids and software extents stay
+   out, so every operator and intrinsic of one structure shares a key. *)
+let structure_key ~filter view intr =
+  let compute = intr.Intrinsic.compute in
+  let b = Buffer.create 64 in
+  let flag c on off = Buffer.add_char b (if c then on else off) in
+  flag filter 'f' 'u';
+  List.iter
+    (fun (k : Iter.t) ->
+      flag (Iter.is_reduction k) 'r' 's';
+      Buffer.add_string b (string_of_int k.Iter.extent))
+    compute.Compute_abs.iters;
+  List.iter
+    (fun (o : Compute_abs.operand) ->
+      Buffer.add_char b '/';
+      List.iter
+        (fun k ->
+          Buffer.add_string b (string_of_int (Compute_abs.iter_pos compute k));
+          Buffer.add_char b ',')
+        o.Compute_abs.slots)
+    (compute.Compute_abs.dst :: compute.Compute_abs.srcs);
+  let n_srcs = List.length view.Mac_view.srcs in
+  Buffer.add_char b ';';
+  Buffer.add_string b (string_of_int n_srcs);
+  let identity = Array.init n_srcs Fun.id in
+  List.iter
+    (fun s ->
+      Buffer.add_char b ';';
+      Array.iter
+        (fun u -> flag u '1' '0')
+        (Mac_view.column view ~src_perm:identity s);
+      flag (Iter.is_reduction s) 'r' 's';
+      flag (Mac_view.independent view s) 'i' 'd')
+    view.Mac_view.op.Operator.iters;
+  Buffer.contents b
+
+(* A key's validated list, packed one byte per entry: per matching, its
+   [src_perm], then per software iteration 0 for an outer loop or 1 + the
+   intrinsic position it maps to.  (An intrinsic past 254 iterations
+   could not be packed, but [src_perms] enumerates every permutation of
+   the intrinsic's iterations, so no such intrinsic is ever enumerated.) *)
+let pack intr ms =
+  let compute = intr.Intrinsic.compute in
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (m : Matching.t) ->
+      Array.iter (fun p -> Buffer.add_char b (Char.chr p)) m.Matching.src_perm;
+      Array.iter
+        (function
+          | None -> Buffer.add_char b '\000'
+          | Some k -> Buffer.add_char b (Char.chr (1 + Compute_abs.iter_pos compute k)))
+        m.Matching.assign)
+    ms;
+  Buffer.contents b
+
+(* rebuild the packed matchings over [view] and [intr], by position *)
+let unpack view intr packed =
+  let n_srcs = List.length view.Mac_view.srcs in
+  let n_sw = List.length view.Mac_view.op.Operator.iters in
+  let stride = n_srcs + n_sw in
+  let targets =
+    Array.of_list
+      (List.map Option.some intr.Intrinsic.compute.Compute_abs.iters)
+  in
+  List.init (String.length packed / stride) (fun j ->
+      let at i = Char.code (String.unsafe_get packed ((j * stride) + i)) in
+      {
+        Matching.view;
+        intr;
+        src_perm = Array.init n_srcs at;
+        assign =
+          Array.init n_sw (fun i ->
+              match at (n_srcs + i) with 0 -> None | p -> targets.(p - 1));
+      })
+
+(* Bounded like the daemon's request memo: keys are admitted while fewer
+   than [memo_capacity] are held, and never evicted.  The lock guards
+   only the table, never an enumeration, so domains generating at once
+   wait on each other for a lookup at most. *)
+let memo_capacity = 512
+let memo : (string, string) Hashtbl.t = Hashtbl.create 64
+let memo_lock = Mutex.create ()
+
+let generate ?(filter = true) view intr =
+  let key = structure_key ~filter view intr in
+  match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key) with
+  | Some packed -> unpack view intr packed
+  | None ->
+      let ms = enumerate ~filter view intr in
+      let packed = pack intr ms in
+      Mutex.protect memo_lock (fun () ->
+          if Hashtbl.length memo < memo_capacity && not (Hashtbl.mem memo key)
+          then Hashtbl.add memo key packed);
+      ms
 
 let generate_op ?filter op intr =
   match Mac_view.of_operator op with

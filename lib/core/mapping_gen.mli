@@ -29,12 +29,31 @@ val candidates :
   Mac_view.t -> Intrinsic.t -> src_perm:int array -> (Iter.t * Iter.t list) list
 (** Per software iteration, the compatible intrinsic iterations. *)
 
+val structure_key : filter:bool -> Mac_view.t -> Intrinsic.t -> string
+(** Everything {!generate} reads, and nothing more: the filter flag, the
+    intrinsic's iteration kinds and extents and its operands' slots by
+    position, the number of view sources, and per software iteration
+    (in op order) its access column, reduction flag and independence
+    flag.  Names, [Iter.t] ids and software extents are left out, so
+    every (operator, intrinsic) pair of one structure shares a key.  It
+    is also the first half of a mapping-type quotient. *)
+
 val generate : ?filter:bool -> Mac_view.t -> Intrinsic.t -> Matching.t list
-(** Runs Algorithm 1 through one {!Matching.workspace} per call:
-    preallocated scratch matrices plus a validation memo keyed on the
-    packed (X, Y, Z) words, so the backtracking enumeration allocates
-    O(1) new words per candidate.  Its verdicts are {!Matching.validate}'s:
-    the test suite compares the mapping lists, matrix for matrix, with a
+(** The validated matchings, in generation order, memoized by
+    {!structure_key}.  A miss runs Algorithm 1 through one
+    {!Matching.workspace}: preallocated scratch matrices plus a
+    validation memo keyed on the packed (X, Y, Z) words, so the
+    backtracking enumeration allocates O(1) new words per candidate.
+    A hit returns the key's list without re-running Algorithm 1, rebuilt
+    over this view and this intrinsic's iterations by position.  That is
+    sound because Algorithm 1 decides validity from the binary matrices
+    X, Y and Z alone (Sec 5.2), and the feasibility filter reads only
+    reduction kinds and independence: all of it is in the key.
+
+    The memo is domain-safe and bounded: keys are admitted while fewer
+    than 512 are held, and never evicted; past that, a new structure is
+    enumerated on every call.  Its verdicts are {!Matching.validate}'s:
+    the test suite compares the mapping lists, hit and miss, with a
     reference enumeration that validates each candidate on its own. *)
 
 val generate_op : ?filter:bool -> Operator.t -> Intrinsic.t -> Matching.t list

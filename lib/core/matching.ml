@@ -46,9 +46,14 @@ let outer t =
   List.rev !res
 
 let sw_iters_of t k =
-  List.filter_map
-    (fun (s, k') -> if Iter.equal k k' then Some s else None)
-    (mapped t)
+  let rec go i = function
+    | [] -> []
+    | s :: rest -> (
+        match t.assign.(i) with
+        | Some k' when Iter.equal k k' -> s :: go (i + 1) rest
+        | Some _ | None -> go (i + 1) rest)
+  in
+  go 0 (sw_iters t)
 
 let used_intrinsic_iters t =
   List.filter
@@ -217,41 +222,63 @@ let explain t =
        (if verdict then "VALID" else "INVALID"));
   Buffer.contents b
 
+(* One pass into one buffer: per intrinsic iteration in order, the
+   software iterations assigned to it, in op order.  The text is hashed
+   into every mapping's RNG stream ([Explore.mapping_seed]), so it must
+   stay byte-identical to the renderer the test suite keeps as its
+   oracle. *)
 let describe t =
-  let used = used_intrinsic_iters t in
-  let lhs = String.concat ", " (List.map (fun k -> k.Iter.name) used) in
-  let fused_text k =
+  let b = Buffer.create 64 in
+  let used =
+    List.filter_map
+      (fun k -> match sw_iters_of t k with [] -> None | l -> Some (k, l))
+      t.intr.Intrinsic.compute.Compute_abs.iters
+  in
+  let rec product = function
+    | [] -> 1
+    | (it : Iter.t) :: rest -> it.Iter.extent * product rest
+  in
+  (* mixed-radix fusion, first iteration slowest: a term's stride is the
+     product of the extents after it *)
+  let rec terms first = function
+    | [] -> ()
+    | (it : Iter.t) :: rest ->
+        if not first then Buffer.add_string b " + ";
+        Buffer.add_string b it.Iter.name;
+        let stride = product rest in
+        if stride <> 1 then begin
+          Buffer.add_char b '*';
+          Buffer.add_string b (string_of_int stride)
+        end;
+        terms false rest
+  in
+  let fused_text ((k : Iter.t), sws) =
     (* extent-1 iterations contribute nothing to the fused index; keep the
        description readable by omitting them (unless everything is 1) *)
-    let sws = sw_iters_of t k in
     let sws =
       match List.filter (fun (it : Iter.t) -> it.Iter.extent > 1) sws with
-      | [] -> (match sws with [] -> [] | first :: _ -> [ first ])
+      | [] -> ( match sws with [] -> [] | first :: _ -> [ first ])
       | nontrivial -> nontrivial
     in
-    (* mixed-radix fusion: first iter is slowest *)
-    let rec strides = function
-      | [] -> []
-      | [ _ ] -> [ 1 ]
-      | _ :: rest ->
-          let hd_stride =
-            List.fold_left
-              (fun acc (it : Iter.t) -> acc * it.Iter.extent)
-              1 rest
-          in
-          hd_stride :: strides rest
-    in
-    let ss = strides sws in
-    let terms =
-      List.map2
-        (fun (it : Iter.t) stride ->
-          if stride = 1 then it.Iter.name
-          else Printf.sprintf "%s*%d" it.Iter.name stride)
-        sws ss
-    in
-    let body = String.concat " + " terms in
-    let body = if List.length terms > 1 then "(" ^ body ^ ")" else body in
-    Printf.sprintf "%s mod %d" body k.Iter.extent
+    (match sws with
+    | [] | [ _ ] -> terms true sws
+    | _ :: _ :: _ ->
+        Buffer.add_char b '(';
+        terms true sws;
+        Buffer.add_char b ')');
+    Buffer.add_string b " mod ";
+    Buffer.add_string b (string_of_int k.Iter.extent)
   in
-  Printf.sprintf "[%s] <- [%s]" lhs
-    (String.concat ", " (List.map fused_text used))
+  let list f l =
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string b ", ";
+        f x)
+      l
+  in
+  Buffer.add_char b '[';
+  list (fun ((k : Iter.t), _) -> Buffer.add_string b k.Iter.name) used;
+  Buffer.add_string b "] <- [";
+  list fused_text used;
+  Buffer.add_char b ']';
+  Buffer.contents b

@@ -71,4 +71,9 @@ val explain : t -> string
 
 val describe : t -> string
 (** Table-5-style compute-mapping text, e.g.
-    ["[i1, i2, r1] <- [(n*112 + q) mod 16, k mod 16, c mod 16]"]. *)
+    ["[i1, i2, r1] <- [(n*112 + q) mod 16, k mod 16, c mod 16]"]:
+    per used intrinsic iteration, the software iterations fused onto it
+    (first slowest, extent-1 iterations omitted unless all are 1).  It is
+    rendered into one buffer in one pass.  [Explore.mapping_seed] hashes
+    the text into the mapping's RNG stream, so it must never change: the
+    test suite keeps the previous renderer as a byte-for-byte oracle. *)

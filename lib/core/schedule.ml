@@ -91,7 +91,7 @@ let full_block_split extent = { block = extent; subcore = 1; serial = 1 }
    extent/d ascending), merged with the non-dividing powers of two below
    it (covered by ceil + padding).  [d <= extent / d] is [d * d <=
    extent] without the overflow. *)
-let block_choices extent =
+let build_block_choices extent =
   let rec walk d lo hi =
     if d > extent / d then List.rev_append lo hi
     else if extent mod d <> 0 then walk (d + 1) lo hi
@@ -111,7 +111,7 @@ let block_choices extent =
 (* Sub-core menu of what a block leaves, ascending: the block menu's
    members up to 8, in one pass over 1..8 -- the divisors of [rest],
    plus 2, 4 and 8 below it. *)
-let subcore_choices rest =
+let build_subcore_choices rest =
   let rec go f acc =
     if f = 0 then acc
     else
@@ -119,6 +119,31 @@ let subcore_choices rest =
       go (f - 1) (if keep then f :: acc else acc)
   in
   Array.of_list (go 8 [])
+
+(* Both menus are pure functions of one int, and the mappings of a tune
+   share most dim extents, so each domain keeps the menus it has built:
+   up to [menu_capacity] per table, admitted until full and never
+   evicted.  A menu is shared, so no caller may mutate it. *)
+module Int_tbl = Hashtbl.Make (Int)
+
+let menu_capacity = 4096
+
+let menu_tables =
+  Domain.DLS.new_key (fun () -> (Int_tbl.create 256, Int_tbl.create 256))
+
+let shared table build n =
+  match Int_tbl.find_opt table n with
+  | Some menu -> menu
+  | None ->
+      let menu = build n in
+      if Int_tbl.length table < menu_capacity then Int_tbl.add table n menu;
+      menu
+
+let block_choices extent =
+  shared (fst (Domain.DLS.get menu_tables)) build_block_choices extent
+
+let subcore_choices rest =
+  shared (snd (Domain.DLS.get menu_tables)) build_subcore_choices rest
 
 let crossover rng a b =
   let n = Array.length a.splits in

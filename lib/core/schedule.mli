@@ -63,17 +63,23 @@ val describe : Mapping.t -> t -> string
 val block_choices : int -> int array
 (** The block-factor menu of a dim extent, ascending: every divisor of
     the extent (found by a walk up to its square root) plus the powers of
-    two up to 128 below it, which ceil + padding covers. *)
+    two up to 128 below it, which ceil + padding covers.
+
+    Menus are shared: each domain keeps the menus it has built, by
+    extent (up to 4096 per menu kind, never evicted), so the mappings of
+    one tune stop rebuilding them.  Callers must never mutate a returned
+    menu. *)
 
 val subcore_choices : int -> int array
 (** The sub-core menu of what a block leaves ([ceil_div extent block]),
-    ascending: the members of {!block_choices} up to 8. *)
+    ascending: the members of {!block_choices} up to 8.  Shared like
+    {!block_choices}: never mutate it. *)
 
 type space
-(** Precomputed search space for one mapping: its {!dims} plus its
-    split menus, filled on first use, so the genetic loop stops
-    recomputing them per candidate.  Not domain-safe: one space per
-    search. *)
+(** Precomputed search space for one mapping: its {!dims} plus a slot
+    per split menu, filled on first use from the shared menus, so the
+    genetic loop stops looking them up per candidate.  Not domain-safe:
+    one space per search. *)
 
 val space : Mapping.t -> space
 

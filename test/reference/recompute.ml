@@ -159,8 +159,8 @@ let tune ?(population = 16) ?(generations = 8) ?(measure_top = 3) ~rng ~accel
 
 (* --- Algorithm 1 on each candidate alone -------------------------------- *)
 
-(* [Mapping_gen.generate_op] with the feasibility filter on *)
-let generate_op op intr =
+(* [Mapping_gen.generate_op], with no memo and no workspace *)
+let generate_op ?(filter = true) op intr =
   match Mac_view.of_operator op with
   | None -> []
   | Some view ->
@@ -189,7 +189,8 @@ let generate_op op intr =
                   Matching.create ~view ~intr ~src_perm
                     ~assign:(Array.copy assign)
                 in
-                if Matching.validate m && Matching.feasible m then
+                if Matching.validate m && ((not filter) || Matching.feasible m)
+                then
                   results := m :: !results
               end
             end

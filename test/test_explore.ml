@@ -133,4 +133,61 @@ let trajectory_tests =
           (List.length (Explore.trajectory ~flops:1e9 [])));
   ]
 
-let suites = suites @ [ ("explore.trajectory", trajectory_tests) ]
+(* A seed plan whose mapping is a structurally equal copy of a space
+   mapping, not the same value, joins that mapping: the space keeps its
+   length (a sequential fan-out that counts its work units sees the same
+   screen phase), and the seeded search spends exactly one extra
+   evaluation per seed schedule.  A merge that added the copy as a
+   mapping of its own would screen it, and search it, on top. *)
+let seed_tests =
+  [
+    Alcotest.test_case "seed-copy-joins-its-space-mapping" `Quick (fun () ->
+        let accel = Accelerator.a100 () in
+        let op = Ops.gemm ~m:64 ~n:48 ~k:32 () in
+        let mappings = Compiler.mappings accel op in
+        let tune initial_population =
+          let phases = ref [] in
+          let fan =
+            {
+              Explore.workers = 1;
+              map =
+                (fun f units ->
+                  phases := Array.length units :: !phases;
+                  Array.map (fun u -> Ok (f u)) units);
+            }
+          in
+          let r =
+            Explore.tune_on fan ~population:4 ~generations:2 ~measure_top:2
+              ~initial_population ~rng:(Rng.create 5) ~accel ~mappings ()
+          in
+          (r, List.rev !phases)
+        in
+        let plain, plain_phases = tune [] in
+        let best = plain.Explore.best.Explore.candidate in
+        let copy =
+          List.find
+            (fun m ->
+              Explore.mapping_key m = Explore.mapping_key best.Explore.mapping)
+            (Compiler.mappings accel op)
+        in
+        Alcotest.(check bool) "a copy, not the same value" true
+          (copy != best.Explore.mapping);
+        let seeds =
+          [ { Explore.mapping = copy; schedule = best.Explore.schedule } ]
+        in
+        let seeded, seeded_phases = tune seeds in
+        Alcotest.(check int) "screened the space alone"
+          (List.length mappings) (List.hd seeded_phases);
+        Alcotest.(check (list int)) "same work units" plain_phases
+          seeded_phases;
+        Alcotest.(check int) "one evaluation per seed schedule"
+          (plain.Explore.evaluations + List.length seeds)
+          seeded.Explore.evaluations;
+        Alcotest.(check bool) "never worse than the seed" true
+          (seeded.Explore.best.Explore.measured
+          <= plain.Explore.best.Explore.measured));
+  ]
+
+let suites =
+  suites
+  @ [ ("explore.trajectory", trajectory_tests); ("explore.seeds", seed_tests) ]

@@ -27,20 +27,24 @@ let to_alcotest t =
 (* --- generators ----------------------------------------------------- *)
 
 (* Random software iteration space, rendered through the DSL front-end:
-   1-3 spatial iterations and 1-2 reductions with extents 2..6; the
-   output is indexed by every spatial iteration; each iteration lands in
-   input a, input b, or both (so both inputs are non-empty and every
-   reduction is accumulated by at least one input); optionally one
-   convolution-style [i + r] fused index. *)
-let gen_op : Operator.t QCheck.Gen.t =
+   1-3 spatial iterations and 1-2 reductions with [extent]s; the output
+   is indexed by every spatial iteration; each iteration lands in input
+   a, input b, or both (so both inputs are non-empty and every reduction
+   is accumulated by at least one input); optionally one
+   convolution-style [i + r] fused index.  The statement multiplies
+   ([Mul_add]), accumulates a alone ([Add_acc]; a then indexes every
+   iteration either input used) or accumulates the squared difference
+   ([Sq_diff_acc]), as [arith] draws. *)
+let gen_op_with ~extent ~arith : Operator.t QCheck.Gen.t =
   let open QCheck.Gen in
   int_range 1 3 >>= fun ns ->
   int_range 1 2 >>= fun nr ->
-  list_repeat ns (int_range 2 6) >>= fun s_exts ->
-  list_repeat nr (int_range 2 6) >>= fun r_exts ->
+  list_repeat ns extent >>= fun s_exts ->
+  list_repeat nr extent >>= fun r_exts ->
   list_repeat ns (int_range 0 2) >>= fun s_sides ->
   list_repeat nr (int_range 0 2) >>= fun r_sides ->
   bool >>= fun conv_style ->
+  arith >>= fun arith ->
   let s_names = List.mapi (fun i _ -> Printf.sprintf "i%d" i) s_exts in
   let r_names = List.mapi (fun i _ -> Printf.sprintf "r%d" i) r_exts in
   let binders names exts suffix =
@@ -58,6 +62,14 @@ let gen_op : Operator.t QCheck.Gen.t =
   let a_idx = if a_idx = [] then [ List.hd r_names ] else a_idx in
   let b_idx = if b_idx = [] then [ List.hd r_names ] else b_idx in
   let a_idx =
+    match arith with
+    | `Add_acc ->
+        List.filter
+          (fun n -> List.mem n a_idx || List.mem n b_idx)
+          (s_names @ r_names)
+    | `Mul_add | `Sq_diff -> a_idx
+  in
+  let a_idx =
     if conv_style then
       match a_idx with
       | x :: rest when List.mem x s_names ->
@@ -65,15 +77,26 @@ let gen_op : Operator.t QCheck.Gen.t =
       | _ -> a_idx
     else a_idx
   in
-  let text =
-    Printf.sprintf "for {%s} for {%s}: out[%s] += a[%s] * b[%s]"
-      (binders s_names s_exts "")
-      (binders r_names r_exts "r")
-      (String.concat ", " s_names)
-      (String.concat ", " a_idx)
-      (String.concat ", " b_idx)
+  let a = Printf.sprintf "a[%s]" (String.concat ", " a_idx)
+  and b = Printf.sprintf "b[%s]" (String.concat ", " b_idx) in
+  let rhs =
+    match arith with
+    | `Mul_add -> a ^ " * " ^ b
+    | `Add_acc -> a
+    | `Sq_diff -> Printf.sprintf "(%s - %s)^2" a b
   in
-  return (Dsl.parse_exn ~name:"prop" text)
+  return
+    (Dsl.parse_exn ~name:"prop"
+       (Printf.sprintf "for {%s} for {%s}: out[%s] += %s"
+          (binders s_names s_exts "")
+          (binders r_names r_exts "r")
+          (String.concat ", " s_names)
+          rhs))
+
+(* multiply-accumulate operators with extents 2..6 *)
+let gen_op =
+  gen_op_with ~extent:(QCheck.Gen.int_range 2 6)
+    ~arith:(QCheck.Gen.return `Mul_add)
 
 let arb_op = QCheck.make ~print:Dsl.print gen_op
 
@@ -91,7 +114,7 @@ let intrinsic_pool () =
 (* A completely random compute matching: random intrinsic, random operand
    correspondence, and an arbitrary (mostly invalid) assignment of each
    software iteration to an intrinsic iteration or to none. *)
-let gen_matching : Matching.t QCheck.Gen.t =
+let gen_matching_of gen_op : Matching.t QCheck.Gen.t =
   let open QCheck.Gen in
   gen_op >>= fun op ->
   let pool = intrinsic_pool () in
@@ -111,6 +134,8 @@ let gen_matching : Matching.t QCheck.Gen.t =
          choices)
   in
   return (Matching.create ~view ~intr ~src_perm ~assign)
+
+let gen_matching = gen_matching_of gen_op
 
 let arb_matching =
   QCheck.make
@@ -1064,36 +1089,46 @@ let gen_extent =
 
 (* the block menu is the divisors plus the powers of two up to 128 below
    the extent, strictly ascending; the sub-core menu is its members up
-   to 8 *)
+   to 8.  Menus are shared per domain, so each case runs in a fresh
+   domain and asks for each menu twice (built, then served from the
+   table); both answers meet the specification and equal the
+   trial-division oracle, which is run up to 2^20 (it walks every
+   integer up to the extent). *)
+let menus_meet_spec extent =
+  let menu = Schedule.block_choices extent in
+  let members = Hashtbl.create 64 in
+  Array.iter (fun x -> Hashtbl.replace members x ()) menu;
+  let mem x = Hashtbl.mem members x in
+  let small_pow2 x = x >= 2 && x <= 128 && x land (x - 1) = 0 in
+  let ascending = ref true in
+  for i = 1 to Array.length menu - 1 do
+    if menu.(i - 1) >= menu.(i) then ascending := false
+  done;
+  let divisor_pairs = ref true in
+  let d = ref 1 in
+  while !d <= extent / !d do
+    if extent mod !d = 0 && not (mem !d && mem (extent / !d)) then
+      divisor_pairs := false;
+    incr d
+  done;
+  let subcore = Schedule.subcore_choices extent in
+  !ascending && !divisor_pairs
+  && Array.for_all
+       (fun x -> x >= 1 && (extent mod x = 0 || (small_pow2 x && x < extent)))
+       menu
+  && List.for_all (fun p -> p >= extent || mem p) [ 2; 4; 8; 16; 32; 64; 128 ]
+  && subcore = Array.of_list (List.filter (fun f -> f <= 8) (Array.to_list menu))
+  && (extent > 1 lsl 20
+     || menu = Array.of_list (Schedule_oracle.factor_choices extent)
+        && subcore = Array.of_list (Schedule_oracle.subcore_choices extent))
+
 let prop_schedule_menus =
   QCheck.Test.make ~count:cases ~name:"split menus meet their specification"
     (QCheck.make ~print:string_of_int gen_extent)
     (fun extent ->
-      let menu = Schedule.block_choices extent in
-      let members = Hashtbl.create 64 in
-      Array.iter (fun x -> Hashtbl.replace members x ()) menu;
-      let mem x = Hashtbl.mem members x in
-      let small_pow2 x = x >= 2 && x <= 128 && x land (x - 1) = 0 in
-      let ascending = ref true in
-      for i = 1 to Array.length menu - 1 do
-        if menu.(i - 1) >= menu.(i) then ascending := false
-      done;
-      let divisor_pairs = ref true in
-      let d = ref 1 in
-      while !d <= extent / !d do
-        if extent mod !d = 0 && not (mem !d && mem (extent / !d)) then
-          divisor_pairs := false;
-        incr d
-      done;
-      !ascending && !divisor_pairs
-      && Array.for_all
-           (fun x -> x >= 1 && (extent mod x = 0 || (small_pow2 x && x < extent)))
-           menu
-      && List.for_all
-           (fun p -> p >= extent || mem p)
-           [ 2; 4; 8; 16; 32; 64; 128 ]
-      && Schedule.subcore_choices extent
-         = Array.of_list (List.filter (fun f -> f <= 8) (Array.to_list menu)))
+      Domain.join
+        (Domain.spawn (fun () ->
+             menus_meet_spec extent && menus_meet_spec extent)))
 
 (* --- schedule draws and screen summaries against the reference ----------- *)
 
@@ -1177,6 +1212,40 @@ let prop_reference =
                (Spatial_sim.Kernel.summarize (Codegen.lower accel m s)))
            (Schedule.default m :: drawn))
 
+(* --- the structural mapping memo and the describe renderer -------------- *)
+
+(* random operators of all three MAC views, with extent-1 iterations *)
+let gen_mac_op =
+  gen_op_with
+    ~extent:(QCheck.Gen.int_range 1 4)
+    ~arith:(QCheck.Gen.oneofl [ `Mul_add; `Add_acc; `Sq_diff ])
+
+let arb_mac_op = QCheck.make ~print:Dsl.print gen_mac_op
+
+(* every intrinsic of the pool, under both filter values, hands out the
+   reference's fresh enumeration on a structure's first request and on
+   its repeat *)
+let prop_mapping_memo =
+  QCheck.Test.make ~count:cases ~name:"memo = fresh enumeration, both filters"
+    arb_mac_op (fun op ->
+      List.for_all
+        (fun intr ->
+          List.for_all
+            (fun filter -> Test_memo.memo_agrees ~filter op intr)
+            [ true; false ])
+        (intrinsic_pool ()))
+
+(* a random, mostly invalid matching of such an operator renders exactly
+   as the oracle renders it *)
+let prop_describe =
+  QCheck.Test.make ~count:cases ~name:"describe = oracle"
+    (QCheck.make
+       ~print:(fun (m : Matching.t) ->
+         Printf.sprintf "%s on %s" (Dsl.print m.Matching.view.Mac_view.op)
+           m.Matching.intr.Intrinsic.name)
+       (gen_matching_of gen_mac_op))
+    (fun m -> Matching.describe m = Describe_oracle.describe m)
+
 (* --- append-only logs ------------------------------------------------- *)
 
 module Fs_io = Amos_service.Fs_io
@@ -1197,8 +1266,12 @@ let prop_complete_lines =
       let text = String.concat "" (List.map (fun l -> l ^ "\n") ls) ^ f in
       Fs_io.complete_lines text = (List.filter (fun l -> l <> "") ls, f <> ""))
 
+(* [props.mapping_memo] runs first: [props.algorithm1]'s random
+   operators alone fill the 512-key memo, after which no new structure
+   is admitted and a repeat request misses like the first *)
 let suites =
   [
+    ("props.mapping_memo", [ to_alcotest prop_mapping_memo ]);
     ( "props.algorithm1",
       List.map to_alcotest
         [ prop_validate_agrees; prop_bitflip_rejected; prop_generator_valid ]
@@ -1225,6 +1298,7 @@ let suites =
              prop_bm_scratch_alias;
            ] );
     ("props.fingerprint", [ to_alcotest prop_fingerprint_oracle ]);
+    ("props.describe", [ to_alcotest prop_describe ]);
     ("props.schedule_menus", [ to_alcotest prop_schedule_menus ]);
     ("props.reference", [ to_alcotest prop_reference ]);
     ("props.log_lines", [ to_alcotest prop_complete_lines ]);

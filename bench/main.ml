@@ -30,8 +30,7 @@ let geomean = function
       exp (List.fold_left (fun acc x -> acc +. log x) 0. l
            /. float_of_int (List.length l))
 
-let amos_seconds ~seed accel op =
-  Compiler.seconds (Compiler.tune ~rng:(Rng.create seed) accel op)
+let amos_seconds accel op = Compiler.seconds (Compiler.tune accel op)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: operators mapped to Tensor Core, XLA-style matcher vs AMOS  *)
@@ -63,7 +62,7 @@ let table5 () =
   List.iter
     (fun cfg ->
       let op = Resnet.config cfg in
-      let plan = Compiler.tune ~rng:(Rng.create 1005) accel op in
+      let plan = Compiler.tune accel op in
       let text =
         match plan.Compiler.target with
         | Compiler.Spatial p -> Mapping.describe p.Explore.candidate.Explore.mapping
@@ -158,7 +157,7 @@ let fig6ab () =
             let per_config =
               List.mapi
                 (fun i op ->
-                  let amos = amos_seconds ~seed:(600 + i) accel op in
+                  let amos = amos_seconds accel op in
                   let lib =
                     Library_backend.op_seconds ~rng:(Rng.create (700 + i)) accel op
                   in
@@ -192,21 +191,19 @@ let fig6c () =
       let cudnn = Library_backend.op_seconds ~rng:(Rng.create 900) accel op in
       let unit_t =
         Template_compiler.op_seconds ~template:Template_compiler.Fuse_hw
-          ~rng:(Rng.create 901) accel op
+          accel op
       in
       let autotvm =
         Template_compiler.op_seconds ~require_extent_mult:16
-          ~template:Template_compiler.Im2col ~rng:(Rng.create 902) accel op
+          ~template:Template_compiler.Im2col accel op
       in
       let ansor =
-        Template_compiler.op_seconds ~template:Template_compiler.Ansor
-          ~rng:(Rng.create 903) accel op
+        Template_compiler.op_seconds ~template:Template_compiler.Ansor accel op
       in
       let autotvm_expert =
-        Template_compiler.op_seconds ~template:Template_compiler.Im2col
-          ~rng:(Rng.create 904) accel op
+        Template_compiler.op_seconds ~template:Template_compiler.Im2col accel op
       in
-      let amos = amos_seconds ~seed:905 accel op in
+      let amos = amos_seconds accel op in
       let rel t = cudnn /. t in
       collect :=
         (rel unit_t, rel autotvm, rel ansor, rel autotvm_expert, rel amos)
@@ -244,8 +241,7 @@ let fig7 () =
       List.iter
         (fun net ->
           let report =
-            Compiler.map_network ~population:12 ~generations:6
-              ~rng:(Rng.create 1200) accel net
+            Compiler.map_network ~population:12 ~generations:6 accel net
           in
           let pytorch =
             Library_backend.network_seconds ~rng:(Rng.create 1201) accel net
@@ -275,15 +271,14 @@ let fig7e () =
       let net = mk ~batch in
       let unit_t =
         Template_compiler.network_seconds ~template:Template_compiler.Fuse_hw
-          ~rng:(Rng.create 1300) accel net
+          accel net
       in
       let tvm =
         Template_compiler.network_seconds ~template:Template_compiler.Im2col
-          ~rng:(Rng.create 1301) accel net
+          accel net
       in
       let report =
-        Compiler.map_network ~population:12 ~generations:6
-          ~rng:(Rng.create 1302) accel net
+        Compiler.map_network ~population:12 ~generations:6 accel net
       in
       Printf.printf "%-18s b%-3d %8.2f %8.2f %8.2f\n%!" net.Networks.name
         batch 1.0 (unit_t /. tvm)
@@ -306,10 +301,9 @@ let fig8a () =
     (fun cfg ->
       let op = Resnet.config cfg in
       let tvm =
-        Template_compiler.op_seconds ~template:Template_compiler.Im2col
-          ~rng:(Rng.create 1400) accel op
+        Template_compiler.op_seconds ~template:Template_compiler.Im2col accel op
       in
-      let amos = amos_seconds ~seed:1401 accel op in
+      let amos = amos_seconds accel op in
       speeds := (tvm /. amos) :: !speeds;
       Printf.printf "%-5s %8.2f %10.3f %10.3f\n%!" cfg.Resnet.label (tvm /. amos)
         (1e3 *. amos) (1e3 *. tvm))
@@ -331,9 +325,9 @@ let fig8b () =
          paper reports internal errors on dep layers 2-4) *)
       let autotvm =
         Template_compiler.op_seconds ~require_extent_mult:32
-          ~template:Template_compiler.Fuse_hw ~rng:(Rng.create 1500) accel op
+          ~template:Template_compiler.Fuse_hw accel op
       in
-      let amos = amos_seconds ~seed:1501 accel op in
+      let amos = amos_seconds accel op in
       Printf.printf "%-8s %12.1f %12.1f\n%!" label (gops autotvm) (gops amos))
     (Networks.mobilenet_v2_depthwise ~batch:1);
   Printf.printf "(paper: AMOS up to 25.04x AutoTVM; AutoTVM fails on dep2-4)\n%!"
@@ -349,7 +343,7 @@ let occupancy_of accel matching_opt =
   | Some matching ->
       let m = Mapping.make matching in
       let result =
-        Explore.tune ~rng:(Rng.create 1601) ~accel ~mappings:[ m ] ()
+        Explore.tune ~accel ~mappings:[ m ] ()
       in
       let c = result.Explore.best.Explore.candidate in
       let k = Codegen.lower accel c.Explore.mapping c.Explore.schedule in
@@ -368,17 +362,17 @@ let fig9 () =
     (fun cfg ->
       let op = Resnet.config cfg in
       let cudnn = Library_backend.op_seconds ~rng:(Rng.create 1600) accel op in
-      let fixed matching_opt seed =
+      let fixed matching_opt =
         match matching_opt with
         | None -> Spatial_sim.Scalar_backend.estimate_seconds accel.Accelerator.config op
         | Some matching ->
             let m = Mapping.make matching in
-            (Explore.tune ~rng:(Rng.create seed) ~accel ~mappings:[ m ] ())
+            (Explore.tune ~accel ~mappings:[ m ] ())
               .Explore.best.Explore.measured
       in
-      let fix_m1 = fixed (Fixed_mappings.im2col op intr) 1601 in
-      let fix_m2 = fixed (Fixed_mappings.fuse_hw op intr) 1601 in
-      let amos = amos_seconds ~seed:1601 accel op in
+      let fix_m1 = fixed (Fixed_mappings.im2col op intr) in
+      let fix_m2 = fixed (Fixed_mappings.fuse_hw op intr) in
+      let amos = amos_seconds accel op in
       let rel t = cudnn /. t in
       rows := (rel fix_m1, rel fix_m2, rel amos) :: !rows;
       Printf.printf "%-5s %8.2f %10.2f %10.2f %8.2f\n%!" cfg.Resnet.label 1.0
@@ -395,7 +389,7 @@ let fig9 () =
         let op = Resnet.config cfg in
         match
           ( occupancy_of accel (Fixed_mappings.im2col op intr),
-            Compiler.tune ~rng:(Rng.create 1601) accel op )
+            Compiler.tune accel op )
         with
         | Some lib_occ, { Compiler.target = Compiler.Spatial p; _ } ->
             let c = p.Explore.candidate in
@@ -429,15 +423,14 @@ let layout () =
       ~c:cfg.Resnet.c ~k:cfg.Resnet.k ~p:cfg.Resnet.p ~q:cfg.Resnet.q
       ~r:cfg.Resnet.r ~s:cfg.Resnet.s ()
   in
-  let amos_nchw = amos_seconds ~seed:1700 accel nchw in
-  let amos_nhwc = amos_seconds ~seed:1701 accel nhwc in
+  let amos_nchw = amos_seconds accel nchw in
+  let amos_nhwc = amos_seconds accel nhwc in
   (* AutoTVM's template is NHWC-only: on NCHW it falls back to scalar *)
   let autotvm_nchw =
     Spatial_sim.Scalar_backend.estimate_seconds accel.Accelerator.config nchw
   in
   let autotvm_nhwc =
-    Template_compiler.op_seconds ~template:Template_compiler.Im2col
-      ~rng:(Rng.create 1702) accel nhwc
+    Template_compiler.op_seconds ~template:Template_compiler.Im2col accel nhwc
   in
   Printf.printf "mappings: NCHW %d, NHWC %d (layout does not change the space)\n"
     (List.length (Compiler.mappings accel nchw))
@@ -485,7 +478,7 @@ let ablate () =
       let mappings = Compiler.mappings accel op in
       let best n =
         let subset = List.filteri (fun i _ -> i < n) mappings in
-        (Explore.tune ~rng:(Rng.create 1800) ~accel ~mappings:subset ())
+        (Explore.tune ~accel ~mappings:subset ())
           .Explore.best.Explore.measured
       in
       Printf.printf "  %-4s 1: %.4f   4: %.4f   all(%d): %.4f\n%!" label
@@ -498,7 +491,7 @@ let ablate () =
   Printf.printf "-- model-guided vs random search (C5):\n";
   let op = Resnet.config (Resnet.by_label "C5") in
   let mappings = Compiler.mappings accel op in
-  let guided_result = Explore.tune ~rng:(Rng.create 1801) ~accel ~mappings () in
+  let guided_result = Explore.tune ~accel ~mappings () in
   let guided = guided_result.Explore.best.Explore.measured in
   let measurements = List.length guided_result.Explore.history in
   let random_best =
@@ -692,8 +685,8 @@ let migration () =
   Printf.printf "(seed %d, population %d, generations 0..%d%s)\n" seed
     population gens (if !smoke_flag then ", smoke" else "");
   let tune ?initial_population ~generations accel op =
-    (Explore.tune ~population ~generations ?initial_population
-       ~rng:(Rng.create seed) ~accel ~mappings:(Compiler.mappings accel op) ())
+    (Explore.tune ~population ~generations ?initial_population ~accel
+       ~mappings:(Compiler.mappings accel op) ())
       .Explore.best.Explore.measured
   in
   let cases =
@@ -715,8 +708,8 @@ let migration () =
       (fun (name, op, source, target) ->
         (* tune on the source at the full budget, save, migrate *)
         let src =
-          Explore.tune ~population ~generations:gens ~rng:(Rng.create seed)
-            ~accel:source ~mappings:(Compiler.mappings source op) ()
+          Explore.tune ~population ~generations:gens ~accel:source
+            ~mappings:(Compiler.mappings source op) ()
         in
         let sc = src.Explore.best.Explore.candidate in
         let o =
@@ -1374,18 +1367,17 @@ let tuner_throughput () =
     label (List.length mappings) reps
     (if smoke then ", smoke" else "");
   let run tune =
-    let rng = Rng.create seed in
     let a0 = Gc.allocated_bytes () in
     let t0 = Unix.gettimeofday () in
-    let r : Explore.result = tune rng in
+    let r : Explore.result = tune () in
     let dt = Unix.gettimeofday () -. t0 in
     let alloc = Gc.allocated_bytes () -. a0 in
     (float_of_int r.Explore.evaluations /. dt,
      alloc /. float_of_int r.Explore.evaluations,
      r)
   in
-  let fast rng = Explore.tune ~rng ~accel ~mappings () in
-  let reference rng = Amos_reference.Recompute.tune ~rng ~accel ~mappings () in
+  let fast () = Explore.tune ~accel ~mappings () in
+  let reference () = Amos_reference.Recompute.tune ~accel ~mappings () in
   (* warm both paths so neither pays first-touch costs *)
   ignore (run fast);
   ignore (run reference);
@@ -1488,9 +1480,8 @@ let learned_model () =
   let seeds =
     if smoke then [ seed; seed + 1 ] else [ seed; seed + 1; seed + 2 ]
   in
-  let tune ?model ?observe ~tune_seed accel op =
-    Explore.tune ?model ?observe ~rng:(Rng.create tune_seed) ~accel
-      ~mappings:(Explore.mappings accel op) ()
+  let tune ?model ?observe accel op =
+    Explore.tune ?model ?observe ~accel ~mappings:(Explore.mappings accel op) ()
   in
   (* phase A: uncalibrated baseline, observations collected *)
   let observations = ref [] in
@@ -1508,7 +1499,7 @@ let learned_model () =
                   ob.Explore.ob_measured )
                 :: !observations
             in
-            let r = tune ~observe ~tune_seed:seed accel op in
+            let r = tune ~observe accel op in
             (name, accel, label, op, r))
           labels)
       accels
@@ -1524,7 +1515,7 @@ let learned_model () =
     List.map
       (fun (name, accel, label, op, base) ->
         let cal =
-          tune ~model:(Screen.of_model ~accel model) ~tune_seed:seed accel op
+          tune ~model:(Screen.of_model ~accel model) accel op
         in
         let base_sims = List.length base.Explore.history in
         let cal_sims = List.length cal.Explore.history in
@@ -1552,12 +1543,10 @@ let learned_model () =
   List.iter
     (fun (_, accel) ->
       List.iter
-        (fun s ->
+        (fun _ ->
           let op = Resnet.config (Resnet.by_label (List.hd labels)) in
-          let plain = tune ~tune_seed:s accel op in
-          let ident =
-            tune ~model:(Screen.identity ~accel) ~tune_seed:s accel op
-          in
+          let plain = tune accel op in
+          let ident = tune ~model:(Screen.identity ~accel) accel op in
           identity_ok :=
             !identity_ok
             && plain.Explore.best.Explore.predicted

@@ -74,7 +74,11 @@ let index_arg =
   Arg.(value & opt int 0 & info [ "index" ] ~docv:"I" ~doc)
 
 let seed_arg =
-  let doc = "Random seed (results are deterministic per seed)." in
+  let doc =
+    "Seed recorded in the tuning budget, so it is part of every plan-cache \
+     key; $(b,verify) draws its random inputs from it.  Tuned plans do not \
+     depend on it: every search stream derives from its mapping."
+  in
   Arg.(value & opt int 2022 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let scale_arg =

@@ -23,9 +23,7 @@ let () =
   let input = Nd.random rng (Pipeline.input_shape pipeline) in
   let weights = Pipeline.random_weights rng pipeline in
   let reference = Pipeline.run_reference pipeline ~input ~weights in
-  let compiled =
-    Pipeline.run_compiled ~rng:(Rng.create 1) accel pipeline ~input ~weights
-  in
+  let compiled = Pipeline.run_compiled accel pipeline ~input ~weights in
   Printf.printf "max |reference - compiled| = %g\n"
     (Nd.max_abs_diff reference compiled);
   Printf.printf "network-level verification: %s\n"

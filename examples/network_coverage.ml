@@ -20,9 +20,7 @@ let () =
     (Pattern_xla.mapped_count net);
   Printf.printf "  mappable by AMOS:                                   %d\n\n"
     (Compiler.mappable_count accel net);
-  let report =
-    Compiler.map_network ~rng:(Rng.create 5) accel net
-  in
+  let report = Compiler.map_network accel net in
   Printf.printf "%-18s %5s %8s %12s\n" "layer" "mult" "spatial" "ms/instance";
   List.iter
     (fun (l : Compiler.layer_report) ->

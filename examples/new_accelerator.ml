@@ -72,7 +72,7 @@ let () =
   print_newline ();
   (* tune and verify a 1D convolution on the new design *)
   let op = Ops.conv1d ~n:4 ~c:3 ~k:5 ~p:12 ~r:4 () in
-  let plan = Compiler.tune ~rng:(Rng.create 1) accel op in
+  let plan = Compiler.tune accel op in
   Printf.printf "tuned: %s\n" (Compiler.describe plan);
   let ok =
     List.for_all

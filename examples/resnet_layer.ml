@@ -16,7 +16,7 @@ let () =
   List.iter
     (fun cfg ->
       let op = Resnet.config cfg in
-      let plan = Compiler.tune ~rng:(Rng.create 7) accel op in
+      let plan = Compiler.tune accel op in
       let lib = Library.op_seconds ~rng:(Rng.create 7) accel op in
       let mapping_text =
         match plan.Compiler.target with

@@ -25,7 +25,7 @@ let scalar ?(efficiency = 0.35) ?(memory_efficiency = 0.7) accel op =
   Spatial_sim.Scalar_backend.estimate_seconds ~efficiency ~memory_efficiency
     accel.Accelerator.config op
 
-let op_seconds ?require_extent_mult ~template ~rng accel op =
+let op_seconds ?require_extent_mult ~template accel op =
   match template with
   | Ansor -> scalar ~efficiency:0.55 ~memory_efficiency:0.9 accel op
   | Im2col | Fuse_hw -> (
@@ -38,20 +38,19 @@ let op_seconds ?require_extent_mult ~template ~rng accel op =
           if not (extent_ok ~require_extent_mult m) then scalar accel op
           else
             let result =
-              Explore.tune ~population:16 ~generations:8 ~measure_top:4 ~rng
+              Explore.tune ~population:16 ~generations:8 ~measure_top:4
                 ~accel ~mappings:[ m ] ()
             in
             let t = result.Explore.best.Explore.measured in
             if t < infinity then t else scalar accel op)
 
-let network_seconds ?require_extent_mult ~template ~rng accel
-    (net : Networks.t) =
+let network_seconds ?require_extent_mult ~template accel (net : Networks.t) =
   List.fold_left
     (fun acc (layer, mult) ->
       let t =
         match layer with
         | Networks.Tensor_op op ->
-            op_seconds ?require_extent_mult ~template ~rng accel op
+            op_seconds ?require_extent_mult ~template accel op
         | Networks.Elementwise { elems; _ } ->
             Spatial_sim.Scalar_backend.estimate_elementwise
               accel.Accelerator.config ~elems

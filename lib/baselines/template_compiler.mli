@@ -18,7 +18,6 @@ type template =
 val op_seconds :
   ?require_extent_mult:int ->
   template:template ->
-  rng:Amos_tensor.Rng.t ->
   Amos.Accelerator.t ->
   Operator.t ->
   float
@@ -29,7 +28,6 @@ val op_seconds :
 val network_seconds :
   ?require_extent_mult:int ->
   template:template ->
-  rng:Amos_tensor.Rng.t ->
   Amos.Accelerator.t ->
   Amos_workloads.Networks.t ->
   float

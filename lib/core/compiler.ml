@@ -25,12 +25,12 @@ let tuned_scalar_seconds accel op =
   Spatial_sim.Scalar_backend.estimate_seconds ~efficiency:0.5
     ~memory_efficiency:0.9 accel.Accelerator.config op
 
-let tune ?population ?generations ?measure_top ~rng accel op =
+let tune ?population ?generations ?measure_top accel op =
   let scalar = tuned_scalar_seconds accel op in
   Log.debug (fun m ->
       m "tuning %s on %s (scalar roofline %.3f us)" op.Operator.name
         accel.Accelerator.name (1e6 *. scalar));
-  match Explore.tune_op ?population ?generations ?measure_top ~rng ~accel op with
+  match Explore.tune_op ?population ?generations ?measure_top ~accel op with
   | Some result
     when result.Explore.best.Explore.measured < infinity
          && result.Explore.best.Explore.measured <= scalar ->
@@ -111,13 +111,13 @@ let mappable_count accel (net : Networks.t) =
       | Networks.Tensor_op _ | Networks.Elementwise _ -> acc)
     0 net.Networks.layers
 
-let map_network ?population ?generations ~rng accel (net : Networks.t) =
+let map_network ?population ?generations accel (net : Networks.t) =
   let layers =
     List.map
       (fun (layer, mult) ->
         match layer with
         | Networks.Tensor_op op ->
-            let plan = tune ?population ?generations ~rng accel op in
+            let plan = tune ?population ?generations accel op in
             {
               name = op.Operator.name;
               mult;

@@ -36,7 +36,6 @@ val tune :
   ?population:int ->
   ?generations:int ->
   ?measure_top:int ->
-  rng:Amos_tensor.Rng.t ->
   Accelerator.t ->
   Operator.t ->
   plan
@@ -79,7 +78,6 @@ val mappable_count : Accelerator.t -> Amos_workloads.Networks.t -> int
 val map_network :
   ?population:int ->
   ?generations:int ->
-  rng:Amos_tensor.Rng.t ->
   Accelerator.t ->
   Amos_workloads.Networks.t ->
   network_report

@@ -507,12 +507,9 @@ let tune_units fan ~must_keep ~cut ~screen ~search mappings =
    spend on its single hand-written mapping), and the best model-ranked
    plans are measured on the simulator. *)
 let tune_on fan ?(population = 16) ?(generations = 8) ?(measure_top = 3)
-    ?(initial_population = []) ?model ?observe ?progress ~rng ~accel ~mappings
-    () =
+    ?(initial_population = []) ?model ?observe ?progress ~accel ~mappings () =
   if mappings = [] && initial_population = [] then
     invalid_arg "Explore.tune: no mappings";
-  (* historical draw, kept so callers sharing an rng see the same stream *)
-  let _base_seed = Rng.int rng 1_000_000_000 in
   let mappings, seeds_for, is_seeded =
     merge_seed_population ~mappings initial_population
   in
@@ -568,7 +565,7 @@ let tune_on fan ?(population = 16) ?(generations = 8) ?(measure_top = 3)
      survivor's search splits into shards instead: shard [i] searches
      with salt [i] (an independent deterministic stream over the same
      mapping) and a slice of the population.  The result is then
-     deterministic per (seed, workers), not across worker counts. *)
+     deterministic per worker count, not across worker counts. *)
   let split = fan.workers > 1 && List.length mappings < fan.workers in
   let units ~best_score survivors =
     let shards =
@@ -616,13 +613,12 @@ let mappings accel op =
     (fun intr -> List.map Mapping.make (Mapping_gen.generate_op op intr))
     accel.Accelerator.intrinsics
 
-let tune_op ?population ?generations ?measure_top ?model ?observe ~rng ~accel
-    op =
+let tune_op ?population ?generations ?measure_top ?model ?observe ~accel op =
   match mappings accel op with
   | [] -> None
   | mappings ->
       Some
-        (tune ?population ?generations ?measure_top ?model ?observe ~rng ~accel
+        (tune ?population ?generations ?measure_top ?model ?observe ~accel
            ~mappings ())
 
 let sample ~n ~rng ~accel ~mappings =

@@ -114,7 +114,6 @@ val tune :
   ?model:screen_model ->
   ?observe:(observation -> unit) ->
   ?progress:(progress -> unit) ->
-  rng:Amos_tensor.Rng.t ->
   accel:Accelerator.t ->
   mappings:Mapping.t list ->
   unit ->
@@ -173,7 +172,6 @@ val tune_on :
   ?model:screen_model ->
   ?observe:(observation -> unit) ->
   ?progress:(progress -> unit) ->
-  rng:Amos_tensor.Rng.t ->
   accel:Accelerator.t ->
   mappings:Mapping.t list ->
   unit ->
@@ -185,7 +183,8 @@ val tune_on :
     mappings as [workers].  Below that each survivor's search splits
     into [workers / survivors] shards, shard [i] with salt [i] and a
     slice of [population] (seeds join shard 0): deterministic per
-    (seed, [workers]), but another [workers] may pick another plan.
+    [workers], but another [workers] may pick another plan.  No caller
+    RNG is read: the budget and the mappings fix the result.
 
     [progress] and [observe] fire under one lock, so a single-threaded
     consumer is safe on any fan-out.  [pr_evaluations] never decreases
@@ -220,7 +219,6 @@ val tune_op :
   ?measure_top:int ->
   ?model:screen_model ->
   ?observe:(observation -> unit) ->
-  rng:Amos_tensor.Rng.t ->
   accel:Accelerator.t ->
   Amos_ir.Operator.t ->
   result option

@@ -241,9 +241,9 @@ let run_reference t ~input ~weights =
   run_with (fun op inputs -> Amos_tensor.Reference.run op ~inputs) t ~input
     ~weights
 
-let run_compiled ~rng accel t ~input ~weights =
+let run_compiled accel t ~input ~weights =
   let exec op inputs =
-    match Explore.tune_op ~population:6 ~generations:2 ~rng ~accel op with
+    match Explore.tune_op ~population:6 ~generations:2 ~accel op with
     | Some result when result.Explore.best.Explore.measured < infinity ->
         let c = result.Explore.best.Explore.candidate in
         let kernel = Codegen.lower accel c.Explore.mapping c.Explore.schedule in

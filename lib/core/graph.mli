@@ -57,7 +57,6 @@ val run_reference :
   Amos_tensor.Nd.t
 
 val run_compiled :
-  rng:Amos_tensor.Rng.t ->
   Accelerator.t ->
   t ->
   input:Amos_tensor.Nd.t ->

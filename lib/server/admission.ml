@@ -14,6 +14,7 @@ type client_q = {
 
 type t = {
   mutex : Mutex.t;
+  wake : Condition.t;  (* work admitted, a slot freed, or closed *)
   clock : Clock.t;
   workers : int;
   capacity : int;
@@ -25,12 +26,14 @@ type t = {
   mutable running : int;
   mutable ewma : float option;  (* seconds per completed task *)
   mutable closed : bool;
+  mutable domains : unit Domain.t list;  (* started workers *)
 }
 
 let create ?(alpha = 0.3) ?(weight_of = fun _ -> 1) ~clock ~workers ~capacity
     () =
   {
     mutex = Mutex.create ();
+    wake = Condition.create ();
     clock;
     workers = max 1 workers;
     capacity = max 1 capacity;
@@ -42,6 +45,7 @@ let create ?(alpha = 0.3) ?(weight_of = fun _ -> 1) ~clock ~workers ~capacity
     running = 0;
     ewma = None;
     closed = false;
+    domains = [];
   }
 
 (* Projected time a freshly admitted task waits before completing:
@@ -93,6 +97,7 @@ let submit t ~client ?deadline_ms task =
             Queue.push c t.round
           end;
           t.queued <- t.queued + 1;
+          Condition.signal t.wake;
           `Admitted
     end
   in
@@ -146,29 +151,59 @@ let rec pick_locked t guard =
           Some task
         end
 
+let take_locked t =
+  if t.running >= t.workers then None
+  else
+    match pick_locked t (1 + Queue.length t.round) with
+    | None -> None
+    | Some task ->
+        t.running <- t.running + 1;
+        let started = Clock.now t.clock in
+        Some
+          (fun () ->
+            Fun.protect
+              ~finally:(fun () ->
+                let dt = Clock.now t.clock -. started in
+                Mutex.lock t.mutex;
+                t.running <- t.running - 1;
+                note_locked t dt;
+                Condition.signal t.wake;
+                Mutex.unlock t.mutex)
+              task)
+
 let take t =
   Mutex.lock t.mutex;
-  let r =
-    if t.running >= t.workers then None
-    else
-      match pick_locked t (1 + Queue.length t.round) with
-      | None -> None
-      | Some task ->
-          t.running <- t.running + 1;
-          let started = Clock.now t.clock in
-          Some
-            (fun () ->
-              Fun.protect
-                ~finally:(fun () ->
-                  let dt = Clock.now t.clock -. started in
-                  Mutex.lock t.mutex;
-                  t.running <- t.running - 1;
-                  note_locked t dt;
-                  Mutex.unlock t.mutex)
-                task)
-  in
+  let r = take_locked t in
   Mutex.unlock t.mutex;
   r
+
+(* A started worker: block until [take] would hand out a task, run it,
+   and repeat; exit once the queue is closed and its backlog is empty,
+   so a close drains everything admitted before it. *)
+let rec work t =
+  Mutex.lock t.mutex;
+  let rec next () =
+    match take_locked t with
+    | Some _ as task -> task
+    | None when t.closed && t.queued = 0 -> None
+    | None ->
+        Condition.wait t.wake t.mutex;
+        next ()
+  in
+  let task = next () in
+  Mutex.unlock t.mutex;
+  match task with
+  | None -> ()
+  | Some task ->
+      (* tasks own their error handling: a raise would kill the worker
+         domain, so it is swallowed here rather than trusted away *)
+      (try task () with _ -> ());
+      work t
+
+let start t =
+  Mutex.lock t.mutex;
+  t.domains <- List.init t.workers (fun _ -> Domain.spawn (fun () -> work t));
+  Mutex.unlock t.mutex
 
 let depth t =
   Mutex.lock t.mutex;
@@ -197,15 +232,8 @@ let ewma t =
 let close t =
   Mutex.lock t.mutex;
   t.closed <- true;
-  let stranded = ref [] in
-  Queue.iter
-    (fun c ->
-      Queue.iter (fun task -> stranded := task :: !stranded) c.ck_queue;
-      Queue.clear c.ck_queue;
-      c.ck_in_round <- false;
-      c.ck_deficit <- 0)
-    t.round;
-  Queue.clear t.round;
-  t.queued <- 0;
+  Condition.broadcast t.wake;
+  let domains = t.domains in
   Mutex.unlock t.mutex;
-  List.rev !stranded
+  (* every caller joins, so each returns only after the drain *)
+  List.iter Domain.join domains

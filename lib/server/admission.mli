@@ -1,10 +1,10 @@
-(** Fair, deadline-aware admission for the daemon's tuning queue.
+(** The daemon's one tuning queue: fair, deadline-aware admission and
+    the worker domains that run what it admits.
 
-    Replaces the global FIFO in front of the worker pool with
-    per-client deficit-round-robin (DRR) queues: each client key (from
-    the connection handshake) owns a backlog and a [weight], and
-    {!take} serves backlogs in weight proportion — a client flooding
-    the daemon delays itself, not everyone else.  Tasks have unit cost
+    Each client key (from the connection handshake) owns a
+    deficit-round-robin (DRR) backlog and a [weight], and {!take}
+    serves backlogs in weight proportion — a client flooding the
+    daemon delays itself, not everyone else.  Tasks have unit cost
     (one tune each), so a weight-[w] client is served [w] tasks per
     round; over any backlogged interval its share of service is within
     one round of [w / total-weight] (the DRR fairness bound pinned by
@@ -14,11 +14,15 @@
     {!projected_wait} — the EWMA of recent task durations times queued
     + running tasks over worker slots — and refuses a request whose
     [deadline_ms] budget is already smaller than that projection
-    ([`Deadline]), {e before} it is enqueued.  PR 7 put [deadline_ms]
-    on the wire; this is the queue finally honoring it.
+    ([`Deadline]), {e before} it is enqueued.
 
-    Every time read goes through the injectable [Clock], so the whole
-    scheduler is tested on a virtual clock with zero real-time waits. *)
+    Worker slots, load and drain are decided here once: {!start}
+    spawns [workers] domains that take through the same DRR pick and
+    slot accounting as {!take}, and {!close} lets them finish every
+    admitted task before joining them.  Without {!start}, {!take} steps
+    the scheduler by hand, and every time read goes through the
+    injectable [Clock], so the whole scheduler is tested on a virtual
+    clock with zero real-time waits. *)
 
 module Clock = Amos_service.Clock
 
@@ -60,6 +64,13 @@ val take : t -> (unit -> unit) option
     Work-conserving: whenever the backlog is nonempty and a slot is
     free, [take] returns a task. *)
 
+val start : t -> unit
+(** Spawn [workers] domains, each blocking until {!take} would hand it
+    a task, running it, and taking again, until {!close}.  Tasks own
+    their error handling: an escaping exception is swallowed (it would
+    kill a worker), so deliver results through the closure.  Call at
+    most once. *)
+
 val projected_wait : t -> float
 (** Seconds a task admitted now is projected to wait before
     completing: EWMA x (queued + running) / workers.  [0.] until the
@@ -79,8 +90,10 @@ val ewma : t -> float option
 (** Current EWMA of task durations in seconds; [None] before the first
     completion. *)
 
-val close : t -> (unit -> unit) list
-(** Refuse all future {!submit}s and return every still-queued task in
-    an arbitrary fair order, so a shutting-down daemon can resolve
-    their flights (e.g. with a busy reply) instead of stranding
-    waiters.  Running tasks are unaffected. *)
+val close : t -> unit
+(** Refuse all future {!submit}s ([`Busy]).  The backlog is kept: the
+    {!start}ed workers run every admitted task, then exit, and [close]
+    returns once it has joined them — in every caller, so each
+    concurrent closer returns only after the drain.  Without started
+    workers it returns at once, and {!take} still hands out the
+    backlog. *)

@@ -117,7 +117,7 @@ type server_stats = {
   cache_hits : int;  (** served from the plan cache *)
   busy_rejections : int;  (** admission control refusals *)
   in_flight : int;  (** tuning fingerprints currently being explored *)
-  queue_load : int;  (** worker-pool queued + running tasks *)
+  queue_load : int;  (** tuning tasks queued + running *)
   hot_bytes : int;  (** bytes held by the hot front cache *)
   hot_tuning_seconds : float;
       (** tuning seconds the hot front cache protects *)

@@ -1,7 +1,6 @@
 open Amos
 module Fingerprint = Amos_service.Fingerprint
 module Plan_cache = Amos_service.Plan_cache
-module Par_tune = Amos_service.Par_tune
 module Migrate = Amos_service.Migrate
 module Batch_compile = Amos_service.Batch_compile
 module Clock = Amos_service.Clock
@@ -95,9 +94,9 @@ type t = {
   bound_tcp_port : int option;
   cache : Plan_cache.t;  (* guarded by cache_mu: one domain at a time *)
   cache_mu : Mutex.t;
-  pool : Par_tune.Pool.t;
   admission : Admission.t;
-      (* per-client DRR + deadline-aware admission in front of the pool *)
+      (* the one tuning queue: per-client DRR, deadline-aware admission,
+         and the [workers] domains that run what it admits *)
   flights : (flight_result, Protocol.progress_body) Single_flight.t;
   started_at : float;
   mu : Mutex.t;  (* guards everything below *)
@@ -351,6 +350,14 @@ let create ?tuner ?clock ?router config =
       ?max_tuning_seconds:config.max_tuning_seconds ~clock
       ?dir:config.cache_dir ()
   in
+  let admission =
+    Admission.create ~clock
+      ~weight_of:(fun key -> if key = "peer" then peer_weight else 1)
+      ~workers:(max 1 config.workers)
+      ~capacity:(max 1 config.queue_capacity) ()
+  in
+  (* the tuning workers start only once every listener is bound *)
+  Admission.start admission;
   {
     config;
     tuner;
@@ -359,17 +366,7 @@ let create ?tuner ?clock ?router config =
     bound_tcp_port;
     cache;
     cache_mu = Mutex.create ();
-    (* the admission queue feeds the pool only while a worker slot is
-       free, so the pool's own queue never holds more than [workers]
-       tasks — [queue_capacity] now bounds the admission backlog *)
-    pool =
-      Par_tune.Pool.create ~workers:(max 1 config.workers)
-        ~capacity:(max 1 config.workers);
-    admission =
-      Admission.create ~clock
-        ~weight_of:(fun key -> if key = "peer" then peer_weight else 1)
-        ~workers:(max 1 config.workers)
-        ~capacity:(max 1 config.queue_capacity) ();
+    admission;
     flights = Single_flight.create ();
     started_at = Clock.now clock;
     mu = Mutex.create ();
@@ -404,7 +401,7 @@ let set_router t router = locked t.mu (fun () -> t.router <- Some router)
 let tcp_port t = t.bound_tcp_port
 
 let stats t : Protocol.server_stats =
-  let queue_load = Par_tune.Pool.load t.pool + Admission.depth t.admission in
+  let queue_load = Admission.load t.admission in
   let in_flight = Single_flight.in_flight t.flights in
   let cache_bytes =
     locked t.cache_mu (fun () -> Plan_cache.disk_bytes t.cache)
@@ -435,33 +432,13 @@ let stats t : Protocol.server_stats =
 
 (* --- tuning flow ---------------------------------------------------- *)
 
-let retry_hint t =
-  0.1
-  +. 0.05
-     *. float_of_int (Par_tune.Pool.load t.pool + Admission.load t.admission)
+let retry_hint t = 0.1 +. (0.05 *. float_of_int (Admission.load t.admission))
 
 let response_of_flight ~deduped = function
   | Fl_plan r ->
       Protocol.Plan_r (if deduped then { r with Protocol.source = "deduped" } else r)
   | Fl_busy retry_after_s -> Protocol.Busy_r { retry_after_s }
   | Fl_error msg -> Protocol.Error_r msg
-
-(* Keep the admission backlog flowing into the pool: hand out tasks
-   while a worker slot is free.  Every pool task re-pumps when it
-   finishes, so one submit's pump keeps the chain alive for the whole
-   backlog. *)
-let rec pump t =
-  match Admission.take t.admission with
-  | None -> ()
-  | Some task ->
-      let run () =
-        task ();
-        pump t
-      in
-      if not (Par_tune.Pool.try_submit t.pool run) then
-        (* only reachable when the pool is shutting down under a racing
-           submit: run inline rather than strand the flight *)
-        run ()
 
 let progress_body (p : Explore.progress) : Protocol.progress_body =
   let known v = if Float.is_finite v then Some v else None in
@@ -629,7 +606,7 @@ let route_to_owner t ~from_peer ~deadline ~fingerprint req =
                   (Printexc.to_string e));
             None))
 
-(* The one pool task behind every exploration the daemon runs: time the
+(* The one queued task behind every exploration the daemon runs: time the
    tuner, store the plan, admit it to the hot tier and resolve the
    flight.  A client tune ([quarantined = None]) fans each generation's
    snapshot out to the flight's streaming waiters, and its progress hook
@@ -725,7 +702,7 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline req
             | `Lead w -> (
                 let fl = Single_flight.flight w in
                 (* seeds are gathered before the task is queued so the
-                   pool task touches the shared cache only for the final
+                   queued task touches the shared cache only for the final
                    store *)
                 let seeds =
                   match req with
@@ -742,7 +719,6 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline req
                 with
                 | `Admitted ->
                     register_stream t ~request_id w;
-                    pump t;
                     await_flight t ~streaming ~emit ~deduped:false ~request_id
                       w
                 | `Busy ->
@@ -793,7 +769,7 @@ let handle_compile t ~accel:accel_name ~network ~batch ~budget ~jobs =
     | None -> failwith ("unknown network " ^ network)
   in
   (* own handle over the same directory: long compiles stay off the
-     shared handle (and the tuning pool); handles see each other's
+     shared handle (and the tuning workers); handles see each other's
      stores through the journal.  Same budgets and clock, so the
      economy is enforced no matter which handle stored last. *)
   let cache =
@@ -820,8 +796,8 @@ let handle_compile t ~accel:accel_name ~network ~batch ~budget ~jobs =
 
 let quarantine_suffix = ".plan.quarantined"
 
-(* re-tune one quarantined fingerprint on the pool; [false] when the
-   pool is busy or another flight already owns the fingerprint *)
+(* queue a re-tune of one quarantined fingerprint; [false] when the
+   queue refuses it or another flight already owns the fingerprint *)
 let retune_quarantined t ~qpath r ~budget =
   match Single_flight.acquire t.flights r.fingerprint with
   | `Join w ->
@@ -837,15 +813,13 @@ let retune_quarantined t ~qpath r ~budget =
         Admission.submit t.admission ~client:"retune"
           (tune_task t fl ~quarantined:(Some qpath) r ~budget ~seeds:[])
       with
-      | `Admitted ->
-          pump t;
-          true
+      | `Admitted -> true
       | `Busy | `Deadline _ ->
           Single_flight.complete t.flights fl (Fl_busy (retry_hint t));
           false)
 
 (* One low-priority step of the background drain: only when the tuning
-   pool is idle, pick the first quarantined fingerprint whose
+   queue is idle, pick the first quarantined fingerprint whose
    specification a client request has taught us and re-tune it.  A
    quarantine file whose fingerprint already has a live entry again is
    simply removed — the corruption was superseded. *)
@@ -854,8 +828,7 @@ let drain_quarantined_once t =
   | None -> false
   | Some dir ->
       if locked t.mu (fun () -> t.stopping) then false
-      else if Par_tune.Pool.load t.pool > 0 || Admission.load t.admission > 0
-      then false
+      else if Admission.load t.admission > 0 then false
       else begin
         let fs = Plan_cache.fs_handle t.cache in
         let quarantined =
@@ -898,18 +871,8 @@ let drain_and_stop t =
   in
   if not already then
     Log.info (fun m -> m "draining: waiting for in-flight tuning to finish");
-  (* every admitted task still completes: the pump chain keeps feeding
-     the pool as worker slots free up, so wait for the admission
-     backlog to empty before draining the pool itself *)
-  let rec wait_admission () =
-    if Admission.load t.admission > 0 then begin
-      pump t;
-      Thread.delay 0.01;
-      wait_admission ()
-    end
-  in
-  wait_admission ();
-  Par_tune.Pool.shutdown ~drain:true t.pool;
+  (* every admitted task still completes before the workers are joined *)
+  Admission.close t.admission;
   locked t.mu (fun () -> t.stopped <- true)
 
 let stop t = drain_and_stop t
@@ -1125,7 +1088,7 @@ let serve t =
       (match Unix.select listen_fds [] [] 0.25 with
       | [], _, _ ->
           (* idle tick: every couple of seconds of quiet, spend one
-             pool slot re-tuning a quarantined fingerprint *)
+             worker slot re-tuning a quarantined fingerprint *)
           incr idle_ticks;
           if !idle_ticks mod 8 = 0 then ignore (drain_quarantined_once t)
       | ready, _, _ ->

@@ -3,9 +3,9 @@
     One process owns the plan cache and serves tuning over a
     Unix-domain socket so that N concurrent compiler clients share one
     tuner instead of racing N: requests arrive as {!Protocol} frames on
-    per-connection systhreads, tuning work is dispatched onto a bounded
-    {!Amos_service.Par_tune.Pool} of worker domains, and results flow
-    back through three layers —
+    per-connection systhreads, tuning work queues in {!Admission}, whose
+    worker domains run it, and results flow back through three
+    layers —
 
     - a bounded in-memory {e hot cache} of recently served plans (no
       disk, no validation cost on a repeat hit), scored by the cache
@@ -17,14 +17,15 @@
       fingerprint share one exploration ({!Single_flight}), so a herd
       of identical cold requests costs one tune.
 
-    Admission control ({!Admission}): tuning work queues under
-    per-client deficit-round-robin backlogs (peers share one weighted
-    key, each local connection gets its own), so one flooding client
-    delays itself, not everyone.  When the backlog is at capacity the
-    request is refused with a typed [Busy] carrying a retry hint; when
-    its [deadline_ms] is below the projected queue wait it is refused
-    with a typed [Deadline_hint] {e before} being enqueued.  The daemon
-    never queues unboundedly and never hangs a client.
+    Admission control ({!Admission}, the daemon's one tuning queue):
+    tuning work queues under per-client deficit-round-robin backlogs
+    (peers share one weighted key, each local connection gets its own),
+    so one flooding client delays itself, not everyone.  When the
+    backlog is at capacity the request is refused with a typed [Busy]
+    carrying a retry hint (0.1 s plus 0.05 s per queued or running
+    tune); when its [deadline_ms] is below the projected queue wait it
+    is refused with a typed [Deadline_hint] {e before} being enqueued.
+    The daemon never queues unboundedly and never hangs a client.
 
     Streaming: a request whose envelope sets [accept_stream] receives
     interleaved [Progress_r] frames (one per exploration generation)
@@ -36,14 +37,15 @@
     boundary.
 
     Shutdown (the [Shutdown] request, or {!stop}) is graceful: the
-    daemon stops admitting tuning work, drains the admission queue and
-    the pool (every admitted exploration completes and its waiters get
-    real answers), acknowledges, and only then releases the socket.
+    daemon stops admitting tuning work, lets the workers drain the
+    admission queue (every admitted exploration completes and its
+    waiters get real answers), acknowledges, and only then releases the
+    socket.
 
     [Compile] requests run on the connection thread with their own
     cache handle over the same directory (handles observe each other
     through the journal), so a long network compile never blocks the
-    tuning pool.
+    tuning workers.
 
     A [Lookup], [Tune] or [Migrate_tune] is first resolved to its
     accelerator, operator and fingerprint.  The daemon memoizes that per
@@ -53,7 +55,7 @@
     fails to resolve is never memoized.  Each preset name is built once,
     so every entry shares one accelerator value.
 
-    When the pool is idle, the accept loop spends spare slots
+    When the tuning queue is idle, the accept loop spends spare slots
     re-tuning {e quarantined} fingerprints (corrupt entries fsck set
     aside) whose specification a client request has taught it — see
     {!drain_quarantined_once}. *)
@@ -75,7 +77,8 @@ type config = {
   cache_dir : string option;
       (** [None] = memory-only (plans survive only as long as the
           daemon) *)
-  workers : int;  (** tuning pool domains *)
+  workers : int;
+      (** domains that take tunes from the admission queue (min 1) *)
   queue_capacity : int;  (** pending tunes admitted before [Busy] *)
   jobs : int;  (** parallel jobs inside one tuning task *)
   hot_capacity : int;  (** hot-cache entries (scored eviction) *)
@@ -136,7 +139,7 @@ type tuner =
   seeds:Amos.Explore.candidate list ->
   progress:(Amos.Explore.progress -> unit) option ->
   tune_outcome
-(** The exploration a pool task runs.  Injectable so tests can observe
+(** The exploration a queued tuning task runs.  Injectable so tests can observe
     scheduling behaviour (count invocations, block on a latch) without
     paying for real tuning; the default is
     [Amos_service.Batch_compile.tune_fresh], the same tune-and-race a
@@ -170,7 +173,7 @@ type t
 
 val create :
   ?tuner:tuner -> ?clock:Amos_service.Clock.t -> ?router:router -> config -> t
-(** Bind the configured listeners and start the worker pool.  Raises
+(** Bind the configured listeners, then start the tuning workers.  Raises
     [Unix.Unix_error] when an endpoint is unusable (a stale socket file
     is silently replaced), [Invalid_argument] when the config names no
     listener at all.  [clock] (default {!Amos_service.Clock.real})
@@ -194,21 +197,22 @@ val serve : t -> unit
 
 val stop : t -> unit
 (** Programmatic graceful shutdown: drain and stop.  Idempotent; safe
-    from any thread. *)
+    from any thread but a tuning worker's, and every caller returns
+    only after the drain. *)
 
 val stats : t -> Protocol.server_stats
 (** Snapshot, same data a [Stats] request returns. *)
 
 val drain_quarantined_once : t -> bool
 (** One step of the background quarantine drain, normally invoked from
-    the accept loop's idle ticks: when the tuning pool is idle, pick
+    the accept loop's idle ticks: when the tuning queue is idle, pick
     the lexicographically first [*.plan.quarantined] fingerprint whose
     operator specification the daemon has seen (an earlier
-    [Tune]/[Lookup] spec held in the request memo) and re-tune it on the
-    pool; the quarantine file is
+    [Tune]/[Lookup] spec held in the request memo) and queue a re-tune;
+    the quarantine file is
     removed only after the fresh plan is stored.  A quarantined
     fingerprint that regained a live entry is just swept.  Returns
     [false] when there is nothing to do — no cache directory, the
-    daemon is stopping or the pool is busy (the drain never delays
+    daemon is stopping or the queue is busy (the drain never delays
     client work), or no quarantined fingerprint is actionable.
     Exposed for deterministic tests. *)

@@ -1,5 +1,4 @@
 open Amos
-module Rng = Amos_tensor.Rng
 module Networks = Amos_workloads.Networks
 
 let log_src =
@@ -53,9 +52,7 @@ let tune_fresh ?(seeds = []) ?model ?observe ?progress ~jobs
         Par_tune.tune ?jobs ~population:budget.Fingerprint.population
           ~generations:budget.Fingerprint.generations
           ~measure_top:budget.Fingerprint.measure_top ~initial_population:seeds
-          ?model ?observe ?progress
-          ~rng:(Rng.create budget.Fingerprint.seed)
-          ~accel ~mappings ()
+          ?model ?observe ?progress ~accel ~mappings ()
       in
       let best = result.Explore.best in
       (* a spatial plan must beat not mapping the operator at all *)

@@ -21,7 +21,7 @@ struct
     counts : (K.op, int) Hashtbl.t;
     mutable fired : int;
     mu : Mutex.t;
-        (* server connections are threads and the daemon's pool domains
+        (* server connections are threads and the daemon's tuning domains
            share one disk handle: counters and triggers must agree *)
   }
 

@@ -16,7 +16,10 @@ type budget = {
   population : int;
   generations : int;
   measure_top : int;
-  seed : int;  (** tuning seed; part of the key for reproducibility *)
+  seed : int;
+      (** part of the key, so plans stored under different seeds stay
+          apart; the tuner itself reads no seed (every search stream
+          derives from its mapping), so it does not change the plan *)
 }
 
 val default_budget : budget

@@ -7,8 +7,8 @@
     mappings as [jobs], the result is the same for any [jobs] and at
     [jobs = 1] is bit-identical to [Explore.tune].  Below that the
     skeleton splits each survivor's population into shards, which is
-    deterministic per (seed, [jobs]) but may pick another plan at
-    another [jobs].
+    deterministic per [jobs] but may pick another plan at another
+    [jobs].
 
     Failure isolation: every work unit's outcome is captured as a
     [Result] inside its worker and retried once, so one raising mapping
@@ -38,7 +38,6 @@ val tune :
   ?model:Explore.screen_model ->
   ?observe:(Explore.observation -> unit) ->
   ?progress:(Explore.progress -> unit) ->
-  rng:Amos_tensor.Rng.t ->
   accel:Accelerator.t ->
   mappings:Mapping.t list ->
   unit ->
@@ -76,36 +75,3 @@ val tune_with :
     joined instead of being recorded.  Raises [Invalid_argument] when
     [mappings] is empty.  Exposed so the failure-isolation contract is
     directly testable with units that raise on demand. *)
-
-(** Persistent bounded worker pool over OCaml 5 domains.
-
-    Long-lived worker domains pull thunks from a capacity-bounded
-    queue; unlike {!parallel_map_result} (spawn + join per call) the
-    pool amortises domain startup across a server's lifetime and gives
-    callers an admission-control primitive: {!Pool.try_submit} refuses
-    work instead of queueing without bound.  The plan-serving daemon
-    ([Amos_server.Server]) dispatches tuning onto one of these. *)
-module Pool : sig
-  type t
-
-  val create : workers:int -> capacity:int -> t
-  (** [workers] domains (min 1) and a queue bound of [capacity] pending
-      tasks (min 1; running tasks do not count against it). *)
-
-  val try_submit : t -> (unit -> unit) -> bool
-  (** Enqueue a task, or return [false] when the queue is at capacity
-      or the pool is shutting down — the caller turns that into
-      back-pressure (the daemon's [Busy] reply).  Tasks own their error
-      handling: an escaping exception is swallowed (a raise would kill
-      a worker domain), so deliver results through the closure. *)
-
-  val load : t -> int
-  (** Queued plus currently running tasks — the congestion signal
-      reported by the daemon's [Stats]. *)
-
-  val shutdown : ?drain:bool -> t -> unit
-  (** Stop accepting work and join all workers.  [drain] (default
-      [true]) first waits for the queue and every running task to
-      finish; [drain:false] discards queued tasks (running ones still
-      complete).  Idempotent. *)
-end

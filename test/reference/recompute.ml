@@ -145,11 +145,9 @@ let sequential =
   }
 
 (* [Explore.tune] with no seeds and no screen model *)
-let tune ?(population = 16) ?(generations = 8) ?(measure_top = 3) ~rng ~accel
+let tune ?(population = 16) ?(generations = 8) ?(measure_top = 3) ~accel
     ~mappings () =
   if mappings = [] then invalid_arg "Explore.tune: no mappings";
-  (* the draw [Explore.tune] makes before it screens *)
-  let _base_seed = Rng.int rng 1_000_000_000 in
   Explore.tune_units sequential
     ~must_keep:(fun _ -> false)
     ~cut:None ~screen:(screen_mapping ~accel)

@@ -105,22 +105,22 @@ let drr_tests =
         | None -> Alcotest.fail "freed slot must hand out queued work");
         t2 ();
         Alcotest.(check int) "all done" 0 (Admission.load q));
-    Alcotest.test_case "close-returns-stranded-tasks" `Quick (fun () ->
+    Alcotest.test_case "close-refuses-but-keeps-backlog" `Quick (fun () ->
         let q, _ = make () in
         let served = ref [] in
         List.iter (submit_tag q ~client:"a" served) [ "1"; "2" ];
         submit_tag q ~client:"b" served "3";
-        let stranded = Admission.close q in
-        Alcotest.(check int) "every queued task returned" 3
-          (List.length stranded);
-        Alcotest.(check int) "backlog emptied" 0 (Admission.depth q);
-        (* a shutting-down daemon resolves them itself *)
-        List.iter (fun task -> task ()) stranded;
-        Alcotest.(check int) "stranded tasks still runnable" 3
-          (List.length !served);
-        match Admission.submit q ~client:"a" (fun () -> ()) with
+        (* no started workers: close returns at once *)
+        Admission.close q;
+        (match Admission.submit q ~client:"a" (fun () -> ()) with
         | `Busy -> ()
         | `Admitted | `Deadline _ -> Alcotest.fail "closed queue must refuse");
+        Alcotest.(check int) "backlog kept" 3 (Admission.depth q);
+        (* the kept backlog still drains in DRR order *)
+        run_n q 3;
+        Alcotest.(check (list string))
+          "every admitted task ran" [ "1"; "3"; "2" ] (List.rev !served);
+        Alcotest.(check int) "all done" 0 (Admission.load q));
   ]
 
 (* run one task that takes [dt] of virtual time, to feed the EWMA *)

@@ -124,9 +124,8 @@ let library_tests =
         (* the ShuffleNet/MobileNet speedup mechanism of Sec 7.4 *)
         let accel = Accelerator.a100 () in
         let op = Ops.depthwise_conv2d ~n:16 ~c:128 ~p:28 ~q:28 ~r:3 ~s:3 () in
-        let rng = Rng.create 31 in
         let lib = Library_backend.op_seconds ~rng:(Rng.create 31) accel op in
-        let amos = Compiler.seconds (Compiler.tune ~rng accel op) in
+        let amos = Compiler.seconds (Compiler.tune accel op) in
         Alcotest.(check bool) "amos faster" true (amos < lib));
   ]
 
@@ -135,24 +134,23 @@ let template_tests =
     Alcotest.test_case "ansor-never-uses-intrinsics" `Quick (fun () ->
         let accel = Accelerator.a100 () in
         let op = Ops.gemm ~m:1024 ~n:1024 ~k:1024 () in
-        let rng = Rng.create 41 in
         let ansor =
-          Template_compiler.op_seconds ~template:Template_compiler.Ansor ~rng accel op
+          Template_compiler.op_seconds ~template:Template_compiler.Ansor
+            accel op
         in
-        let amos = Compiler.seconds (Compiler.tune ~rng:(Rng.create 41) accel op) in
+        let amos = Compiler.seconds (Compiler.tune accel op) in
         Alcotest.(check bool) "amos much faster" true (amos *. 2. < ansor));
     Alcotest.test_case "layout-restriction-forces-fallback" `Quick (fun () ->
         let accel = Accelerator.a100 () in
         (* c = 3 is not a multiple of 16: the AutoTVM-style template fails *)
         let op = Ops.conv2d ~n:16 ~c:3 ~k:64 ~p:56 ~q:56 ~r:7 ~s:7 () in
-        let rng = Rng.create 43 in
         let restricted =
           Template_compiler.op_seconds ~require_extent_mult:16
-            ~template:Template_compiler.Im2col ~rng accel op
+            ~template:Template_compiler.Im2col accel op
         in
         let unrestricted =
           Template_compiler.op_seconds ~template:Template_compiler.Im2col
-            ~rng:(Rng.create 43) accel op
+            accel op
         in
         Alcotest.(check bool) "restricted slower" true
           (restricted > unrestricted));

@@ -188,14 +188,14 @@ let determinism_tests =
         in
         let mappings = Compiler.mappings accel op in
         let all =
-          (Explore.tune ~rng:(Rng.create 203) ~accel ~mappings ())
+          (Explore.tune ~accel ~mappings ())
             .Explore.best.Explore.measured
         in
         List.iteri
           (fun i m ->
             if i mod 20 = 0 then
               let single =
-                (Explore.tune ~rng:(Rng.create 204) ~accel ~mappings:[ m ] ())
+                (Explore.tune ~accel ~mappings:[ m ] ())
                   .Explore.best.Explore.measured
               in
               Alcotest.(check bool) "all <= single" true (all <= single +. 1e-12))

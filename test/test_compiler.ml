@@ -24,15 +24,13 @@ let tune_tests =
     Alcotest.test_case "maxpool-falls-back-to-scalar" `Quick (fun () ->
         let accel = Accelerator.a100 () in
         let op = Ops.maxpool2d ~n:16 ~c:64 ~p:56 ~q:56 ~r:3 ~s:3 () in
-        let rng = Rng.create 61 in
-        let plan = Compiler.tune ~rng accel op in
+        let plan = Compiler.tune accel op in
         Alcotest.(check bool) "scalar" false (Compiler.is_mapped plan);
         Alcotest.(check bool) "positive time" true (Compiler.seconds plan > 0.));
     Alcotest.test_case "gflops-consistent" `Quick (fun () ->
         let accel = Accelerator.a100 () in
         let op = Ops.gemm ~m:512 ~n:512 ~k:512 () in
-        let rng = Rng.create 63 in
-        let plan = Compiler.tune ~rng accel op in
+        let plan = Compiler.tune accel op in
         let expect =
           Amos_ir.Operator.flops op /. Compiler.seconds plan /. 1e9
         in
@@ -43,9 +41,8 @@ let network_tests =
   [
     Alcotest.test_case "milstm-coverage" `Quick (fun () ->
         let accel = Accelerator.a100 () in
-        let rng = Rng.create 71 in
         let report =
-          Compiler.map_network ~population:6 ~generations:2 ~rng accel
+          Compiler.map_network ~population:6 ~generations:2 accel
             (Networks.mi_lstm ~batch:1)
         in
         Alcotest.(check int) "total 11" 11 report.Compiler.total_ops;
@@ -54,9 +51,8 @@ let network_tests =
           (report.Compiler.network_seconds > 0.));
     Alcotest.test_case "network-time-additive" `Quick (fun () ->
         let accel = Accelerator.a100 () in
-        let rng = Rng.create 73 in
         let report =
-          Compiler.map_network ~population:6 ~generations:2 ~rng accel
+          Compiler.map_network ~population:6 ~generations:2 accel
             (Networks.mi_lstm ~batch:1)
         in
         let sum =

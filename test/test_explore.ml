@@ -28,7 +28,6 @@ let tune_tests =
     Alcotest.test_case "tune-improves-over-default" `Quick (fun () ->
         let accel = Accelerator.a100 () in
         let op = Amos_workloads.Resnet.config (Amos_workloads.Resnet.by_label "C5") in
-        let rng = Rng.create 11 in
         let mappings = Compiler.mappings accel op in
         let default_best =
           List.fold_left
@@ -38,21 +37,17 @@ let tune_tests =
                 (Spatial_sim.Machine.estimate_seconds accel.Accelerator.config k))
             infinity mappings
         in
-        let result = Explore.tune ~rng ~accel ~mappings () in
+        let result = Explore.tune ~accel ~mappings () in
         Alcotest.(check bool) "tuned <= best default" true
           (result.Explore.best.Explore.measured <= default_best));
     Alcotest.test_case "tune-deterministic-under-seed" `Quick (fun () ->
         let accel = Accelerator.a100 () in
         let op = Ops.gemm ~m:512 ~n:512 ~k:512 () in
-        let run seed =
-          let rng = Rng.create seed in
-          (Compiler.tune ~rng accel op |> Compiler.seconds)
-        in
-        Alcotest.(check (float 1e-12)) "same result" (run 7) (run 7));
+        let run () = Compiler.tune accel op |> Compiler.seconds in
+        Alcotest.(check (float 1e-12)) "same result" (run ()) (run ()));
     Alcotest.test_case "tune-empty-mappings-rejected" `Quick (fun () ->
         let accel = Accelerator.a100 () in
-        let rng = Rng.create 1 in
-        match Explore.tune ~rng ~accel ~mappings:[] () with
+        match Explore.tune ~accel ~mappings:[] () with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
     Alcotest.test_case "sample-pairs-finite" `Quick (fun () ->
@@ -158,7 +153,7 @@ let seed_tests =
           in
           let r =
             Explore.tune_on fan ~population:4 ~generations:2 ~measure_top:2
-              ~initial_population ~rng:(Rng.create 5) ~accel ~mappings ()
+              ~initial_population ~accel ~mappings ()
           in
           (r, List.rev !phases)
         in

@@ -40,8 +40,7 @@ let temp_dir prefix =
 let an_op () = Ops.conv2d ~n:2 ~c:2 ~k:2 ~p:4 ~q:4 ~r:3 ~s:3 ()
 
 let tune_value accel op =
-  let rng = Rng.create small_budget.Fingerprint.seed in
-  match Explore.tune_op ~population:4 ~generations:2 ~rng ~accel op with
+  match Explore.tune_op ~population:4 ~generations:2 ~accel op with
   | Some result ->
       let c = result.Explore.best.Explore.candidate in
       Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule)

@@ -77,7 +77,7 @@ let compiled_tests =
         let weights = Graph.random_weights rng g in
         let expected = Graph.run_reference g ~input ~weights in
         let got =
-          Graph.run_compiled ~rng:(Rng.create 4) (toy_accel ()) g ~input ~weights
+          Graph.run_compiled (toy_accel ()) g ~input ~weights
         in
         Alcotest.(check bool) "equal" true
           (Nd.approx_equal ~tol:1e-3 expected got));
@@ -89,7 +89,7 @@ let compiled_tests =
         let weights = Graph.random_weights rng g in
         let expected = Graph.run_reference g ~input ~weights in
         let got =
-          Graph.run_compiled ~rng:(Rng.create 6) (toy_accel ()) g ~input ~weights
+          Graph.run_compiled (toy_accel ()) g ~input ~weights
         in
         Alcotest.(check bool) "equal" true
           (Nd.approx_equal ~tol:1e-3 expected got));
@@ -149,7 +149,7 @@ let shuffle_tests =
         let weights = Graph.random_weights rng g in
         let expected = Graph.run_reference g ~input ~weights in
         let got =
-          Graph.run_compiled ~rng:(Rng.create 8) (toy_accel ()) g ~input ~weights
+          Graph.run_compiled (toy_accel ()) g ~input ~weights
         in
         Alcotest.(check bool) "equal" true
           (Nd.approx_equal ~tol:1e-3 expected got));

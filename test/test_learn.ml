@@ -9,7 +9,6 @@
 
 open Amos
 module Ops = Amos_workloads.Ops
-module Rng = Amos_tensor.Rng
 module Fs_io = Amos_service.Fs_io
 module Clock = Amos_service.Clock
 module Fingerprint = Amos_service.Fingerprint
@@ -224,7 +223,7 @@ let obs_log_tests =
         ignore
           (Explore.tune_op ~population:4 ~generations:2
              ~observe:(fun ob -> captured := ob :: !captured)
-             ~rng:(Rng.create 42) ~accel (an_op ()));
+             ~accel (an_op ()));
         let ob =
           match !captured with
           | ob :: _ -> ob
@@ -354,10 +353,9 @@ let calibrate_tests =
 
 (* --- screen: the tuner-facing bridge --------------------------------- *)
 
-let small_tune ?model ?observe ?(seed = 42) accel op =
+let small_tune ?model ?observe accel op =
   match
-    Explore.tune_op ~population:4 ~generations:2 ?model ?observe
-      ~rng:(Rng.create seed) ~accel op
+    Explore.tune_op ~population:4 ~generations:2 ?model ?observe ~accel op
   with
   | Some r -> r
   | None -> Alcotest.fail "toy operator must be mappable"
@@ -395,7 +393,7 @@ let screen_tests =
         let base = small_tune accel op in
         let par =
           Par_tune.tune ~jobs:2 ~population:4 ~generations:2
-            ~model:(Screen.identity ~accel) ~rng:(Rng.create 42) ~accel
+            ~model:(Screen.identity ~accel) ~accel
             ~mappings:(Explore.mappings accel op) ()
         in
         Alcotest.(check bool) "best measured" true

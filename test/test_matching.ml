@@ -242,9 +242,7 @@ let shape_tests =
            the smallest n dimension *)
         let accel = Accelerator.a100 () in
         let op = Ops.gemv ~m:2048 ~k:2048 () in
-        let plan =
-          Compiler.tune ~rng:(Amos_tensor.Rng.create 3) accel op
-        in
+        let plan = Compiler.tune accel op in
         match plan.Compiler.target with
         | Compiler.Spatial p ->
             Alcotest.(check string) "chosen shape"

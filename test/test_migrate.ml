@@ -4,7 +4,6 @@
 
 open Amos
 module Ops = Amos_workloads.Ops
-module Rng = Amos_tensor.Rng
 module Migrate = Amos_service.Migrate
 module Par_tune = Amos_service.Par_tune
 module Plan_cache = Amos_service.Plan_cache
@@ -16,9 +15,8 @@ let budget =
 let tune_plan accel op =
   Explore.tune ~population:budget.Fingerprint.population
     ~generations:budget.Fingerprint.generations
-    ~measure_top:budget.Fingerprint.measure_top
-    ~rng:(Rng.create budget.Fingerprint.seed)
-    ~accel ~mappings:(Compiler.mappings accel op) ()
+    ~measure_top:budget.Fingerprint.measure_top ~accel
+    ~mappings:(Compiler.mappings accel op) ()
 
 let plan_text_of accel op =
   let c = (tune_plan accel op).Explore.best.Explore.candidate in
@@ -105,7 +103,7 @@ let migrate_tests =
         in
         let r =
           Explore.tune ~population:4 ~generations:1 ~measure_top:1
-            ~initial_population:o.Migrate.seeds ~rng:(Rng.create 11)
+            ~initial_population:o.Migrate.seeds
             ~accel:target ~mappings:(Compiler.mappings target op) ()
         in
         Alcotest.(check bool) "best <= best seed" true
@@ -229,10 +227,10 @@ let par_tune_tests =
         Alcotest.check_raises "Par_tune"
           (Invalid_argument "Par_tune.tune: no mappings") (fun () ->
             ignore
-              (Par_tune.tune ~jobs:2 ~rng:(Rng.create 1) ~accel ~mappings:[] ()));
+              (Par_tune.tune ~jobs:2 ~accel ~mappings:[] ()));
         Alcotest.check_raises "Explore"
           (Invalid_argument "Explore.tune: no mappings") (fun () ->
-            ignore (Explore.tune ~rng:(Rng.create 1) ~accel ~mappings:[] ())));
+            ignore (Explore.tune ~accel ~mappings:[] ())));
     Alcotest.test_case "seeds-without-mappings-tune" `Quick (fun () ->
         (* mappings = [] is fine when seeds are supplied *)
         let op = Ops.gemm ~m:32 ~n:32 ~k:32 () in
@@ -243,7 +241,7 @@ let par_tune_tests =
         in
         let r =
           Par_tune.tune ~jobs:2 ~population:4 ~generations:1 ~measure_top:1
-            ~initial_population:o.Migrate.seeds ~rng:(Rng.create 5)
+            ~initial_population:o.Migrate.seeds
             ~accel:target ~mappings:[] ()
         in
         Alcotest.(check bool) "found a plan" true
@@ -259,7 +257,7 @@ let par_tune_tests =
         in
         let run jobs =
           Par_tune.tune ~jobs ~population:6 ~generations:2 ~measure_top:2
-            ~initial_population:o.Migrate.seeds ~rng:(Rng.create 9)
+            ~initial_population:o.Migrate.seeds
             ~accel:target ~mappings:(Compiler.mappings target op) ()
         in
         let r1 = run 1 and r4 = run 4 in

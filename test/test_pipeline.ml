@@ -36,7 +36,7 @@ let execution_tests =
         let weights = Pipeline.random_weights rng p in
         let expected = Pipeline.run_reference p ~input ~weights in
         let got =
-          Pipeline.run_compiled ~rng:(Rng.create 78) (toy_accel ()) p ~input
+          Pipeline.run_compiled (toy_accel ()) p ~input
             ~weights
         in
         Alcotest.(check bool) "bit-close" true

@@ -11,7 +11,7 @@ let roundtrip_tests =
     Alcotest.test_case "save-load-roundtrip" `Quick (fun () ->
         let accel = Accelerator.a100 () in
         let op = Ops.conv2d ~n:4 ~c:16 ~k:16 ~p:8 ~q:8 ~r:3 ~s:3 () in
-        let plan = Compiler.tune ~rng:(Rng.create 300) accel op in
+        let plan = Compiler.tune accel op in
         match plan.Compiler.target with
         | Compiler.Scalar _ -> Alcotest.fail "expected spatial plan"
         | Compiler.Spatial p ->

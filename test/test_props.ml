@@ -300,7 +300,7 @@ let prop_migration =
       | src_mappings ->
           let src =
             Explore.tune ~population:4 ~generations:1 ~measure_top:1
-              ~rng:(Rng.create 42) ~accel:source
+              ~accel:source
               ~mappings:(List.filteri (fun i _ -> i < 6) src_mappings)
               ()
           in
@@ -327,7 +327,7 @@ let prop_migration =
               in
               let r =
                 Explore.tune ~population:4 ~generations:1 ~measure_top:1
-                  ~initial_population:seeds ~rng:(Rng.create 43) ~accel:target
+                  ~initial_population:seeds ~accel:target
                   ~mappings:(Compiler.mappings target op)
                   ()
               in

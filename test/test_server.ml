@@ -8,10 +8,11 @@
 open Amos
 module Fingerprint = Amos_service.Fingerprint
 module Plan_cache = Amos_service.Plan_cache
-module Par_tune = Amos_service.Par_tune
+module Clock = Amos_service.Clock
 module Json = Amos_server.Json
 module Protocol = Amos_server.Protocol
 module Single_flight = Amos_server.Single_flight
+module Admission = Amos_server.Admission
 module Server = Amos_server.Server
 module Client = Amos_server.Client
 
@@ -509,8 +510,12 @@ let primitive_tests =
         match Single_flight.wait sf lead with
         | `Done v -> Alcotest.(check int) "flight resolved" 9 v
         | `Cancelled -> Alcotest.fail "must resolve");
-    Alcotest.test_case "pool-bounded-admission-and-drain" `Quick (fun () ->
-        let pool = Par_tune.Pool.create ~workers:1 ~capacity:1 in
+    Alcotest.test_case "admission-workers-bounded-and-drain" `Quick
+      (fun () ->
+        let q =
+          Admission.create ~clock:(Clock.real ()) ~workers:1 ~capacity:1 ()
+        in
+        Admission.start q;
         let gate = Semaphore.Counting.make 0 in
         let started = Atomic.make 0 in
         let finished = Atomic.make 0 in
@@ -519,23 +524,26 @@ let primitive_tests =
           Semaphore.Counting.acquire gate;
           Atomic.incr finished
         in
+        let submit () = Admission.submit q ~client:"a" task in
+        (* let the worker block on the empty queue first, so the first
+           submit has to wake it *)
+        Thread.delay 0.05;
         Alcotest.(check bool) "first task admitted" true
-          (Par_tune.Pool.try_submit pool task);
-        (* wait until the worker holds task 1, so the queue is empty *)
+          (submit () = `Admitted);
+        (* wait until the worker holds task 1, so the backlog is empty *)
         wait_for "worker to pick up task 1" (fun () -> Atomic.get started = 1);
-        Alcotest.(check bool) "second task queues" true
-          (Par_tune.Pool.try_submit pool task);
-        Alcotest.(check bool) "third task refused (queue full)" false
-          (Par_tune.Pool.try_submit pool task);
+        Alcotest.(check bool) "second task queues" true (submit () = `Admitted);
+        Alcotest.(check bool) "third task refused (backlog full)" true
+          (submit () = `Busy);
         Alcotest.(check int) "load counts queued + running" 2
-          (Par_tune.Pool.load pool);
+          (Admission.load q);
         Semaphore.Counting.release gate;
         Semaphore.Counting.release gate;
-        (* drain waits for both admitted tasks, then joins workers *)
-        Par_tune.Pool.shutdown ~drain:true pool;
+        (* close lets the worker run both admitted tasks, then joins it *)
+        Admission.close q;
         Alcotest.(check int) "both admitted tasks ran" 2 (Atomic.get finished);
-        Alcotest.(check bool) "after shutdown nothing is admitted" false
-          (Par_tune.Pool.try_submit pool task));
+        Alcotest.(check bool) "after close nothing is admitted" true
+          (submit () = `Busy));
   ]
 
 (* --- in-process daemon ------------------------------------------------ *)
@@ -636,7 +644,8 @@ let daemon_tests =
         (* ... B fills the only queue slot ... *)
         let tb, rb = request_in_thread socket (tune_req gemm2_text) in
         wait_for "queue full" (fun () ->
-            (Server.stats server).Protocol.in_flight = 2);
+            let s = Server.stats server in
+            s.Protocol.in_flight = 2 && s.Protocol.queue_load = 2);
         (* ... so C must be refused with a typed Busy, immediately *)
         let rc =
           Client.with_conn ~attempts:50 socket (fun c ->
@@ -644,8 +653,9 @@ let daemon_tests =
         in
         (match rc with
         | Ok (Protocol.Busy_r { retry_after_s }) ->
-            Alcotest.(check bool) "positive retry hint" true
-              (retry_after_s > 0.)
+            (* 0.1 s + 0.05 s per queued or running tune, the running
+               one counted once *)
+            Alcotest.(check (float 1e-9)) "retry hint" 0.2 retry_after_s
         | Ok _ -> Alcotest.fail "expected Busy_r"
         | Error msg -> Alcotest.fail msg);
         Alcotest.(check int) "stats: one rejection" 1
@@ -662,24 +672,49 @@ let daemon_tests =
         Thread.join thread);
     Alcotest.test_case "shutdown-drains-in-flight-work" `Quick (fun () ->
         let tuner, gate, calls = gated_tuner () in
-        let _server, thread, socket = start_server ~tuner () in
+        let server, thread, socket = start_server ~tuner ~workers:1 () in
         let ta, ra = request_in_thread socket (tune_req gemm_text) in
         wait_for "tune in flight" (fun () -> Atomic.get calls = 1);
-        (* shutdown arrives while A's tune is running *)
-        let ts, rs = request_in_thread socket Protocol.Shutdown in
+        (* B queues behind A's running tune on the only worker *)
+        let tb, rb = request_in_thread socket (tune_req gemm2_text) in
+        wait_for "second tune queued" (fun () ->
+            (Server.stats server).Protocol.queue_load = 2);
+        (* shutdown arrives while A's tune runs and B's waits; its thread
+           snapshots the daemon the moment the answer arrives *)
+        let rs = ref (Error "never ran") and at_answer = ref None in
+        let ts =
+          Thread.create
+            (fun () ->
+              rs :=
+                Client.with_conn ~attempts:50 socket (fun c ->
+                    Client.request c Protocol.Shutdown);
+              at_answer := Some (Server.stats server))
+            ()
+        in
         Thread.delay 0.1;
         (* A's tune is still parked: shutdown must be draining, not done *)
         Alcotest.(check bool) "shutdown waits for the drain" true
           (!rs = Error "never ran");
         Semaphore.Counting.release gate;
+        Semaphore.Counting.release gate;
         Thread.join ts;
         Thread.join ta;
+        Thread.join tb;
         (match !rs with
         | Ok (Protocol.Ok_r _) -> ()
         | Ok _ -> Alcotest.fail "expected Ok_r from shutdown"
         | Error msg -> Alcotest.fail ("shutdown: " ^ msg));
-        (* the drained tune produced a real answer, not an error *)
-        ignore (plan_of ra "drained client");
+        (match !at_answer with
+        | Some s ->
+            Alcotest.(check int) "both tunes done before Ok_r" 2
+              s.Protocol.tunes;
+            Alcotest.(check int) "no flight left unresolved" 0
+              s.Protocol.in_flight
+        | None -> Alcotest.fail "no snapshot at the shutdown answer");
+        (* the drained tunes produced real answers, not errors *)
+        ignore (plan_of ra "running client");
+        ignore (plan_of rb "queued client");
+        Alcotest.(check int) "the queued tune ran too" 2 (Atomic.get calls);
         Thread.join thread;
         Alcotest.(check bool) "socket released" false (Sys.file_exists socket));
     Alcotest.test_case "hot-and-cache-layers-serve-repeats" `Quick (fun () ->
@@ -974,8 +1009,6 @@ let daemon_tests =
   ]
 
 (* --- streaming, cancellation, deadline admission ---------------------- *)
-
-module Clock = Amos_service.Clock
 
 let stream_req ?(text = gemm_text) () = tune_req text
 

@@ -67,10 +67,7 @@ let fingerprint_tests =
 (* --- plan cache ------------------------------------------------------ *)
 
 let tune_value accel op =
-  let rng = Rng.create small_budget.Fingerprint.seed in
-  match
-    Explore.tune_op ~population:4 ~generations:2 ~rng ~accel op
-  with
+  match Explore.tune_op ~population:4 ~generations:2 ~accel op with
   | Some result ->
       let c = result.Explore.best.Explore.candidate in
       Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule)
@@ -208,7 +205,7 @@ let par_tune_tests =
         let op = Ops.conv2d ~n:2 ~c:2 ~k:3 ~p:3 ~q:3 ~r:2 ~s:2 () in
         let mappings = Explore.mappings accel op in
         let run jobs =
-          Par_tune.tune ~jobs ~population:4 ~generations:2 ~rng:(Rng.create 7)
+          Par_tune.tune ~jobs ~population:4 ~generations:2
             ~accel ~mappings ()
         in
         let r1 = run 1 and r4 = run 4 in
@@ -236,13 +233,13 @@ let par_tune_tests =
         let mappings = Compiler.mappings accel op in
         let seq, seq_frames =
           with_frames (fun progress ->
-              Explore.tune ~population:6 ~generations:3 ~progress
-                ~rng:(Rng.create 7) ~accel ~mappings ())
+              Explore.tune ~population:6 ~generations:3 ~progress ~accel
+                ~mappings ())
         in
         let par, par_frames =
           with_frames (fun progress ->
               Par_tune.tune ~jobs:1 ~population:6 ~generations:3 ~progress
-                ~rng:(Rng.create 7) ~accel ~mappings ())
+                ~accel ~mappings ())
         in
         check_same_result seq par;
         Alcotest.(check (list string))
@@ -261,14 +258,14 @@ let par_tune_tests =
             let r, frames =
               with_frames (fun progress ->
                   Par_tune.tune ~jobs ~population:4 ~generations:2
-                    ~measure_top:2 ~progress ~rng:(Rng.create 7) ~accel
+                    ~measure_top:2 ~progress ~accel
                     ~mappings ())
             in
             check_frames ~screen_evals:(7 * List.length mappings) r frames)
           [ 1; 2; List.length mappings + 2 ]);
     Alcotest.test_case "population-split-deterministic" `Quick (fun () ->
         (* more jobs than mappings forces the population-split fan-out;
-           the pinned contract is that for a fixed (seed, jobs) pair the
+           the pinned contract is that for a fixed jobs count the
            sharded search is run-to-run deterministic and still yields a
            validating plan *)
         let accel = toy_accel () in
@@ -278,7 +275,7 @@ let par_tune_tests =
         let jobs = List.length mappings + 2 in
         let run () =
           Par_tune.tune ~jobs ~population:4 ~generations:2 ~measure_top:2
-            ~rng:(Rng.create 7) ~accel ~mappings ()
+            ~accel ~mappings ()
         in
         let r1 = run () and r2 = run () in
         let b1 = r1.Explore.best and b2 = r2.Explore.best in
@@ -328,13 +325,13 @@ let par_tune_tests =
         in
         check_abort "sequential" ~workers:1 (fun ~progress ->
             Explore.tune ~population:4 ~generations:2 ~measure_top:2
-              ~progress ~rng:(Rng.create 7) ~accel ~mappings ());
+              ~progress ~accel ~mappings ());
         List.iter
           (fun jobs ->
             check_abort (Printf.sprintf "jobs %d" jobs) ~workers:jobs
               (fun ~progress ->
                 Par_tune.tune ~jobs ~population:4 ~generations:2
-                  ~measure_top:2 ~progress ~rng:(Rng.create 7) ~accel
+                  ~measure_top:2 ~progress ~accel
                   ~mappings ()))
           [ 1; 2; List.length mappings + 2 ]);
   ]
@@ -434,17 +431,15 @@ let pin_tests =
     Alcotest.test_case "pinned-results" `Quick (fun () ->
         let a100 = Accelerator.a100 () in
         let c5 = c5 () in
-        let rng () = Rng.create Fingerprint.default_budget.Fingerprint.seed in
         let c5_mappings = Compiler.mappings a100 c5 in
         check_pin "Explore.tune a100/C5" c5_pin
-          (Explore.tune ~rng:(rng ()) ~accel:a100 ~mappings:c5_mappings ());
+          (Explore.tune ~accel:a100 ~mappings:c5_mappings ());
         List.iter
           (fun jobs ->
             check_pin
               (Printf.sprintf "Par_tune.tune a100/C5 jobs %d" jobs)
               c5_pin
-              (Par_tune.tune ~jobs ~rng:(rng ()) ~accel:a100
-                 ~mappings:c5_mappings ()))
+              (Par_tune.tune ~jobs ~accel:a100 ~mappings:c5_mappings ()))
           [ 1; 2 ];
         (* fewer mappings than jobs: the population split *)
         let toy = toy_accel () in
@@ -453,15 +448,14 @@ let pin_tests =
         check_pin "population split, toy conv" split_pin
           (Par_tune.tune
              ~jobs:(List.length toy_mappings + 2)
-             ~population:4 ~generations:2 ~measure_top:2 ~rng:(Rng.create 7)
+             ~population:4 ~generations:2 ~measure_top:2
              ~accel:toy ~mappings:toy_mappings ());
         (* migrated seeds on a small mapping space: jobs 7 still runs one
            shard per survivor, jobs 12 two *)
         let gemm = Ops.gemm ~m:32 ~n:32 ~k:32 () in
         let v100 = Accelerator.v100 () in
         let source =
-          Explore.tune ~population:6 ~generations:2 ~measure_top:2
-            ~rng:(Rng.create 7) ~accel:v100
+          Explore.tune ~population:6 ~generations:2 ~measure_top:2 ~accel:v100
             ~mappings:(Compiler.mappings v100 gemm) ()
         in
         let c = source.Explore.best.Explore.candidate in
@@ -473,7 +467,7 @@ let pin_tests =
         in
         let seeded jobs =
           Par_tune.tune ~jobs ~population:6 ~generations:2 ~measure_top:2
-            ~initial_population:o.Migrate.seeds ~rng:(Rng.create 9)
+            ~initial_population:o.Migrate.seeds
             ~accel:a100 ~mappings:(Compiler.mappings a100 gemm) ()
         in
         check_pin "seeded GEMM jobs 7" seeded_one_shard_pin (seeded 7);
@@ -482,11 +476,10 @@ let pin_tests =
         let cut_tune = function
           | None ->
               Explore.tune ~population:6 ~generations:2 ~model:cut_model
-                ~rng:(rng ()) ~accel:a100 ~mappings:c5_mappings ()
+                ~accel:a100 ~mappings:c5_mappings ()
           | Some jobs ->
               Par_tune.tune ~jobs ~population:6 ~generations:2
-                ~model:cut_model ~rng:(rng ()) ~accel:a100
-                ~mappings:c5_mappings ()
+                ~model:cut_model ~accel:a100 ~mappings:c5_mappings ()
         in
         List.iter
           (fun jobs ->

@@ -104,8 +104,7 @@ let scalar_tests =
            through the intrinsic than on the scalar units *)
         let accel = Accelerator.v100 () in
         let op = Ops.gemm ~m:1024 ~n:1024 ~k:1024 () in
-        let rng = Rng.create 4 in
-        let plan = Compiler.tune ~rng accel op in
+        let plan = Compiler.tune accel op in
         let scalar =
           Spatial_sim.Scalar_backend.estimate_seconds accel.Accelerator.config op
         in

@@ -9,23 +9,20 @@
    every candidate in full and validates every matching on its own.
    The contract is that the two are *bit-identical*: same best plan,
    same (predicted, measured) history in the same order, same
-   evaluation counts, same matchings, across seeds and accelerators.
+   evaluation counts, same matchings, across budgets and accelerators.
    These tests pin that contract (the case names read "memo on = memo
    off": memoized path = reference); the `tuner_throughput` bench gates
    the speed side. *)
 
 open Amos
-module Rng = Amos_tensor.Rng
 module Resnet = Amos_workloads.Resnet
 module Ops = Amos_workloads.Ops
 module Suites = Amos_workloads.Suites
 module Recompute = Amos_reference.Recompute
 
-let tune_pair ~accel ~mappings ~seed =
-  ( Explore.tune ~population:6 ~generations:3 ~measure_top:2
-      ~rng:(Rng.create seed) ~accel ~mappings (),
-    Recompute.tune ~population:6 ~generations:3 ~measure_top:2
-      ~rng:(Rng.create seed) ~accel ~mappings () )
+let tune_pair ~accel ~mappings (population, generations, measure_top) =
+  ( Explore.tune ~population ~generations ~measure_top ~accel ~mappings (),
+    Recompute.tune ~population ~generations ~measure_top ~accel ~mappings () )
 
 let check_identical name (a : Explore.result) (b : Explore.result) =
   let open Alcotest in
@@ -46,23 +43,27 @@ let check_identical name (a : Explore.result) (b : Explore.result) =
   check bool (name ^ ": history") true (a.history = b.history);
   check bool (name ^ ": failures") true (a.failures = b.failures)
 
-let seeds = [ 1; 7; 2022 ]
+(* Budgets as (population, generations, measure_top).  The tuner reads
+   no caller RNG, so the rows vary the budget instead: each budget draws
+   other schedules, and between them every row reaches the unroll menu
+   (a swapped [Schedule.unroll_choices] changes the chosen plan in all
+   three rows: the GPU rows at 16 x 4, avx512 at 6 x 3). *)
+let budgets = [ (6, 3, 2); (16, 4, 3) ]
 
 (* One matrix row per accelerator: the full two-phase tune over every
-   mapping of a real workload, against the reference, across three
-   seeds. *)
+   mapping of a real workload, against the reference, at every budget. *)
 let tune_case label mk_accel op =
   Alcotest.test_case (label ^ "-memo-on=off") `Quick (fun () ->
       let accel = mk_accel () in
       let mappings = Compiler.mappings accel op in
       Alcotest.(check bool) (label ^ ": has mappings") true (mappings <> []);
       List.iter
-        (fun seed ->
-          let fast, reference = tune_pair ~accel ~mappings ~seed in
+        (fun ((p, g, m) as budget) ->
+          let fast, reference = tune_pair ~accel ~mappings budget in
           check_identical
-            (Printf.sprintf "%s seed=%d" label seed)
+            (Printf.sprintf "%s budget=%dx%d top %d" label p g m)
             fast reference)
-        seeds)
+        budgets)
 
 let tune_tests =
   [

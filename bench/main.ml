@@ -231,6 +231,17 @@ let fig6c () =
 (* ------------------------------------------------------------------ *)
 (* Fig 7 a-d: end-to-end network speedup over the PyTorch-like library  *)
 
+(* a whole network at Fig 7's budget: one domain and a fresh memory-only
+   cache tune every layer as [Compiler.tune] does *)
+let network_report accel net =
+  let module Fingerprint = Amos_service.Fingerprint in
+  fst
+    (Amos_service.Batch_compile.compile_network ~jobs:1
+       ~budget:
+         { Fingerprint.default_budget with
+           Fingerprint.population = 12; generations = 6 }
+       ~cache:(Amos_service.Plan_cache.create ()) accel net)
+
 let fig7 () =
   header "Fig 7 a-d: end-to-end network speedup over PyTorch-like library";
   List.iter
@@ -240,9 +251,7 @@ let fig7 () =
         "AMOS(ms)" "PyTorch(ms)" "mapped";
       List.iter
         (fun net ->
-          let report =
-            Compiler.map_network ~population:12 ~generations:6 accel net
-          in
+          let report = network_report accel net in
           let pytorch =
             Library_backend.network_seconds ~rng:(Rng.create 1201) accel net
           in
@@ -277,9 +286,7 @@ let fig7e () =
         Template_compiler.network_seconds ~template:Template_compiler.Im2col
           accel net
       in
-      let report =
-        Compiler.map_network ~population:12 ~generations:6 accel net
-      in
+      let report = network_report accel net in
       Printf.printf "%-18s b%-3d %8.2f %8.2f %8.2f\n%!" net.Networks.name
         batch 1.0 (unit_t /. tvm)
         (unit_t /. report.Compiler.network_seconds))
@@ -1477,9 +1484,6 @@ let learned_model () =
       accel_names
   in
   let labels = if smoke then [ "C5" ] else [ "C2"; "C5"; "C8" ] in
-  let seeds =
-    if smoke then [ seed; seed + 1 ] else [ seed; seed + 1; seed + 2 ]
-  in
   let tune ?model ?observe accel op =
     Explore.tune ?model ?observe ~accel ~mappings:(Explore.mappings accel op) ()
   in
@@ -1542,20 +1546,17 @@ let learned_model () =
   let identity_ok = ref true in
   List.iter
     (fun (_, accel) ->
-      List.iter
-        (fun _ ->
-          let op = Resnet.config (Resnet.by_label (List.hd labels)) in
-          let plain = tune accel op in
-          let ident = tune ~model:(Screen.identity ~accel) accel op in
-          identity_ok :=
-            !identity_ok
-            && plain.Explore.best.Explore.predicted
-               = ident.Explore.best.Explore.predicted
-            && plain.Explore.best.Explore.measured
-               = ident.Explore.best.Explore.measured
-            && plain.Explore.history = ident.Explore.history
-            && plain.Explore.evaluations = ident.Explore.evaluations)
-        seeds)
+      let op = Resnet.config (Resnet.by_label (List.hd labels)) in
+      let plain = tune accel op in
+      let ident = tune ~model:(Screen.identity ~accel) accel op in
+      identity_ok :=
+        !identity_ok
+        && plain.Explore.best.Explore.predicted
+           = ident.Explore.best.Explore.predicted
+        && plain.Explore.best.Explore.measured
+           = ident.Explore.best.Explore.measured
+        && plain.Explore.history = ident.Explore.history
+        && plain.Explore.evaluations = ident.Explore.evaluations)
     accels;
   let gate_ratio = if smoke then 1.5 else 2.0 in
   (* the latency gate allows ties to resolve either way within 0.01%:
@@ -1569,9 +1570,9 @@ let learned_model () =
   Printf.printf
     "simulator measurements: %d -> %d (%.2fx fewer; gate >= %.1fx)\n\
      worst latency ratio   : %.6f (gate <= 1.0001)\n\
-     identity bit-identical: %b (%d seeds x %d accels)\n%!"
+     identity bit-identical: %b (%d accels)\n%!"
     base_sims cal_sims sim_ratio gate_ratio worst_latency_ratio !identity_ok
-    (List.length seeds) (List.length accels);
+    (List.length accels);
   Csv.write "learned_model"
     ~header:[ "accel"; "layer"; "base_sims"; "cal_sims"; "base_ms"; "cal_ms" ]
     (List.map
@@ -1593,7 +1594,6 @@ let learned_model () =
       ("sim_ratio", Printf.sprintf "%.6g" sim_ratio);
       ("worst_latency_ratio", Printf.sprintf "%.6g" worst_latency_ratio);
       ("identity_bit_identical", string_of_bool !identity_ok);
-      ("identity_seeds", string_of_int (List.length seeds));
       ("gate_min_sim_ratio", Printf.sprintf "%.1f" gate_ratio);
       ("gate_max_latency_ratio", Printf.sprintf "%g" gate_latency);
     ];

@@ -371,14 +371,8 @@ let tune_cmd =
                   ~jobs:(Some jobs) ~budget accel op
               in
               let tuning_seconds = Unix.gettimeofday () -. t0 in
-              let provenance =
-                {
-                  Plan_io.source_accel = o.Migrate.source_accel;
-                  source_fingerprint = o.Migrate.source_fingerprint;
-                }
-              in
-              Plan_cache.store ~provenance ~tuning_seconds cache ~accel ~op
-                ~budget value;
+              Plan_cache.store ~provenance:(Migrate.provenance o)
+                ~tuning_seconds cache ~accel ~op ~budget value;
               (value, Batch_compile.Tuned)
         in
         (match (source, cache_dir) with

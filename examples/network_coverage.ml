@@ -10,6 +10,8 @@ module Networks = Amos_workloads.Networks
 module Rng = Amos_tensor.Rng
 module Pattern_xla = Amos_baselines.Pattern_xla
 module Library = Amos_baselines.Library_backend
+module Batch_compile = Amos_service.Batch_compile
+module Plan_cache = Amos_service.Plan_cache
 
 let () =
   let accel = Accelerator.a100 () in
@@ -20,7 +22,12 @@ let () =
     (Pattern_xla.mapped_count net);
   Printf.printf "  mappable by AMOS:                                   %d\n\n"
     (Compiler.mappable_count accel net);
-  let report = Compiler.map_network accel net in
+  (* a fresh memory-only plan cache on one domain tunes every layer as
+     [Compiler.tune] does *)
+  let report, _ =
+    Batch_compile.compile_network ~jobs:1 ~cache:(Plan_cache.create ()) accel
+      net
+  in
   Printf.printf "%-18s %5s %8s %12s\n" "layer" "mult" "spatial" "ms/instance";
   List.iter
     (fun (l : Compiler.layer_report) ->

@@ -80,4 +80,5 @@ let () =
         Compiler.verify ~rng:(Rng.create 2) accel m (Schedule.default m))
       (Compiler.mappings accel op)
   in
-  Printf.printf "all mappings verified on the new accelerator: %b\n" ok
+  Printf.printf "all mappings verified on the new accelerator: %b\n" ok;
+  if not ok then exit 1

@@ -53,6 +53,7 @@ let () =
   in
   Printf.printf "all %d mappings verified against the reference: %b\n"
     (List.length mappings) ok;
+  if not ok then exit 1;
 
   (* bonus: the pseudo-kernel for the chosen plan *)
   match plan.Compiler.target with

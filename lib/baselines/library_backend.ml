@@ -1,7 +1,5 @@
 open Amos_ir
-
 open Amos
-module Networks = Amos_workloads.Networks
 
 let column (op : Operator.t) it =
   let accs = op.Operator.output :: op.Operator.inputs in
@@ -48,15 +46,7 @@ let op_seconds ~rng accel op =
         in
         if best < infinity then best else fallback_seconds accel op
 
-let network_seconds ~rng accel (net : Networks.t) =
-  List.fold_left
-    (fun acc (layer, mult) ->
-      let t =
-        match layer with
-        | Networks.Tensor_op op -> op_seconds ~rng accel op
-        | Networks.Elementwise { elems; _ } ->
-            Spatial_sim.Scalar_backend.estimate_elementwise
-              accel.Accelerator.config ~elems
-      in
-      acc +. (float_of_int mult *. t))
-    0. net.Networks.layers
+let network_seconds ~rng accel net =
+  (Compiler.price_network accel (fun op -> (false, op_seconds ~rng accel op))
+     net)
+    .Compiler.network_seconds

@@ -65,39 +65,3 @@ let mapped_count (net : Networks.t) =
       | Networks.Tensor_op op when classify op = Tensor_core -> acc + mult
       | Networks.Tensor_op _ | Networks.Elementwise _ -> acc)
     0 net.Networks.layers
-
-let op_seconds accel op =
-  let open Amos in
-  match classify op with
-  | Tensor_core -> (
-      match Fixed_mappings.im2col op (Accelerator.primary_intrinsic accel) with
-      | Some matching ->
-          let m = Mapping.make matching in
-          let k = Codegen.lower accel m (Schedule.default m) in
-          let est =
-            Spatial_sim.Machine.estimate accel.Accelerator.config k
-          in
-          if est.Spatial_sim.Machine.feasible then
-            est.Spatial_sim.Machine.seconds
-          else
-            Spatial_sim.Scalar_backend.estimate_seconds
-              accel.Accelerator.config op
-      | None ->
-          Spatial_sim.Scalar_backend.estimate_seconds ~memory_efficiency:0.55
-            accel.Accelerator.config op)
-  | Fallback _ ->
-      Spatial_sim.Scalar_backend.estimate_seconds ~memory_efficiency:0.55
-        accel.Accelerator.config op
-
-let network_seconds accel (net : Networks.t) =
-  List.fold_left
-    (fun acc (layer, mult) ->
-      let t =
-        match layer with
-        | Networks.Tensor_op op -> op_seconds accel op
-        | Networks.Elementwise { elems; _ } ->
-            Spatial_sim.Scalar_backend.estimate_elementwise
-              accel.Amos.Accelerator.config ~elems
-      in
-      acc +. (float_of_int mult *. t))
-    0. net.Networks.layers

@@ -15,8 +15,3 @@ val classify : Operator.t -> verdict
 val mapped_count : Amos_workloads.Networks.t -> int
 (** Number of operator instances of a network the matcher maps — the
     "XLA Mapped" column of Table 2. *)
-
-val network_seconds :
-  Amos.Accelerator.t -> Amos_workloads.Networks.t -> float
-(** End-to-end time with matched ops on the im2col fixed mapping and all
-    other ops on the scalar units. *)

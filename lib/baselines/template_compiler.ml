@@ -1,5 +1,4 @@
 open Amos
-module Networks = Amos_workloads.Networks
 
 type template =
   | Im2col
@@ -44,16 +43,8 @@ let op_seconds ?require_extent_mult ~template accel op =
             let t = result.Explore.best.Explore.measured in
             if t < infinity then t else scalar accel op)
 
-let network_seconds ?require_extent_mult ~template accel (net : Networks.t) =
-  List.fold_left
-    (fun acc (layer, mult) ->
-      let t =
-        match layer with
-        | Networks.Tensor_op op ->
-            op_seconds ?require_extent_mult ~template accel op
-        | Networks.Elementwise { elems; _ } ->
-            Spatial_sim.Scalar_backend.estimate_elementwise
-              accel.Accelerator.config ~elems
-      in
-      acc +. (float_of_int mult *. t))
-    0. net.Networks.layers
+let network_seconds ?require_extent_mult ~template accel net =
+  (Compiler.price_network accel
+     (fun op -> (false, op_seconds ?require_extent_mult ~template accel op))
+     net)
+    .Compiler.network_seconds

@@ -25,32 +25,30 @@ let tuned_scalar_seconds accel op =
   Spatial_sim.Scalar_backend.estimate_seconds ~efficiency:0.5
     ~memory_efficiency:0.9 accel.Accelerator.config op
 
-let tune ?population ?generations ?measure_top accel op =
+(* The one spatial-versus-scalar race, shared by [tune] and the plan
+   service's fresh tunes: the best measured plan must be finite and no
+   slower than the scalar roofline, or the operator stays scalar. *)
+let decide accel op result =
   let scalar = tuned_scalar_seconds accel op in
-  Log.debug (fun m ->
-      m "tuning %s on %s (scalar roofline %.3f us)" op.Operator.name
-        accel.Accelerator.name (1e6 *. scalar));
-  match Explore.tune_op ?population ?generations ?measure_top ~accel op with
-  | Some result
-    when result.Explore.best.Explore.measured < infinity
-         && result.Explore.best.Explore.measured <= scalar ->
-      Log.info (fun m ->
-          m "%s -> spatial %.3f us after %d evaluations: %s" op.Operator.name
-            (1e6 *. result.Explore.best.Explore.measured)
-            result.Explore.evaluations
-            (Mapping.describe result.Explore.best.Explore.candidate.Explore.mapping));
-      { op; accel; target = Spatial result.Explore.best }
-  | Some result ->
-      Log.info (fun m ->
-          m "%s -> scalar %.3f us (spatial best %.3f us)" op.Operator.name
-            (1e6 *. scalar)
-            (1e6 *. result.Explore.best.Explore.measured));
-      { op; accel; target = Scalar scalar }
-  | None ->
-      Log.info (fun m ->
-          m "%s -> scalar %.3f us (no valid mapping)" op.Operator.name
-            (1e6 *. scalar));
-      { op; accel; target = Scalar scalar }
+  match result with
+  | Some { Explore.best; _ }
+    when best.Explore.measured < infinity && best.Explore.measured <= scalar ->
+      Spatial best
+  | Some _ | None -> Scalar scalar
+
+let tune ?population ?generations ?measure_top accel op =
+  let result =
+    Explore.tune_op ?population ?generations ?measure_top ~accel op
+  in
+  let target = decide accel op result in
+  Log.info (fun m ->
+      m "%s -> %s" op.Operator.name
+        (match target with
+        | Spatial p ->
+            Printf.sprintf "spatial %.3f us: %s" (1e6 *. p.Explore.measured)
+              (Mapping.describe p.Explore.candidate.Explore.mapping)
+        | Scalar s -> Printf.sprintf "scalar %.3f us" (1e6 *. s)));
+  { op; accel; target }
 
 let seconds plan =
   match plan.target with
@@ -111,19 +109,14 @@ let mappable_count accel (net : Networks.t) =
       | Networks.Tensor_op _ | Networks.Elementwise _ -> acc)
     0 net.Networks.layers
 
-let map_network ?population ?generations accel (net : Networks.t) =
+let price_network accel price (net : Networks.t) =
   let layers =
     List.map
       (fun (layer, mult) ->
         match layer with
         | Networks.Tensor_op op ->
-            let plan = tune ?population ?generations accel op in
-            {
-              name = op.Operator.name;
-              mult;
-              mapped = is_mapped plan;
-              layer_seconds = seconds plan;
-            }
+            let mapped, layer_seconds = price op in
+            { name = op.Operator.name; mult; mapped; layer_seconds }
         | Networks.Elementwise { name; elems } ->
             {
               name;

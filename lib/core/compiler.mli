@@ -6,9 +6,13 @@
     mapped, as the paper does for ReLU / MaxPooling), [verify] checks a
     lowered plan bit-for-bit against the reference interpreter.
 
-    Whole networks: [map_network] compiles every layer, reports how many
+    Whole networks: [price_network] is the one walk over a network's
+    layers — each tensor layer priced by the caller, the rest on the
+    scalar units, summed with multiplicities — that reports how many
     operators reached the spatial units (the Table 2 quantity) and the
-    end-to-end latency (the Fig 7 quantity). *)
+    end-to-end latency (the Fig 7 quantity).  The plan service's
+    [Batch_compile.compile_network] tunes through it; the baselines
+    price through it. *)
 
 open Amos_ir
 
@@ -31,6 +35,12 @@ val tuned_scalar_seconds : Accelerator.t -> Operator.t -> float
 (** The scalar-unit roofline a spatial plan must beat: when the best
     measured plan loses to it (or nothing maps), [tune] picks the
     scalar units. *)
+
+val decide : Accelerator.t -> Operator.t -> Explore.result option -> target
+(** The one spatial-versus-scalar decision, shared by [tune] and
+    [Batch_compile.tune_fresh]: [Spatial best] when the tune's best plan
+    is finite and no slower than {!tuned_scalar_seconds}, else [Scalar]
+    at that roofline ([None] means nothing was tuned). *)
 
 val tune :
   ?population:int ->
@@ -75,9 +85,12 @@ val mappable_count : Accelerator.t -> Amos_workloads.Networks.t -> int
     (mappability, independent of whether the tuner ultimately prefers the
     spatial or the scalar plan). *)
 
-val map_network :
-  ?population:int ->
-  ?generations:int ->
+val price_network :
   Accelerator.t ->
+  (Operator.t -> bool * float) ->
   Amos_workloads.Networks.t ->
   network_report
+(** The one walk over a network's layers: [price op] gives a tensor
+    layer's (reached the spatial units, seconds for one instance) and is
+    called once per tensor layer, in layer order; elementwise layers run
+    on the scalar units.  Totals are summed in layer order. *)

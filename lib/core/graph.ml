@@ -138,9 +138,11 @@ let input_shape t =
 
 let tensor_ops t =
   Array.to_list t.nodes
+  |> List.mapi (fun id node -> (id, node))
   |> List.filter_map (function
-       | Op (op, _) -> Some op
-       | Input _ | Add _ | Relu _ | Concat _ | Reshape _ | Permute _ -> None)
+       | id, Op (op, _) -> Some (id, op)
+       | _, (Input _ | Add _ | Relu _ | Concat _ | Reshape _ | Permute _) ->
+           None)
 
 let random_weights rng t =
   List.concat
@@ -199,7 +201,7 @@ let run_with exec t ~input ~weights =
         | Input _ -> input
         | Op (op, src) ->
             let ws = try List.assoc id weights with Not_found -> [] in
-            exec op (get src :: ws)
+            exec id op (get src :: ws)
         | Add (a, b) -> Nd.map2 ( +. ) (get a) (get b)
         | Relu a ->
             let out = Nd.copy (get a) in
@@ -238,20 +240,43 @@ let run_with exec t ~input ~weights =
   get t.output
 
 let run_reference t ~input ~weights =
-  run_with (fun op inputs -> Amos_tensor.Reference.run op ~inputs) t ~input
+  run_with (fun _ op inputs -> Amos_tensor.Reference.run op ~inputs) t ~input
     ~weights
 
-let run_compiled accel t ~input ~weights =
-  let exec op inputs =
-    match Explore.tune_op ~population:6 ~generations:2 ~accel op with
-    | Some result when result.Explore.best.Explore.measured < infinity ->
-        let c = result.Explore.best.Explore.candidate in
-        let kernel = Codegen.lower accel c.Explore.mapping c.Explore.schedule in
-        Spatial_sim.Machine.run accel.Accelerator.config kernel ~inputs
-          ~out_shape:op.Operator.output.Operator.tensor.Tensor_decl.shape
-    | Some _ | None -> Spatial_sim.Scalar_backend.run op ~inputs
+let run_with_plans accel t ~plan_for ~input ~weights =
+  let exec id op inputs =
+    match plan_for id op with
+    | Some (mapping, schedule) ->
+        Spatial_sim.Machine.run accel.Accelerator.config
+          (Codegen.lower accel mapping schedule)
+          ~inputs ~out_shape:op.Operator.output.Operator.tensor.Tensor_decl.shape
+    | None -> Spatial_sim.Scalar_backend.run op ~inputs
   in
   run_with exec t ~input ~weights
+
+(* always prefer the spatial units when a valid mapping exists: the
+   point of this path is to exercise the lowered kernels end-to-end *)
+let run_compiled accel t ~input ~weights =
+  run_with_plans accel t ~input ~weights ~plan_for:(fun _ op ->
+      match Explore.tune_op ~population:6 ~generations:2 ~accel op with
+      | Some { Explore.best; _ } when best.Explore.measured < infinity ->
+          let c = best.Explore.candidate in
+          Some (c.Explore.mapping, c.Explore.schedule)
+      | Some _ | None -> None)
+
+let mini_cnn ?(channels = 4) () =
+  let c = channels in
+  (* spatial sizes chosen so outputs chain into the next 3x3 window *)
+  let conv1 = Amos_workloads.Ops.conv2d ~name:"conv1" ~n:2 ~c:3 ~k:c ~p:8 ~q:8 ~r:3 ~s:3 () in
+  let conv2 = Amos_workloads.Ops.conv2d ~name:"conv2" ~n:2 ~c ~k:c ~p:6 ~q:6 ~r:3 ~s:3 () in
+  let dw = Amos_workloads.Ops.depthwise_conv2d ~name:"dw" ~n:2 ~c ~p:4 ~q:4 ~r:3 ~s:3 () in
+  let pw = Amos_workloads.Ops.conv2d ~name:"pw" ~n:2 ~c ~k:(2 * c) ~p:4 ~q:4 ~r:1 ~s:1 () in
+  let b = Builder.create () in
+  let x = Builder.input b [ 2; 3; 10; 10 ] in
+  let h1 = Builder.relu b (Builder.op b conv1 x) in
+  let h2 = Builder.relu b (Builder.op b conv2 h1) in
+  let out = Builder.op b pw (Builder.op b dw h2) in
+  Builder.finish b ~output:out
 
 let shufflenet_unit ?(groups = 2) ?(channels_per_group = 2) ?(hw = 4) () =
   let g = groups and cg = channels_per_group in

@@ -1,9 +1,9 @@
-(** Dataflow graphs of operators: the whole-network substrate with
-    fan-out, residual additions, and channel concatenation — enough to
-    express the ResNet/ShuffleNet-style blocks of the paper's network
-    evaluation as real dataflow (not just operator inventories), compile
-    every tensor node through AMOS, and verify the result against the
-    reference interpreter.
+(** Dataflow graphs of operators: the whole-network execution substrate,
+    from plain chains ({!mini_cnn}) to fan-out, residual additions, and
+    channel concatenation — enough to express the ResNet/ShuffleNet-style
+    blocks of the paper's network evaluation as real dataflow (not just
+    operator inventories), compile every tensor node through AMOS, and
+    verify the result against the reference interpreter.
 
     Graphs are built with the builder functions; each returns the id of
     the node it creates.  An [Op] node consumes one upstream tensor as
@@ -47,7 +47,8 @@ end
 val shape_of : t -> node_id -> int list
 val output_shape : t -> int list
 val input_shape : t -> int list
-val tensor_ops : t -> Operator.t list
+val tensor_ops : t -> (node_id * Operator.t) list
+(** The [Op] nodes with their ids, in topological order. *)
 
 val random_weights : Amos_tensor.Rng.t -> t -> (node_id * Amos_tensor.Nd.t list) list
 val run_reference :
@@ -56,14 +57,33 @@ val run_reference :
   weights:(node_id * Amos_tensor.Nd.t list) list ->
   Amos_tensor.Nd.t
 
+val run_with_plans :
+  Accelerator.t ->
+  t ->
+  plan_for:(node_id -> Operator.t -> (Mapping.t * Schedule.t) option) ->
+  input:Amos_tensor.Nd.t ->
+  weights:(node_id * Amos_tensor.Nd.t list) list ->
+  Amos_tensor.Nd.t
+(** The one compiled executor: [plan_for id op] is called once per [Op]
+    node, in topological order; [Some (mapping, schedule)] lowers and
+    runs on the spatial units, [None] runs on the scalar backend.  No
+    tuning happens here, so the run is bit-reproducible from the plans
+    alone (e.g. plans served by a plan cache). *)
+
 val run_compiled :
   Accelerator.t ->
   t ->
   input:Amos_tensor.Nd.t ->
   weights:(node_id * Amos_tensor.Nd.t list) list ->
   Amos_tensor.Nd.t
-(** Every [Op] node with a valid mapping executes through a lowered
-    kernel on the simulator; the rest run on the scalar units. *)
+(** {!run_with_plans} over a small tune of every [Op] node that always
+    prefers the spatial units when any mapping is valid, so the lowered
+    kernels are exercised end-to-end; the rest run on the scalar
+    units. *)
+
+val mini_cnn : ?channels:int -> unit -> t
+(** A small chain: conv3x3 -> relu -> conv3x3 -> relu -> depthwise3x3 ->
+    pointwise 1x1, on a [2; 3; 10; 10] input. *)
 
 val residual_block : ?channels:int -> ?hw:int -> unit -> t
 (** x -> 1x1 conv -> relu -> 1x1 conv -> (+x) -> relu: a ResNet-style

@@ -117,7 +117,8 @@ type t = {
       (* request_id -> live waiter, so a Cancel frame (usually from a
          second connection) can find the exchange it names *)
   mutable conn_counter : int;  (* distinct admission keys per connection *)
-  mutable threads : Thread.t list;
+  mutable handlers : int;  (* live connection-handler threads *)
+  handlers_done : Condition.t;  (* signalled when [handlers] drops to 0 *)
   mutable stopping : bool;  (* no new tuning admitted *)
   mutable stopped : bool;  (* accept loop must exit *)
   mutable requests : int;
@@ -378,7 +379,8 @@ let create ?tuner ?clock ?router config =
     router;
     streams = Hashtbl.create 16;
     conn_counter = 0;
-    threads = [];
+    handlers = 0;
+    handlers_done = Condition.create ();
     stopping = false;
     stopped = false;
     requests = 0;
@@ -492,12 +494,11 @@ let cache_lookup t ~accel ~op ~budget =
       | v -> v
       | exception _ -> None)
 
-let migration_seeds t ~accel ~op ~budget =
+(* the migration a [Migrate_tune] seeds from, found as [tune
+   --migrate-from auto] finds it *)
+let migration_for t ~accel ~op ~budget =
   locked t.cache_mu (fun () ->
-      match Migrate.from_cache t.cache ~accel ~op ~budget with
-      | Some o -> o.Migrate.seeds
-      | None -> []
-      | exception _ -> [])
+      try Migrate.from_cache t.cache ~accel ~op ~budget with _ -> None)
 
 (* a plan served without tuning *)
 let served fingerprint plan source =
@@ -614,8 +615,12 @@ let route_to_owner t ~from_peer ~deadline ~fingerprint req =
    the exploration tears itself down at that generation boundary and
    the flight resolves busy, so a racing joiner retries fresh.  A
    quarantine retune streams nothing and, once the fresh plan is
-   stored, removes the quarantined copy at [quarantined]. *)
-let tune_task t fl ~quarantined { accel; op; fingerprint } ~budget ~seeds () =
+   stored, removes the quarantined copy at [quarantined].  A tune
+   seeded by a [migration] stores its source as the plan's
+   provenance. *)
+let tune_task t fl ~quarantined { accel; op; fingerprint } ~budget ~migration
+    () =
+  let seeds = match migration with Some o -> o.Migrate.seeds | None -> [] in
   let progress =
     match quarantined with
     | Some _ -> None
@@ -631,8 +636,9 @@ let tune_task t fl ~quarantined { accel; op; fingerprint } ~budget ~seeds () =
       let dt = Clock.now t.clock -. t0 in
       locked t.cache_mu (fun () ->
           try
-            Plan_cache.store t.cache ~accel ~op ~budget ~tuning_seconds:dt
-              value
+            Plan_cache.store
+              ?provenance:(Option.map Migrate.provenance migration)
+              t.cache ~accel ~op ~budget ~tuning_seconds:dt value
           with e ->
             Log.warn (fun m ->
                 m "plan store failed for %s: %s" fingerprint
@@ -704,18 +710,17 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline req
                 (* seeds are gathered before the task is queued so the
                    queued task touches the shared cache only for the final
                    store *)
-                let seeds =
+                let migration =
                   match req with
-                  | Protocol.Migrate_tune _ ->
-                      migration_seeds t ~accel ~op ~budget
-                  | _ -> []
+                  | Protocol.Migrate_tune _ -> migration_for t ~accel ~op ~budget
+                  | _ -> None
                 in
                 let deadline_ms =
                   Option.map (fun dl -> max 0 (left_ms t dl)) deadline
                 in
                 match
                   Admission.submit t.admission ~client ?deadline_ms
-                    (tune_task t fl ~quarantined:None r ~budget ~seeds)
+                    (tune_task t fl ~quarantined:None r ~budget ~migration)
                 with
                 | `Admitted ->
                     register_stream t ~request_id w;
@@ -811,7 +816,7 @@ let retune_quarantined t ~qpath r ~budget =
          abort flag cannot rise under a retune nobody is watching *)
       match
         Admission.submit t.admission ~client:"retune"
-          (tune_task t fl ~quarantined:(Some qpath) r ~budget ~seeds:[])
+          (tune_task t fl ~quarantined:(Some qpath) r ~budget ~migration:None)
       with
       | `Admitted -> true
       | `Busy | `Deadline _ ->
@@ -1097,8 +1102,17 @@ let serve t =
               match Unix.accept ~cloexec:true lfd with
               | fd, _ ->
                   let kind = kind_of lfd in
-                  let th = Thread.create (fun () -> handle_conn t kind fd) () in
-                  locked t.mu (fun () -> t.threads <- th :: t.threads)
+                  locked t.mu (fun () -> t.handlers <- t.handlers + 1);
+                  let handler () =
+                    Fun.protect
+                      ~finally:(fun () ->
+                        locked t.mu (fun () ->
+                            t.handlers <- t.handlers - 1;
+                            if t.handlers = 0 then
+                              Condition.broadcast t.handlers_done))
+                      (fun () -> handle_conn t kind fd)
+                  in
+                  ignore (Thread.create handler ())
               | exception Unix.Unix_error _ -> ())
             ready
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -1113,6 +1127,8 @@ let serve t =
   | None -> ()
   | Some path -> (
       try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ()));
-  let threads = locked t.mu (fun () -> t.threads) in
-  List.iter (fun th -> try Thread.join th with _ -> ()) threads;
+  locked t.mu (fun () ->
+      while t.handlers > 0 do
+        Condition.wait t.handlers_done t.mu
+      done);
   Log.info (fun m -> m "amosd stopped")

@@ -14,7 +14,7 @@ type source =
   | Known_bad
 
 type stage_plan = {
-  stage_index : int;
+  node : Graph.node_id;
   op : Amos_ir.Operator.t;
   fingerprint : string;
   value : Plan_cache.value;
@@ -36,7 +36,7 @@ type report = {
 
 type t = {
   accel : Accelerator.t;
-  pipeline : Pipeline.t;
+  graph : Graph.t;
   plans : stage_plan list;
   report : report;
 }
@@ -45,25 +45,25 @@ let scalar_seconds = Compiler.tuned_scalar_seconds
 
 let tune_fresh ?(seeds = []) ?model ?observe ?progress ~jobs
     ~(budget : Fingerprint.budget) accel op =
-  match Explore.mappings accel op with
-  | [] when seeds = [] -> (Plan_cache.Scalar, 0)
-  | mappings ->
-      let result =
-        Par_tune.tune ?jobs ~population:budget.Fingerprint.population
-          ~generations:budget.Fingerprint.generations
-          ~measure_top:budget.Fingerprint.measure_top ~initial_population:seeds
-          ?model ?observe ?progress ~accel ~mappings ()
-      in
-      let best = result.Explore.best in
-      (* a spatial plan must beat not mapping the operator at all *)
-      if
-        best.Explore.measured < infinity
-        && best.Explore.measured <= scalar_seconds accel op
-      then
-        let c = best.Explore.candidate in
-        ( Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule),
-          result.Explore.evaluations )
-      else (Plan_cache.Scalar, result.Explore.evaluations)
+  let result =
+    match Explore.mappings accel op with
+    | [] when seeds = [] -> None
+    | mappings ->
+        Some
+          (Par_tune.tune ?jobs ~population:budget.Fingerprint.population
+             ~generations:budget.Fingerprint.generations
+             ~measure_top:budget.Fingerprint.measure_top
+             ~initial_population:seeds ?model ?observe ?progress ~accel
+             ~mappings ())
+  in
+  let value =
+    match Compiler.decide accel op result with
+    | Compiler.Spatial p ->
+        let c = p.Explore.candidate in
+        Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule)
+    | Compiler.Scalar _ -> Plan_cache.Scalar
+  in
+  (value, match result with Some r -> r.Explore.evaluations | None -> 0)
 
 (* one compile run: a within-run memo over the cache, with counters *)
 type ctx = {
@@ -215,84 +215,43 @@ let tune_op ?jobs ?budget ?model ?observe ~cache accel op =
   let _, value, source = tune_cached ctx accel op in
   (value, source)
 
-let compile ?jobs ?budget ~cache accel pipeline =
+let compile ?jobs ?budget ~cache accel graph =
   let ctx = make_ctx ?jobs ?budget cache in
   let plans =
     List.map
-      (fun (stage_index, op) ->
+      (fun (node, op) ->
         let fingerprint, value, source = tune_cached ctx accel op in
-        { stage_index; op; fingerprint; value; source })
-      (Pipeline.tensor_stages pipeline)
+        { node; op; fingerprint; value; source })
+      (Graph.tensor_ops graph)
   in
   let report = report_of ctx ~tensor_stages:(List.length plans) in
-  { accel; pipeline; plans; report }
+  { accel; graph; plans; report }
 
 let run t ~input ~weights =
-  let by_index = Hashtbl.create 16 in
-  List.iter (fun p -> Hashtbl.replace by_index p.stage_index p.value) t.plans;
-  Pipeline.run_with_plans t.accel t.pipeline
-    ~plan_for:(fun idx _op ->
-      match Hashtbl.find_opt by_index idx with
-      | Some (Plan_cache.Spatial (m, sched)) -> Some (m, sched)
-      | Some Plan_cache.Scalar | None -> None)
-    ~input ~weights
+  Graph.run_with_plans t.accel t.graph ~input ~weights
+    ~plan_for:(fun node _op ->
+      match List.find_opt (fun p -> p.node = node) t.plans with
+      | Some { value = Plan_cache.Spatial (m, sched); _ } -> Some (m, sched)
+      | Some { value = Plan_cache.Scalar; _ } | None -> None)
 
-(* network-inventory variant: the whole-model flow of [Compiler.map_network]
-   with dedup + caching.  Spatial layer times are re-derived from the plan
-   (the structural estimate the tuner measured), so a warm compile needs
-   no tuner at all. *)
+(* Spatial layer times are re-derived from the plan (the structural
+   estimate the tuner measured), so a warm compile needs no tuner at
+   all. *)
 let compile_network ?jobs ?budget ~cache accel (net : Networks.t) =
   let ctx = make_ctx ?jobs ?budget cache in
-  let tensor_layers = ref 0 in
-  let layers =
-    List.map
-      (fun (layer, mult) ->
-        match layer with
-        | Networks.Tensor_op op ->
-            incr tensor_layers;
-            let _, value, _ = tune_cached ctx accel op in
-            let mapped, layer_seconds =
-              match value with
-              | Plan_cache.Spatial (m, sched) ->
-                  ( true,
-                    Spatial_sim.Machine.estimate_seconds
-                      accel.Accelerator.config (Codegen.lower accel m sched) )
-              | Plan_cache.Scalar -> (false, scalar_seconds accel op)
-            in
-            {
-              Compiler.name = op.Amos_ir.Operator.name;
-              mult;
-              mapped;
-              layer_seconds;
-            }
-        | Networks.Elementwise { name; elems } ->
-            {
-              Compiler.name;
-              mult;
-              mapped = false;
-              layer_seconds =
-                Spatial_sim.Scalar_backend.estimate_elementwise
-                  accel.Accelerator.config ~elems;
-            })
-      net.Networks.layers
+  let network =
+    Compiler.price_network accel
+      (fun op ->
+        match tune_cached ctx accel op with
+        | _, Plan_cache.Spatial (m, sched), _ ->
+            ( true,
+              Spatial_sim.Machine.estimate_seconds accel.Accelerator.config
+                (Codegen.lower accel m sched) )
+        | _, Plan_cache.Scalar, _ -> (false, scalar_seconds accel op))
+      net
   in
-  let report = report_of ctx ~tensor_stages:!tensor_layers in
-  ( {
-      Compiler.network_name = net.Networks.name;
-      total_ops = Networks.op_count net;
-      mapped_ops =
-        List.fold_left
-          (fun acc (l : Compiler.layer_report) ->
-            if l.Compiler.mapped then acc + l.Compiler.mult else acc)
-          0 layers;
-      network_seconds =
-        List.fold_left
-          (fun acc (l : Compiler.layer_report) ->
-            acc +. (float_of_int l.Compiler.mult *. l.Compiler.layer_seconds))
-          0. layers;
-      layers;
-    },
-    report )
+  ( network,
+    report_of ctx ~tensor_stages:(List.length (Networks.tensor_ops net)) )
 
 let describe_report r =
   Printf.sprintf

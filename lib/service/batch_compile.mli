@@ -1,13 +1,13 @@
 (** Whole-network compilation through the plan service.
 
-    Walks a {!Amos.Pipeline.t}, fingerprints every tensor stage,
-    deduplicates stages that are structurally identical (real networks
-    repeat the same operator shape dozens of times), serves repeats and
-    previously tuned operators from a {!Plan_cache}, and tunes only the
-    genuinely new ones — in parallel via {!Par_tune}.  The report says
-    how much of the compile was served from cache and how much wall
-    clock went into tuning; a fully warm cache compiles with zero tuner
-    evaluations.
+    Walks a network inventory (through {!Amos.Compiler.price_network})
+    or an {!Amos.Graph.t}, fingerprints every tensor stage, deduplicates
+    stages that are structurally identical (real networks repeat the same
+    operator shape dozens of times), serves repeats and previously tuned
+    operators from a {!Plan_cache}, and tunes only the genuinely new ones
+    — in parallel via {!Par_tune}.  The report says how much of the
+    compile was served from cache and how much wall clock went into
+    tuning; a fully warm cache compiles with zero tuner evaluations.
 
     Failure policy: a stage whose cache lookup, tuning, or plan store
     raises never aborts the compile.  Lookup failures fall through to
@@ -37,7 +37,7 @@ type source =
           this fingerprint; served scalar without re-attempting *)
 
 type stage_plan = {
-  stage_index : int;  (** position in [Pipeline.stages] *)
+  node : Graph.node_id;  (** the tensor node this plan runs *)
   op : Amos_ir.Operator.t;
   fingerprint : string;
   value : Plan_cache.value;
@@ -61,7 +61,7 @@ type report = {
 
 type t = {
   accel : Accelerator.t;
-  pipeline : Pipeline.t;
+  graph : Graph.t;
   plans : stage_plan list;
   report : report;
 }
@@ -71,9 +71,9 @@ val compile :
   ?budget:Fingerprint.budget ->
   cache:Plan_cache.t ->
   Accelerator.t ->
-  Pipeline.t ->
+  Graph.t ->
   t
-(** Tunes every fresh tensor stage of the pipeline, serving repeats and
+(** Tunes every fresh tensor node of the graph, serving repeats and
     cached stages without tuning. *)
 
 val scalar_seconds : Accelerator.t -> Amos_ir.Operator.t -> float
@@ -93,9 +93,9 @@ val tune_fresh :
 (** The one "tune, then race the winner against the scalar roofline"
     that batch compiles, the daemon and the CLI share, bypassing the
     cache: {!Par_tune.tune} over the operator's mapping space plus
-    [seeds], then [Spatial] when the best plan is finite and no slower
-    than {!scalar_seconds}, else [Scalar]; with the evaluations spent
-    (0 when nothing maps and no seed is given). *)
+    [seeds], then {!Amos.Compiler.decide}, the race [Compiler.tune]
+    runs too; with the evaluations spent (0 when nothing maps and no
+    seed is given). *)
 
 val tune_op :
   ?jobs:int ->
@@ -122,15 +122,20 @@ val compile_network :
   Accelerator.t ->
   Amos_workloads.Networks.t ->
   Compiler.network_report * report
-(** [Compiler.map_network] through the plan service: structurally
-    identical layers tune once, repeats and warm-cache layers are free. *)
+(** A network's {!Amos.Compiler.price_network} report through the plan
+    service: structurally identical layers tune once, repeats and
+    warm-cache layers are free, and a spatial layer is priced by the
+    simulator's estimate of its lowered plan.  With [~jobs:1] on a fresh
+    memory-only cache it reports what [Compiler.tune] of every layer
+    would. *)
 
 val run :
   t ->
   input:Amos_tensor.Nd.t ->
-  weights:Amos_tensor.Nd.t list list ->
+  weights:(Graph.node_id * Amos_tensor.Nd.t list) list ->
   Amos_tensor.Nd.t
-(** Execute the compiled network on the simulator.  No tuning happens
-    here, so results are bit-reproducible from the plans alone. *)
+(** Execute the compiled graph on the simulator
+    ({!Amos.Graph.run_with_plans}).  No tuning happens here, so results
+    are bit-reproducible from the plans alone. *)
 
 val describe_report : report -> string

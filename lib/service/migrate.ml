@@ -8,6 +8,12 @@ type outcome = {
   direct : bool;
 }
 
+let provenance o =
+  {
+    Plan_io.source_accel = o.source_accel;
+    source_fingerprint = o.source_fingerprint;
+  }
+
 (* --- plan-text inspection ------------------------------------------- *)
 
 let split_ws line =

@@ -42,6 +42,9 @@ type outcome = {
   direct : bool;  (** whole-plan re-bind vs structural transfer *)
 }
 
+val provenance : outcome -> Plan_io.provenance
+(** The source a plan tuned from these seeds records when stored. *)
+
 val migrate :
   ?max_seeds:int ->
   target:Accelerator.t ->

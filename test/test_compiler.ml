@@ -37,24 +37,28 @@ let tune_tests =
         Alcotest.(check (float 1e-6)) "gflops" expect (Compiler.gflops plan));
   ]
 
+(* a whole network through the plan service on one domain and a fresh
+   memory-only cache: every layer tuned as [Compiler.tune] would *)
+let milstm_report accel =
+  let module Fingerprint = Amos_service.Fingerprint in
+  fst
+    (Amos_service.Batch_compile.compile_network ~jobs:1
+       ~budget:
+         { Fingerprint.default_budget with
+           Fingerprint.population = 6; generations = 2 }
+       ~cache:(Amos_service.Plan_cache.create ()) accel
+       (Networks.mi_lstm ~batch:1))
+
 let network_tests =
   [
     Alcotest.test_case "milstm-coverage" `Quick (fun () ->
-        let accel = Accelerator.a100 () in
-        let report =
-          Compiler.map_network ~population:6 ~generations:2 accel
-            (Networks.mi_lstm ~batch:1)
-        in
+        let report = milstm_report (Accelerator.a100 ()) in
         Alcotest.(check int) "total 11" 11 report.Compiler.total_ops;
         Alcotest.(check int) "mapped 9" 9 report.Compiler.mapped_ops;
         Alcotest.(check bool) "positive latency" true
           (report.Compiler.network_seconds > 0.));
     Alcotest.test_case "network-time-additive" `Quick (fun () ->
-        let accel = Accelerator.a100 () in
-        let report =
-          Compiler.map_network ~population:6 ~generations:2 accel
-            (Networks.mi_lstm ~batch:1)
-        in
+        let report = milstm_report (Accelerator.a100 ()) in
         let sum =
           List.fold_left
             (fun acc (l : Compiler.layer_report) ->

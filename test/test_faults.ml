@@ -447,13 +447,13 @@ let degradation_tests =
     Alcotest.test_case "batch-compile-degrades-failing-stage" `Quick
       (fun () ->
         let accel = toy_accel () in
-        let p = Pipeline.mini_cnn ~channels:2 () in
+        let g = Graph.mini_cnn ~channels:2 () in
         (* measure_top = 0 makes every search return zero plans, so
            tuning raises for every unique stage: the compile must
            complete on scalar fallbacks, not abort *)
         let broken = { small_budget with Fingerprint.measure_top = 0 } in
         let cache = Plan_cache.create () in
-        let t = Batch_compile.compile ~jobs:1 ~budget:broken ~cache accel p in
+        let t = Batch_compile.compile ~jobs:1 ~budget:broken ~cache accel g in
         let r = t.Batch_compile.report in
         Alcotest.(check bool) "degraded stages reported" true
           (r.Batch_compile.degraded_stages > 0);
@@ -470,10 +470,10 @@ let degradation_tests =
           t.Batch_compile.plans;
         (* the network still runs end-to-end on the fallback plans *)
         let rng = Rng.create 5 in
-        let input = Amos_tensor.Nd.random rng (Pipeline.input_shape p) in
-        let weights = Pipeline.random_weights rng p in
+        let input = Amos_tensor.Nd.random rng (Graph.input_shape g) in
+        let weights = Graph.random_weights rng g in
         let out = Batch_compile.run t ~input ~weights in
-        let expected = Pipeline.run_reference p ~input ~weights in
+        let expected = Graph.run_reference g ~input ~weights in
         Alcotest.(check bool) "degraded output matches reference" true
           (Amos_tensor.Nd.approx_equal ~tol:1e-3 expected out));
     Alcotest.test_case "degraded-network-compile-completes" `Quick (fun () ->
@@ -507,7 +507,7 @@ let degradation_tests =
     Alcotest.test_case "store-failure-does-not-abort-compile" `Quick
       (fun () ->
         let accel = toy_accel () in
-        let p = Pipeline.mini_cnn ~channels:2 () in
+        let g = Graph.mini_cnn ~channels:2 () in
         let dir = temp_dir "amos-store-fail" in
         (* every entry write fails: tuning succeeds, persistence keeps
            failing, compile must still complete with tuned plans *)
@@ -517,7 +517,7 @@ let degradation_tests =
         in
         let cache = Plan_cache.create ~fs:(Fs_io.faulty faults) ~dir () in
         let t =
-          Batch_compile.compile ~jobs:1 ~budget:small_budget ~cache accel p
+          Batch_compile.compile ~jobs:1 ~budget:small_budget ~cache accel g
         in
         let r = t.Batch_compile.report in
         Alcotest.(check bool) "tuned despite store failures" true

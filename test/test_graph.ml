@@ -14,6 +14,10 @@ let builder_tests =
         Alcotest.(check (list int)) "in" [ 2; 4; 5; 5 ] (Graph.input_shape g);
         Alcotest.(check (list int)) "out" [ 2; 4; 5; 5 ] (Graph.output_shape g);
         Alcotest.(check int) "2 convs" 2 (List.length (Graph.tensor_ops g)));
+    Alcotest.test_case "mini-cnn-shapes-chain" `Quick (fun () ->
+        let g = Graph.mini_cnn () in
+        Alcotest.(check (list int)) "input" [ 2; 3; 10; 10 ] (Graph.input_shape g);
+        Alcotest.(check (list int)) "output" [ 2; 8; 4; 4 ] (Graph.output_shape g));
     Alcotest.test_case "branch-block-concat-shape" `Quick (fun () ->
         let g = Graph.branch_block ~channels:4 ~hw:5 () in
         Alcotest.(check (list int)) "out" [ 2; 12; 5; 5 ] (Graph.output_shape g));
@@ -58,6 +62,19 @@ let reference_tests =
           (Nd.get out [| 0; 0; 0; 0 |]);
         Alcotest.(check (float 1e-9)) "relu clamps negative" 0.
           (Nd.get out [| 1; 1; 2; 2 |]));
+    Alcotest.test_case "relu-applied" `Quick (fun () ->
+        let b = Graph.Builder.create () in
+        let x = Graph.Builder.input b [ 1; 1; 2; 2 ] in
+        let conv =
+          Graph.Builder.op b (Ops.conv2d ~n:1 ~c:1 ~k:1 ~p:2 ~q:2 ~r:1 ~s:1 ()) x
+        in
+        let g = Graph.Builder.finish b ~output:(Graph.Builder.relu b conv) in
+        let input = Nd.create [ 1; 1; 2; 2 ] in
+        Nd.fill input (-1.);
+        let w = Nd.create [ 1; 1; 1; 1 ] in
+        Nd.fill w 1.;
+        let out = Graph.run_reference g ~input ~weights:[ (conv, [ w ]) ] in
+        Alcotest.(check (float 1e-9)) "clamped to 0" 0. (Nd.get out [| 0; 0; 0; 0 |]));
     Alcotest.test_case "concat-places-branches" `Quick (fun () ->
         let g = Graph.branch_block ~channels:2 ~hw:3 () in
         let rng = Rng.create 2 in
@@ -69,6 +86,17 @@ let reference_tests =
 
 let compiled_tests =
   [
+    Alcotest.test_case "mini-cnn-compiled-equals-reference" `Quick (fun () ->
+        (* the system-level correctness property: a whole network compiled
+           through AMOS computes exactly what the reference does *)
+        let g = Graph.mini_cnn () in
+        let rng = Rng.create 77 in
+        let input = Nd.random rng (Graph.input_shape g) in
+        let weights = Graph.random_weights rng g in
+        let expected = Graph.run_reference g ~input ~weights in
+        let got = Graph.run_compiled (toy_accel ()) g ~input ~weights in
+        Alcotest.(check bool) "bit-close" true
+          (Nd.approx_equal ~tol:1e-3 expected got));
     Alcotest.test_case "residual-block-compiled-equals-reference" `Quick
       (fun () ->
         let g = Graph.residual_block ~channels:3 ~hw:4 () in

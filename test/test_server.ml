@@ -967,6 +967,60 @@ let daemon_tests =
           (Server.drain_quarantined_once server2);
         Server.stop server2;
         Thread.join thread2);
+    Alcotest.test_case "migrate-tune-stores-provenance" `Quick (fun () ->
+        (* a Migrate_tune stores what [tune --migrate-from] stores: the
+           plan tuned from migrated seeds names its source.  The tuner
+           returns the first seed, so only migrated seeds can make the
+           stored plan spatial *)
+        let text = "for {i:32, j:32} for {r:32r}: out[i,j] += a[i,r] * b[r,j]" in
+        let op = Amos_ir.Dsl.parse_exn ~name:"mig" text in
+        let v100 = Accelerator.v100 () and a100 = Accelerator.a100 () in
+        let cache_dir = temp_name "amosd-migrate" in
+        let m = List.hd (Compiler.mappings v100 op) in
+        Plan_cache.store
+          (Plan_cache.create ~dir:cache_dir ())
+          ~accel:v100 ~op ~budget:small_budget
+          (Plan_cache.Spatial (m, Schedule.default m));
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds ~progress:_ =
+          match seeds with
+          | (c : Explore.candidate) :: _ ->
+              {
+                Server.value =
+                  Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule);
+                evaluations = 1;
+              }
+          | [] -> { Server.value = Plan_cache.Scalar; evaluations = 1 }
+        in
+        let server, thread, socket = start_server ~tuner ~cache_dir () in
+        (match
+           Client.with_conn ~attempts:50 socket (fun c ->
+               Client.request c
+                 (Protocol.Migrate_tune
+                    {
+                      accel = "a100";
+                      op = Protocol.Dsl_text text;
+                      budget = small_budget;
+                    }))
+         with
+        | Ok (Protocol.Plan_r _) -> ()
+        | Ok _ -> Alcotest.fail "expected Plan_r"
+        | Error msg -> Alcotest.fail msg);
+        Server.stop server;
+        Thread.join thread;
+        let stored =
+          In_channel.with_open_text
+            (Filename.concat cache_dir
+               (Fingerprint.key ~accel:a100 ~op ~budget:small_budget ^ ".plan"))
+            In_channel.input_all
+        in
+        match Plan_io.provenance stored with
+        | Some p ->
+            Alcotest.(check string) "source fingerprint"
+              (Fingerprint.key ~accel:v100 ~op ~budget:small_budget)
+              p.Plan_io.source_fingerprint;
+            Alcotest.(check string) "source accel" v100.Accelerator.name
+              p.Plan_io.source_accel
+        | None -> Alcotest.fail "the migrated plan was stored without provenance");
     Alcotest.test_case "default-tuner-serves-validating-plan" `Quick
       (fun () ->
         (* end to end with the real tuner: the wire plan must re-bind

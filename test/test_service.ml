@@ -507,15 +507,15 @@ let batch_tests =
   [
     Alcotest.test_case "warm-recompile-zero-evaluations" `Quick (fun () ->
         let accel = toy_accel () in
-        let p = Pipeline.mini_cnn ~channels:2 () in
+        let g = Graph.mini_cnn ~channels:2 () in
         let cache = Plan_cache.create ~dir:(temp_dir "amos-batch") () in
         let cold =
-          Batch_compile.compile ~jobs:2 ~budget:small_budget ~cache accel p
+          Batch_compile.compile ~jobs:2 ~budget:small_budget ~cache accel g
         in
         Alcotest.(check bool) "cold run tunes" true
           (cold.Batch_compile.report.Batch_compile.evaluations > 0);
         let warm =
-          Batch_compile.compile ~jobs:2 ~budget:small_budget ~cache accel p
+          Batch_compile.compile ~jobs:2 ~budget:small_budget ~cache accel g
         in
         Alcotest.(check int) "warm run: zero tuner evaluations" 0
           warm.Batch_compile.report.Batch_compile.evaluations;
@@ -523,29 +523,34 @@ let batch_tests =
           warm.Batch_compile.report.Batch_compile.cache_misses;
         (* bit-identical simulator results *)
         let rng = Rng.create 99 in
-        let input = Nd.random rng (Pipeline.input_shape p) in
-        let weights = Pipeline.random_weights rng p in
+        let input = Nd.random rng (Graph.input_shape g) in
+        let weights = Graph.random_weights rng g in
         let out_cold = Batch_compile.run cold ~input ~weights in
         let out_warm = Batch_compile.run warm ~input ~weights in
         Alcotest.(check bool) "bit-identical outputs" true
           (nd_bit_identical out_cold out_warm);
         (* and still correct vs the reference *)
-        let expected = Pipeline.run_reference p ~input ~weights in
+        let expected = Graph.run_reference g ~input ~weights in
         Alcotest.(check bool) "matches reference" true
           (Nd.approx_equal ~tol:1e-3 expected out_cold));
     Alcotest.test_case "within-run-dedup" `Quick (fun () ->
         (* the same conv repeated: one tuning, repeats served for free *)
         let accel = toy_accel () in
         let c = 2 in
-        let conv name =
-          Pipeline.Op (Ops.conv2d ~name ~n:1 ~c ~k:c ~p:4 ~q:4 ~r:1 ~s:1 ())
+        let b = Graph.Builder.create () in
+        let out =
+          List.fold_left
+            (fun src name ->
+              Graph.Builder.op b
+                (Ops.conv2d ~name ~n:1 ~c ~k:c ~p:4 ~q:4 ~r:1 ~s:1 ())
+                src)
+            (Graph.Builder.input b [ 1; c; 4; 4 ])
+            [ "a"; "b"; "c" ]
         in
-        let p =
-          Pipeline.create ~name:"rep" [ conv "a"; conv "b"; conv "c" ]
-        in
+        let g = Graph.Builder.finish b ~output:out in
         let cache = Plan_cache.create () in
         let t =
-          Batch_compile.compile ~jobs:1 ~budget:small_budget ~cache accel p
+          Batch_compile.compile ~jobs:1 ~budget:small_budget ~cache accel g
         in
         let r = t.Batch_compile.report in
         Alcotest.(check int) "three stages" 3 r.Batch_compile.tensor_stages;
@@ -554,11 +559,11 @@ let batch_tests =
         Alcotest.(check int) "two repeats" 2 r.Batch_compile.cache_hits);
     Alcotest.test_case "corrupt-entry-evicted-and-retuned" `Quick (fun () ->
         let accel = toy_accel () in
-        let p = Pipeline.mini_cnn ~channels:2 () in
+        let g = Graph.mini_cnn ~channels:2 () in
         let dir = temp_dir "amos-corrupt" in
         let cache = Plan_cache.create ~dir () in
         let _cold =
-          Batch_compile.compile ~jobs:1 ~budget:small_budget ~cache accel p
+          Batch_compile.compile ~jobs:1 ~budget:small_budget ~cache accel g
         in
         (* vandalize every on-disk entry: the header still looks right,
            so detection has to come from Plan_io re-validation *)
@@ -578,7 +583,7 @@ let batch_tests =
         let cache2 = Plan_cache.create ~dir () in
         let again =
           Batch_compile.compile ~jobs:1 ~budget:small_budget ~cache:cache2
-            accel p
+            accel g
         in
         Alcotest.(check bool) "re-tuned" true
           (again.Batch_compile.report.Batch_compile.evaluations > 0);
@@ -587,7 +592,7 @@ let batch_tests =
         (* the rewritten entries must now be healthy *)
         let warm =
           Batch_compile.compile ~jobs:1 ~budget:small_budget ~cache:cache2
-            accel p
+            accel g
         in
         Alcotest.(check int) "healthy after re-tune" 0
           warm.Batch_compile.report.Batch_compile.evaluations);

@@ -1258,7 +1258,10 @@ let chaos () =
       | Ok _ -> ()
       | Error msg -> failwith ("bench chaos: warm-up tune failed: " ^ msg))
     ops;
-  let rounds = if smoke then 4 else 8 in
+  (* the rate applies per mediated call, and a frame costs one read:
+     these round counts make the smoke and full runs fire at least 14
+     and 38 faults at the default seed *)
+  let rounds = if smoke then 16 else 28 in
   let lookups = rounds * List.length ops in
   let latencies = ref [] in
   let successes = ref 0 in

@@ -987,7 +987,12 @@ let serve_cmd =
         try Sys.set_signal signal (Sys.Signal_handle (fun _ -> Server.stop server))
         with Invalid_argument _ | Sys_error _ -> ())
       [ Sys.sigint; Sys.sigterm ];
-    Server.serve server
+    Server.serve server;
+    (* a chaos run says what it injected, so a smoke test can tell a
+       fault plan that fired from one that never did *)
+    let fired = Amos_server.Net_io.injected net in
+    if fired > 0 then
+      Printf.eprintf "amosd: %d network faults injected\n%!" fired
   in
   let workers_arg =
     let doc = "Tuning worker domains." in

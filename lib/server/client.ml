@@ -1,6 +1,7 @@
 type t = {
   fd : Unix.file_descr;
   net : Net_io.t;
+  reader : Protocol.reader;
   mutable closed : bool;
   mutable poisoned : string option;
 }
@@ -16,11 +17,11 @@ let close t =
 (* TCP requires the hello exchange before the first request; a typed
    denial (bad token, version skew) surfaces as [Denied], transport
    trouble and garbage replies as [Failure] *)
-let do_handshake ~net fd ~token ~peer =
-  Protocol.write_frame ~net fd
+let do_handshake t ~token ~peer =
+  Protocol.write_frame ~net:t.net t.fd
     (Protocol.encode_hello
        { Protocol.hello_version = Protocol.version; token; peer });
-  match Protocol.read_frame ~net fd with
+  match Protocol.read_frame t.reader with
   | Ok payload -> (
       match Protocol.decode_hello_reply payload with
       | Ok Protocol.Hello_ok -> ()
@@ -41,11 +42,19 @@ let connect_endpoint ?(net = Net_io.default) ?(timeout_s = 30.)
            Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
            Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s
          with Unix.Unix_error _ -> ());
-        let t = { fd; net; closed = false; poisoned = None } in
+        let t =
+          {
+            fd;
+            net;
+            reader = Protocol.reader ~net fd;
+            closed = false;
+            poisoned = None;
+          }
+        in
         match endpoint with
         | Transport.Unix_path _ -> t
         | Transport.Tcp _ -> (
-            match do_handshake ~net fd ~token ~peer with
+            match do_handshake t ~token ~peer with
             | () -> t
             | exception e ->
                 close t;
@@ -69,9 +78,9 @@ let with_endpoint ?net ?timeout_s ?attempts ?token ?peer endpoint f =
 let with_conn ?timeout_s ?attempts socket_path f =
   with_endpoint ?timeout_s ?attempts (Transport.Unix_path socket_path) f
 
-(* a frame stream that desynced (timeout mid-read, reset, bad frame)
-   can never be trusted again: the next reply on it could be the tail
-   of the previous one.  Poison the connection so every later request
+(* a frame stream that desynced (timeout, reset, bad frame) can never
+   be trusted again: the next reply on it could be the late answer to
+   the previous question.  Poison the connection so every later request
    gets a typed refusal instead of garbage. *)
 let poison t reason =
   t.poisoned <- Some reason;
@@ -86,7 +95,7 @@ let request ?deadline_ms t req =
         match
           Protocol.write_frame ~net:t.net t.fd
             (Protocol.encode_request ?deadline_ms req);
-          Protocol.read_frame ~net:t.net t.fd
+          Protocol.read_frame t.reader
         with
         | Ok payload -> Protocol.decode_response payload
         | Error `Eof -> poison t "server closed the connection"
@@ -108,7 +117,7 @@ let request_stream ?deadline_ms ?request_id ~on_progress t req =
     | Some reason -> Error ("connection poisoned: " ^ reason)
     | None -> (
         let rec drain () =
-          match Protocol.read_frame ~net:t.net t.fd with
+          match Protocol.read_frame t.reader with
           | Ok payload -> (
               match Protocol.decode_response payload with
               | Ok (Protocol.Progress_r p) ->
@@ -119,9 +128,9 @@ let request_stream ?deadline_ms ?request_id ~on_progress t req =
           | Error (`Bad msg) -> poison t ("bad response frame: " ^ msg)
           | exception Unix.Unix_error (Unix.EINTR, _, _) ->
               (* a signal (e.g. Ctrl-C whose handler just sent a cancel)
-                 interrupted the read between frames: keep draining — the
-                 terminal frame is still coming.  An interrupt *inside* a
-                 frame resurfaces as a bad-frame poison on the retry. *)
+                 interrupted the read: keep draining — the terminal frame
+                 is still coming, and the reader still holds whatever part
+                 of a frame it had, so the retry resumes that frame *)
               drain ()
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
             ->

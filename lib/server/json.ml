@@ -9,20 +9,34 @@ type t =
 
 (* --- writer -------------------------------------------------------- *)
 
+let hex_digit n = "0123456789abcdef".[n]
+
+let add_escape buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c ->
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+      Buffer.add_char buf (hex_digit (Char.code c land 0xF))
+
+(* each run of bytes that need no escape is copied in one piece *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let n = String.length s in
+  let rec go run i =
+    if i = n then Buffer.add_substring buf s run (i - run)
+    else
+      match s.[i] with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+          Buffer.add_substring buf s run (i - run);
+          add_escape buf c;
+          go (i + 1) (i + 1)
+      | _ -> go run (i + 1)
+  in
+  go 0 0;
   Buffer.add_char buf '"'
 
 (* shortest decimal rendering that round-trips, with a forced '.' or
@@ -71,31 +85,31 @@ let to_string v =
 
 exception Parse_error of int * string
 
-type state = { src : string; mutable pos : int }
+(* every peek tests [pos < len] itself: no [char option] per byte *)
+type state = { src : string; len : int; mutable pos : int }
 
 let fail st msg = raise (Parse_error (st.pos, msg))
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
 let advance st = st.pos <- st.pos + 1
+let next_is st c = st.pos < st.len && st.src.[st.pos] = c
 
 let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      skip_ws st
-  | _ -> ()
+  if st.pos < st.len then
+    match st.src.[st.pos] with
+    | ' ' | '\t' | '\n' | '\r' ->
+        advance st;
+        skip_ws st
+    | _ -> ()
 
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | _ -> fail st (Printf.sprintf "expected %C" c)
+  if next_is st c then advance st else fail st (Printf.sprintf "expected %C" c)
 
 let literal st word value =
-  if
-    st.pos + String.length word <= String.length st.src
-    && String.sub st.src st.pos (String.length word) = word
-  then begin
-    st.pos <- st.pos + String.length word;
+  let n = String.length word in
+  let rec matches i =
+    i = n || (st.src.[st.pos + i] = word.[i] && matches (i + 1))
+  in
+  if st.pos + n <= st.len && matches 0 then begin
+    st.pos <- st.pos + n;
     value
   end
   else fail st ("expected " ^ word)
@@ -116,84 +130,102 @@ let parse_hex4 st =
   let value = ref 0 in
   for _ = 1 to 4 do
     let d =
-      match peek st with
-      | Some ('0' .. '9' as c) -> Char.code c - Char.code '0'
-      | Some ('a' .. 'f' as c) -> Char.code c - Char.code 'a' + 10
-      | Some ('A' .. 'F' as c) -> Char.code c - Char.code 'A' + 10
-      | _ -> fail st "bad \\u escape"
+      if st.pos >= st.len then fail st "bad \\u escape"
+      else
+        match st.src.[st.pos] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail st "bad \\u escape"
     in
     advance st;
     value := (!value * 16) + d
   done;
   !value
 
+(* the escape after a backslash at [st.pos - 1]; leaves [pos] past it *)
+let parse_escape st buf =
+  if st.pos >= st.len then fail st "bad escape";
+  (match st.src.[st.pos] with
+  | '"' -> Buffer.add_char buf '"'
+  | '\\' -> Buffer.add_char buf '\\'
+  | '/' -> Buffer.add_char buf '/'
+  | 'b' -> Buffer.add_char buf '\b'
+  | 'f' -> Buffer.add_char buf '\012'
+  | 'n' -> Buffer.add_char buf '\n'
+  | 'r' -> Buffer.add_char buf '\r'
+  | 't' -> Buffer.add_char buf '\t'
+  | 'u' ->
+      advance st;
+      utf8_of_code buf (parse_hex4 st);
+      (* parse_hex4 leaves pos past the escape; undo the advance below *)
+      st.pos <- st.pos - 1
+  | _ -> fail st "bad escape");
+  advance st
+
+(* a string with no escape is one [String.sub]; the first escape moves
+   the rest into a buffer, still copying unescaped runs whole *)
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-        advance st;
-        (match peek st with
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some '/' -> Buffer.add_char buf '/'
-        | Some 'b' -> Buffer.add_char buf '\b'
-        | Some 'f' -> Buffer.add_char buf '\012'
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 'r' -> Buffer.add_char buf '\r'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some 'u' ->
-            advance st;
-            utf8_of_code buf (parse_hex4 st);
-            (* parse_hex4 leaves pos past the escape; undo the generic
-               advance below *)
-            st.pos <- st.pos - 1
-        | _ -> fail st "bad escape");
-        advance st;
-        loop ())
-    | Some c when Char.code c < 0x20 -> fail st "raw control character"
-    | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        loop ()
+  let start = st.pos in
+  let rec slow buf run =
+    if st.pos >= st.len then fail st "unterminated string"
+    else
+      match st.src.[st.pos] with
+      | '"' ->
+          Buffer.add_substring buf st.src run (st.pos - run);
+          advance st;
+          Buffer.contents buf
+      | '\\' ->
+          Buffer.add_substring buf st.src run (st.pos - run);
+          advance st;
+          parse_escape st buf;
+          slow buf st.pos
+      | '\000' .. '\031' -> fail st "raw control character"
+      | _ ->
+          advance st;
+          slow buf run
   in
-  loop ();
-  Buffer.contents buf
+  let rec fast () =
+    if st.pos >= st.len then fail st "unterminated string"
+    else
+      match st.src.[st.pos] with
+      | '"' ->
+          advance st;
+          String.sub st.src start (st.pos - 1 - start)
+      | '\\' -> slow (Buffer.create 16) start
+      | '\000' .. '\031' -> fail st "raw control character"
+      | _ ->
+          advance st;
+          fast ()
+  in
+  fast ()
 
 let parse_number st =
   let start = st.pos in
   let is_float = ref false in
   let consume_digits () =
-    let got = ref false in
-    let rec go () =
-      match peek st with
-      | Some '0' .. '9' ->
-          got := true;
-          advance st;
-          go ()
-      | _ -> ()
-    in
-    go ();
-    if not !got then fail st "expected digit"
+    let first = st.pos in
+    while
+      st.pos < st.len && st.src.[st.pos] >= '0' && st.src.[st.pos] <= '9'
+    do
+      advance st
+    done;
+    if st.pos = first then fail st "expected digit"
   in
-  (match peek st with Some '-' -> advance st | _ -> ());
+  if next_is st '-' then advance st;
   consume_digits ();
-  (match peek st with
-  | Some '.' ->
-      is_float := true;
-      advance st;
-      consume_digits ()
-  | _ -> ());
-  (match peek st with
-  | Some ('e' | 'E') ->
-      is_float := true;
-      advance st;
-      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-      consume_digits ()
-  | _ -> ());
+  if next_is st '.' then begin
+    is_float := true;
+    advance st;
+    consume_digits ()
+  end;
+  if next_is st 'e' || next_is st 'E' then begin
+    is_float := true;
+    advance st;
+    if next_is st '+' || next_is st '-' then advance st;
+    consume_digits ()
+  end;
   let text = String.sub st.src start (st.pos - start) in
   if !is_float then Float (float_of_string text)
   else
@@ -203,17 +235,17 @@ let parse_number st =
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some 'n' -> literal st "null" Null
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some '"' -> String (parse_string st)
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some '[' ->
+  if st.pos >= st.len then fail st "unexpected end of input";
+  match st.src.[st.pos] with
+  | 'n' -> literal st "null" Null
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | '"' -> String (parse_string st)
+  | '-' | '0' .. '9' -> parse_number st
+  | '[' ->
       advance st;
       skip_ws st;
-      if peek st = Some ']' then begin
+      if next_is st ']' then begin
         advance st;
         List []
       end
@@ -221,21 +253,21 @@ let rec parse_value st =
         let items = ref [ parse_value st ] in
         let rec loop () =
           skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              items := parse_value st :: !items;
-              loop ()
-          | Some ']' -> advance st
-          | _ -> fail st "expected ',' or ']'"
+          if next_is st ',' then begin
+            advance st;
+            items := parse_value st :: !items;
+            loop ()
+          end
+          else if next_is st ']' then advance st
+          else fail st "expected ',' or ']'"
         in
         loop ();
         List (List.rev !items)
       end
-  | Some '{' ->
+  | '{' ->
       advance st;
       skip_ws st;
-      if peek st = Some '}' then begin
+      if next_is st '}' then begin
         advance st;
         Obj []
       end
@@ -251,25 +283,25 @@ let rec parse_value st =
         let items = ref [ member () ] in
         let rec loop () =
           skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              items := member () :: !items;
-              loop ()
-          | Some '}' -> advance st
-          | _ -> fail st "expected ',' or '}'"
+          if next_is st ',' then begin
+            advance st;
+            items := member () :: !items;
+            loop ()
+          end
+          else if next_is st '}' then advance st
+          else fail st "expected ',' or '}'"
         in
         loop ();
         Obj (List.rev !items)
       end
-  | Some c -> fail st (Printf.sprintf "unexpected character %C" c)
+  | c -> fail st (Printf.sprintf "unexpected character %C" c)
 
 let of_string s =
-  let st = { src = s; pos = 0 } in
+  let st = { src = s; len = String.length s; pos = 0 } in
   match
     let v = parse_value st in
     skip_ws st;
-    if st.pos <> String.length s then fail st "trailing garbage";
+    if st.pos <> st.len then fail st "trailing garbage";
     v
   with
   | v -> Ok v

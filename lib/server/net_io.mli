@@ -20,7 +20,9 @@
 
 type op =
   | Connect  (** outbound connection establishment *)
-  | Read  (** socket reads (frame headers and payloads) *)
+  | Read
+      (** socket reads: one per fill of a connection's frame buffer,
+          usually one per frame *)
   | Write  (** socket writes *)
 
 type mode =

@@ -587,55 +587,107 @@ let decode_response s =
 
 (* --- framing ------------------------------------------------------- *)
 
-let write_all ?(net = Net_io.default) fd s =
-  let len = String.length s in
-  let bytes = Bytes.of_string s in
+(* header, payload and terminator built in one buffer, so a frame
+   leaves in one write when the socket takes it whole *)
+let write_frame ?(net = Net_io.default) fd payload =
+  let len = String.length payload in
+  if len > max_frame_bytes then
+    invalid_arg "Protocol.write_frame: payload exceeds max_frame_bytes";
+  let header = string_of_int len in
+  let hdr = String.length header in
+  let total = hdr + len + 2 in
+  let frame = Bytes.create total in
+  Bytes.blit_string header 0 frame 0 hdr;
+  Bytes.set frame hdr '\n';
+  Bytes.blit_string payload 0 frame (hdr + 1) len;
+  Bytes.set frame (total - 1) '\n';
   let rec go off =
-    if off < len then
-      let n = Net_io.write net fd bytes off (len - off) in
-      go (off + n)
+    if off < total then go (off + Net_io.write net fd frame off (total - off))
   in
   go 0
 
-let write_frame ?net fd payload =
-  if String.length payload > max_frame_bytes then
-    invalid_arg "Protocol.write_frame: payload exceeds max_frame_bytes";
-  write_all ?net fd (Printf.sprintf "%d\n%s\n" (String.length payload) payload)
+(* Bytes [start, stop) of [buf] were read but belong to no returned
+   frame yet.  Nothing is consumed until a whole frame is in, so a read
+   that raises part-way through a frame leaves the reader where it was. *)
+type reader = {
+  net : Net_io.t;
+  fd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+}
 
-(* one byte at a time for the tiny header line, bulk for the payload *)
-let read_byte net fd =
-  let b = Bytes.create 1 in
-  match Net_io.read net fd b 0 1 with 0 -> None | _ -> Some (Bytes.get b 0)
+(* large enough for every lookup and progress frame; a larger frame
+   grows the buffer to exactly its size *)
+let initial_buffer_bytes = 4096
 
-let read_frame ?(net = Net_io.default) fd =
-  (* header: decimal length terminated by '\n'; 8 digits bound any
-     length we would accept, so a longer header is rejected early *)
-  let rec header acc ndigits first =
-    match read_byte net fd with
-    | None -> if first then Error `Eof else Error (`Bad "truncated frame header")
-    | Some '\n' ->
-        if ndigits = 0 then Error (`Bad "empty frame header") else Ok acc
-    | Some ('0' .. '9' as c) ->
-        if ndigits >= 8 then Error (`Bad "oversized frame header")
-        else header ((acc * 10) + (Char.code c - Char.code '0')) (ndigits + 1) false
-    | Some c -> Error (`Bad (Printf.sprintf "bad frame header byte %C" c))
+let reader ?(net = Net_io.default) fd =
+  { net; fd; buf = Bytes.create initial_buffer_bytes; start = 0; stop = 0 }
+
+type header = Partial | Header of int * int | Broken of string
+
+(* header: decimal length terminated by '\n'; 8 digits bound any length
+   we would accept, so a longer header is rejected early.  [Header (off,
+   len)] gives the payload's offset in [buf] and its length. *)
+let scan_header r =
+  let rec go i acc =
+    if i = r.stop then Partial
+    else
+      match Bytes.get r.buf i with
+      | '\n' ->
+          if i = r.start then Broken "empty frame header"
+          else Header (i + 1, acc)
+      | '0' .. '9' as c ->
+          if i - r.start >= 8 then Broken "oversized frame header"
+          else go (i + 1) ((acc * 10) + (Char.code c - Char.code '0'))
+      | c -> Broken (Printf.sprintf "bad frame header byte %C" c)
   in
-  match header 0 0 true with
-  | Error _ as e -> e
-  | Ok len when len > max_frame_bytes ->
+  go r.start 0
+
+(* make room for [want] bytes from [start], moving the held bytes to the
+   front and growing the buffer to exactly [want] when it is smaller;
+   then read once.  False at end of stream. *)
+let refill r want =
+  let cap = Bytes.length r.buf in
+  if r.start + want > cap then begin
+    let held = r.stop - r.start in
+    let dst = if want > cap then Bytes.create want else r.buf in
+    Bytes.blit r.buf r.start dst 0 held;
+    r.buf <- dst;
+    r.start <- 0;
+    r.stop <- held
+  end;
+  let n = Net_io.read r.net r.fd r.buf r.stop (Bytes.length r.buf - r.stop) in
+  r.stop <- r.stop + n;
+  n > 0
+
+let rec read_frame r =
+  match scan_header r with
+  | Broken msg -> Error (`Bad msg)
+  | Header (_, len) when len > max_frame_bytes ->
       Error (`Bad (Printf.sprintf "frame of %d bytes exceeds limit" len))
-  | Ok len -> (
-      let buf = Bytes.create len in
-      let rec fill off =
-        if off >= len then true
-        else
-          match Net_io.read net fd buf off (len - off) with
-          | 0 -> false
-          | n -> fill (off + n)
-      in
-      if not (fill 0) then Error (`Bad "truncated frame payload")
+  | Header (off, len) when r.stop - off > len ->
+      if Bytes.get r.buf (off + len) <> '\n' then
+        Error (`Bad "missing frame terminator")
+      else begin
+        let payload = Bytes.sub_string r.buf off len in
+        if off + len + 1 = r.stop then begin
+          r.start <- 0;
+          r.stop <- 0
+        end
+        else r.start <- off + len + 1;
+        Ok payload
+      end
+  | Header (off, len) ->
+      let hdr = off - r.start in
+      if refill r (hdr + len + 1) then read_frame r
       else
-        match read_byte net fd with
-        | Some '\n' -> Ok (Bytes.to_string buf)
-        | Some _ -> Error (`Bad "missing frame terminator")
-        | None -> Error (`Bad "truncated frame terminator"))
+        Error
+          (`Bad
+            (if r.stop - r.start - hdr < len then "truncated frame payload"
+             else "truncated frame terminator"))
+  | Partial ->
+      let held = r.stop - r.start in
+      if refill r (held + 1) then read_frame r
+      else if held = 0 then Error `Eof
+      else Error (`Bad "truncated frame header")

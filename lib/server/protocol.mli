@@ -222,15 +222,38 @@ val decode_response : string -> (response, string) result
     Both directions go through a {!Net_io} handle ([?net], default
     {!Net_io.default} = plain OS I/O), so every socket pathology the
     fault plans can express — short reads, partial writes, resets and
-    corruption mid-frame — exercises exactly this code. *)
+    corruption mid-frame — exercises exactly this code.  A [Read] fault
+    counts the reads a {!reader} makes into its buffer (usually one per
+    frame, or one for several pipelined frames), and a [Write] fault
+    the writes of {!write_frame} (usually one per frame). *)
 
 val write_frame : ?net:Net_io.t -> Unix.file_descr -> string -> unit
-(** Raises [Invalid_argument] when the payload exceeds
-    {!max_frame_bytes}; [Unix.Unix_error] on I/O failure. *)
+(** Sends header, payload and terminator from one buffer.  Raises
+    [Invalid_argument] when the payload exceeds {!max_frame_bytes};
+    [Unix.Unix_error] on I/O failure. *)
 
-val read_frame :
-  ?net:Net_io.t -> Unix.file_descr -> (string, [ `Eof | `Bad of string ]) result
-(** [`Eof] for a clean end-of-stream before the first header byte;
-    [`Bad _] for truncated frames, malformed headers, corrupted bytes,
-    and oversized lengths (the payload of an oversized frame is never
-    read). *)
+type reader
+(** The receiving side of one connection: a buffer over its descriptor.
+    One {!Net_io.read} fills the buffer with as much as the socket
+    holds, so a frame usually costs one read, and bytes past the frame
+    (the next frame of a pipelined peer) wait in the buffer for the
+    next {!read_frame}.  A connection must read every frame through one
+    reader: a second reader would miss what the first has buffered. *)
+
+val reader : ?net:Net_io.t -> Unix.file_descr -> reader
+(** A reader over [fd] whose reads go through [net] (default
+    {!Net_io.default}).  The buffer starts at 4 KiB and grows only to
+    the largest frame read. *)
+
+val read_frame : reader -> (string, [ `Eof | `Bad of string ]) result
+(** The next frame's payload.  [`Eof] for a clean end-of-stream before
+    the first header byte; [`Bad _] for truncated frames, malformed
+    headers (empty, a non-digit byte, more than 8 digits), a missing
+    terminator, corrupted bytes, and oversized lengths — an oversized
+    frame is rejected on its header alone, its payload never read.
+
+    Bytes leave the buffer only with a whole frame.  When a read raises
+    part-way through a frame ([Unix.Unix_error], e.g. [EAGAIN] from a
+    receive timeout or [EINTR] from a signal), the exception propagates
+    and the next call resumes that frame where the read stopped.  After
+    an [Error] the stream cannot be trusted: drop the connection. *)

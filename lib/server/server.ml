@@ -960,8 +960,11 @@ let send_response t fd resp =
    short receive deadline so an unauthenticated peer that connects and
    goes silent cannot hold the accept slot open.  Returns the declared
    origin ([true] = another daemon) on success, [None] when the
-   connection must be dropped. *)
-let handshake t fd =
+   connection must be dropped.  The hello is read through the
+   connection's [reader], which the request loop goes on using: a
+   client that sends its first request in the same write as its hello
+   loses nothing. *)
+let handshake t reader fd =
   (try
      Unix.setsockopt_float fd Unix.SO_RCVTIMEO
        (Float.max 0.05 t.config.handshake_timeout_s)
@@ -975,7 +978,7 @@ let handshake t fd =
      with Unix.Unix_error _ | Sys_error _ -> ());
     None
   in
-  match Protocol.read_frame ~net:t.config.net fd with
+  match Protocol.read_frame reader with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       deny "handshake deadline exceeded"
   | exception (Unix.Unix_error _ | Sys_error _) -> None
@@ -1004,13 +1007,14 @@ let handshake t fd =
             | exception (Unix.Unix_error _ | Sys_error _) -> None))
 
 let handle_conn t kind fd =
+  let reader = Protocol.reader ~net:t.config.net fd in
   let admitted =
     match kind with
     (* the Unix socket is the local trusted path: same-host clients
        keep working unchanged, with no handshake and no forwarding
        restrictions *)
     | L_unix -> Some false
-    | L_tcp -> handshake t fd
+    | L_tcp -> handshake t reader fd
   in
   match admitted with
   | None -> ( try Unix.close fd with Unix.Unix_error _ -> ())
@@ -1037,9 +1041,11 @@ let handle_conn t kind fd =
       in
       let emit resp = send_response t fd resp in
       let rec loop () =
-        match Protocol.read_frame ~net:t.config.net fd with
+        match Protocol.read_frame reader with
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
           ->
+            (* the reader keeps any part of a frame read so far: the
+               next call resumes it *)
             if locked t.mu (fun () -> t.stopped) then () else loop ()
         | exception (Unix.Unix_error _ | Sys_error _) -> ()
         | Error `Eof -> ()

@@ -17,11 +17,6 @@ module Net_io = Amos_server.Net_io
 module Fleet = Amos_fleet.Fleet
 module Breaker = Amos_fleet.Breaker
 
-let temp_name prefix =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.bits ()))
-
 let small_budget =
   { Fingerprint.population = 2; generations = 1; measure_top = 1; seed = 7 }
 
@@ -60,18 +55,20 @@ let net_io_tests =
         with_socketpair (fun a b ->
             (* several partial deliveries on both directions: the frame
                loops must treat them as the legal kernel behaviour they
-               are, not as errors *)
+               are, not as errors.  The read fault is the first read's:
+               the writes finish first, so the reader's first read would
+               otherwise take the whole frame *)
             let net =
               Net_io.faulty
                 [
                   { Net_io.op = Net_io.Write; after = 0; mode = Net_io.Short 2 };
                   { Net_io.op = Net_io.Write; after = 1; mode = Net_io.Short 1 };
-                  { Net_io.op = Net_io.Read; after = 1; mode = Net_io.Short 1 };
+                  { Net_io.op = Net_io.Read; after = 0; mode = Net_io.Short 1 };
                 ]
             in
             let payload = Protocol.encode_request (tune_req ()) in
             Protocol.write_frame ~net a payload;
-            match Protocol.read_frame ~net b with
+            match Protocol.read_frame (Protocol.reader ~net b) with
             | Ok got -> Alcotest.(check string) "payload intact" payload got
             | Error `Eof -> Alcotest.fail "eof"
             | Error (`Bad m) -> Alcotest.fail m));
@@ -82,7 +79,7 @@ let net_io_tests =
                 [ { Net_io.op = Net_io.Write; after = 0; mode = Net_io.Corrupt } ]
             in
             Protocol.write_frame ~net a "{\"v\":1,\"type\":\"health\"}";
-            match Protocol.read_frame b with
+            match Protocol.read_frame (Protocol.reader b) with
             | Error (`Bad _) -> ()
             | Ok _ -> Alcotest.fail "corrupted frame decoded"
             | Error `Eof -> Alcotest.fail "eof"));
@@ -92,7 +89,7 @@ let net_io_tests =
               Net_io.faulty
                 [ { Net_io.op = Net_io.Read; after = 0; mode = Net_io.Reset } ]
             in
-            match Protocol.read_frame ~net a with
+            match Protocol.read_frame (Protocol.reader ~net a) with
             | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
             | exception e -> Alcotest.fail (Printexc.to_string e)
             | Ok _ | Error _ ->
@@ -130,7 +127,7 @@ let net_io_tests =
             let plain = Net_io.of_env () in
             with_socketpair (fun a b ->
                 Protocol.write_frame ~net:plain a "x";
-                match Protocol.read_frame ~net:plain b with
+                match Protocol.read_frame (Protocol.reader ~net:plain b) with
                 | Ok "x" -> ()
                 | _ -> Alcotest.fail "pass-through handle broke the frame");
             Unix.putenv "AMOS_NET_CHAOS" "rate=1.0,seed=3,stall=0.001";
@@ -211,7 +208,7 @@ let transport_tests =
 
 let start_unix_server ?router () =
   let tuner, calls = instant_tuner () in
-  let socket_path = temp_name "amos-chaos" ^ ".sock" in
+  let socket_path = Temp.name ~suffix:".sock" "amos-chaos" in
   let server =
     Server.create ~tuner ?router (Server.default_config ~socket_path)
   in
@@ -397,7 +394,7 @@ let client_side_case name op mode ~absorbed =
 let server_side_case name op mode =
   Alcotest.test_case name `Quick (fun () ->
       let tuner, _ = instant_tuner () in
-      let socket_path = temp_name "amos-chaos" ^ ".sock" in
+      let socket_path = Temp.name ~suffix:".sock" "amos-chaos" in
       let net = Net_io.faulty [ { Net_io.op; after = 0; mode } ] in
       let server =
         Server.create ~tuner
@@ -571,7 +568,7 @@ let start_gated_stream_server () =
     Semaphore.Counting.acquire gate;
     { Server.value = Plan_cache.Scalar; evaluations = 12 }
   in
-  let socket_path = temp_name "amos-chaos-stream" ^ ".sock" in
+  let socket_path = Temp.name ~suffix:".sock" "amos-chaos-stream" in
   let server = Server.create ~tuner (Server.default_config ~socket_path) in
   let thread = Thread.create Server.serve server in
   (server, thread, socket_path, gate, calls)
@@ -599,12 +596,14 @@ let stream_in_thread ?net socket_path ~request_id =
   in
   (t, result, frames, poison)
 
-(* each progress frame costs at least six mediated reads (four header
-   bytes, payload, terminator), so a read fault armed at [after = 8]
-   always fires inside the second frame: after the first progress
-   frame, before the stream could possibly finish *)
+(* the client's first read takes at least the whole first progress
+   frame (the server writes each frame with one write, and the reader's
+   buffer holds several), and the terminal frame cannot exist before the
+   test opens the gate, which it does only after the leader finished.
+   So a read fault armed at [after = 1] always fires after the first
+   progress frame and before the stream could possibly finish. *)
 let mid_second_frame mode =
-  Net_io.faulty [ { Net_io.op = Net_io.Read; after = 8; mode } ]
+  Net_io.faulty [ { Net_io.op = Net_io.Read; after = 1; mode } ]
 
 let stream_poison_case name mode expect =
   Alcotest.test_case name `Quick (fun () ->
@@ -727,7 +726,7 @@ let chaos_e2e_tests =
     Alcotest.test_case "reconnecting-client-always-gets-its-plan" `Quick
       (fun () ->
         let tuner, _ = instant_tuner () in
-        let socket_path = temp_name "amos-chaos" ^ ".sock" in
+        let socket_path = Temp.name ~suffix:".sock" "amos-chaos" in
         let net = Net_io.chaos ~stall_s:0.005 ~rate:0.25 ~seed:11 () in
         let server =
           Server.create ~tuner

@@ -22,15 +22,6 @@ let toy_accel () =
 let small_budget =
   { Fingerprint.population = 4; generations = 2; measure_top = 2; seed = 42 }
 
-let temp_dir prefix =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.bits ()))
-  in
-  Sys.mkdir d 0o755;
-  d
-
 (* three structurally distinct gemms with equally long DSL texts, so
    their serialized entries have (near-)identical sizes and retention
    scores are dominated by tuning_seconds, not byte noise *)
@@ -110,7 +101,7 @@ let accounting_tests =
   [
     Alcotest.test_case "accounted-bytes-match-disk" `Quick (fun () ->
         let accel = toy_accel () in
-        let dir = temp_dir "amos-eco-bytes" in
+        let dir = Temp.dir "amos-eco-bytes" in
         let clock = Clock.virtual_ () in
         let cache = Plan_cache.create ~clock ~dir () in
         store cache ~accel (op_a ()) ~tuning_seconds:2.;
@@ -124,7 +115,7 @@ let accounting_tests =
           (Plan_cache.disk_tuning_seconds cache));
     Alcotest.test_case "overwrite-does-not-double-count" `Quick (fun () ->
         let accel = toy_accel () in
-        let dir = temp_dir "amos-eco-overwrite" in
+        let dir = Temp.dir "amos-eco-overwrite" in
         let cache = Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir () in
         store cache ~accel (op_a ()) ~tuning_seconds:2.;
         store cache ~accel (op_a ()) ~tuning_seconds:6.5;
@@ -135,7 +126,7 @@ let accounting_tests =
           (Plan_cache.disk_tuning_seconds cache));
     Alcotest.test_case "accounting-survives-reopen" `Quick (fun () ->
         let accel = toy_accel () in
-        let dir = temp_dir "amos-eco-reopen" in
+        let dir = Temp.dir "amos-eco-reopen" in
         let cache = Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir () in
         store cache ~accel (op_a ()) ~tuning_seconds:2.5;
         store cache ~accel (op_b ()) ~tuning_seconds:3.5;
@@ -158,7 +149,7 @@ let accounting_tests =
            writer would have left it: the entry must still be accounted
            (probed size, default cost), never dropped or worth zero *)
         let accel = toy_accel () in
-        let dir = temp_dir "amos-eco-legacy" in
+        let dir = Temp.dir "amos-eco-legacy" in
         let cache = Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir () in
         store cache ~accel (op_a ()) ~tuning_seconds:9.;
         let journal = Filename.concat dir "journal.txt" in
@@ -193,7 +184,7 @@ let accounting_tests =
         (* a journal whose value records lie (crash-torn, hand-edited)
            is corrected by fsck from the files themselves *)
         let accel = toy_accel () in
-        let dir = temp_dir "amos-eco-fsck" in
+        let dir = Temp.dir "amos-eco-fsck" in
         let cache = Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir () in
         store cache ~accel (op_a ()) ~tuning_seconds:2.;
         store cache ~accel (op_b ()) ~tuning_seconds:3.;
@@ -238,7 +229,7 @@ let eviction_tests =
   [
     Alcotest.test_case "budget-evicts-lowest-score-first" `Quick (fun () ->
         let accel = toy_accel () in
-        let dir = temp_dir "amos-eco-evict" in
+        let dir = Temp.dir "amos-eco-evict" in
         let clock = Clock.virtual_ () in
         let cache =
           Plan_cache.create ~max_tuning_seconds:8. ~clock ~dir ()
@@ -285,7 +276,7 @@ let eviction_tests =
         let clock = Clock.virtual_ () in
         let aged =
           Plan_cache.create ~max_tuning_seconds:4.5
-            ~clock ~dir:(temp_dir "amos-eco-aged") ()
+            ~clock ~dir:(Temp.dir "amos-eco-aged") ()
         in
         store aged ~accel a ~tuning_seconds:3.;
         Clock.advance clock (2. *. Retain.default_half_life);
@@ -300,7 +291,7 @@ let eviction_tests =
            the expensive entry and evicts a cheap one instead *)
         let fresh =
           Plan_cache.create ~max_tuning_seconds:4.5
-            ~clock:(Clock.virtual_ ()) ~dir:(temp_dir "amos-eco-fresh") ()
+            ~clock:(Clock.virtual_ ()) ~dir:(Temp.dir "amos-eco-fresh") ()
         in
         store fresh ~accel a ~tuning_seconds:3.;
         store fresh ~accel b ~tuning_seconds:1.;
@@ -324,10 +315,10 @@ let eviction_tests =
         in
         (* 4 + 2 + 2 = 8 > 7 forces exactly one eviction under both
            policies — but they disagree about the victim *)
-        let lru = run `Lru (temp_dir "amos-eco-lru") in
+        let lru = run `Lru (Temp.dir "amos-eco-lru") in
         Alcotest.(check bool) "lru evicts the oldest regardless of cost" true
           (Plan_cache.info lru ~fingerprint:(fp_of accel a) = None);
-        let scored = run `Scored (temp_dir "amos-eco-scored") in
+        let scored = run `Scored (Temp.dir "amos-eco-scored") in
         Alcotest.(check bool) "scored protects the expensive entry" true
           (Plan_cache.info scored ~fingerprint:(fp_of accel a) <> None);
         Alcotest.(check bool) "scored evicts a cheap entry instead" true
@@ -341,7 +332,7 @@ let eviction_tests =
         let clock = Clock.virtual_ () in
         let cache =
           Plan_cache.create ~max_tuning_seconds:5. ~clock
-            ~dir:(temp_dir "amos-eco-touch") ()
+            ~dir:(Temp.dir "amos-eco-touch") ()
         in
         store cache ~accel a ~tuning_seconds:2.;
         store cache ~accel b ~tuning_seconds:2.;
@@ -359,7 +350,7 @@ let eviction_tests =
            its replay-time access *)
         let accel = toy_accel () in
         let x, y, z = (op_a (), op_b (), op_c ()) in
-        let dir = temp_dir "amos-eco-refresh" in
+        let dir = Temp.dir "amos-eco-refresh" in
         let clock = Clock.virtual_ () in
         let a = Plan_cache.create ~max_tuning_seconds:2.5 ~clock ~dir () in
         store a ~accel x ~tuning_seconds:1.;
@@ -380,7 +371,7 @@ let eviction_tests =
         (* another process grows the directory past this handle's
            budget; an explicit trim brings it back under *)
         let accel = toy_accel () in
-        let dir = temp_dir "amos-eco-trim" in
+        let dir = Temp.dir "amos-eco-trim" in
         let clock = Clock.virtual_ () in
         let reader =
           Plan_cache.create ~max_tuning_seconds:2.5 ~clock ~dir ()
@@ -522,7 +513,7 @@ let quarantined_entry dir =
 let quarantine_tests =
   [
     Alcotest.test_case "ttl-judged-against-injected-clock" `Quick (fun () ->
-        let dir = temp_dir "amos-eco-qttl" in
+        let dir = Temp.dir "amos-eco-qttl" in
         let q = quarantined_entry dir in
         (* pin the file's mtime, then move only the *injected* clock:
            the same file is young or expired purely by what the clock

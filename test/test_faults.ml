@@ -28,15 +28,6 @@ let toy_accel () =
 let small_budget =
   { Fingerprint.population = 4; generations = 2; measure_top = 2; seed = 42 }
 
-let temp_dir prefix =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.bits ()))
-  in
-  Sys.mkdir d 0o755;
-  d
-
 let an_op () = Ops.conv2d ~n:2 ~c:2 ~k:2 ~p:4 ~q:4 ~r:3 ~s:3 ()
 
 let tune_value accel op =
@@ -96,7 +87,7 @@ let store_under_faults ~dir faults =
 let fault_point_tests =
   let mk name faults ~must_fail ~expect_live ~expect_hit =
     Alcotest.test_case name `Quick (fun () ->
-        let dir = temp_dir ("amos-fault-" ^ name) in
+        let dir = Temp.dir ("amos-fault-" ^ name) in
         let accel, op, value, failed = store_under_faults ~dir faults in
         Alcotest.(check bool) "store outcome" must_fail failed;
         assert_recovers ~dir ~accel ~op ~value ~expect_live ~expect_hit ())
@@ -132,7 +123,7 @@ let fault_point_tests =
     Alcotest.test_case "unreadable-entry-kept-by-fsck" `Quick (fun () ->
         let accel = toy_accel () in
         let op = an_op () in
-        let dir = temp_dir "amos-fsck-read-eio" in
+        let dir = Temp.dir "amos-fsck-read-eio" in
         Plan_cache.store (Plan_cache.create ~dir ()) ~accel ~op
           ~budget:small_budget (tune_value accel op);
         (* EIO on the entry's read (read 0 is fsck's journal replay): a
@@ -155,7 +146,7 @@ let fault_point_tests =
           (Plan_cache.fsck_clean r2);
         Alcotest.(check int) "entry live" 1 r2.Plan_cache.live);
     Alcotest.test_case "failed-tmp-remove-not-counted" `Quick (fun () ->
-        let dir = temp_dir "amos-fsck-tmp-eio" in
+        let dir = Temp.dir "amos-fsck-tmp-eio" in
         let tmp = Filename.concat dir "x.plan.tmp-1-1" in
         Out_channel.with_open_bin tmp (fun oc -> output_string oc "partial");
         let fs =
@@ -177,7 +168,7 @@ let journal_tests =
   [
     Alcotest.test_case "create-makes-missing-parents" `Quick (fun () ->
         let dir =
-          List.fold_left Filename.concat (temp_dir "amos-mkdir")
+          List.fold_left Filename.concat (Temp.dir "amos-mkdir")
             [ "a"; "b"; "c" ]
         in
         let cache = Plan_cache.create ~dir () in
@@ -191,7 +182,7 @@ let journal_tests =
         let accel = toy_accel () in
         let op = an_op () in
         let value = tune_value accel op in
-        let dir = temp_dir "amos-fault-dangling-add" in
+        let dir = Temp.dir "amos-fault-dangling-add" in
         let cache = Plan_cache.create ~dir () in
         Plan_cache.store cache ~accel ~op ~budget:small_budget value;
         (* the entry file vanishes (crash ordering, external deletion)
@@ -215,7 +206,7 @@ let journal_tests =
         let accel = toy_accel () in
         let op = an_op () in
         let value = tune_value accel op in
-        let dir = temp_dir "amos-fault-compaction" in
+        let dir = Temp.dir "amos-fault-compaction" in
         let cache = Plan_cache.create ~dir () in
         Plan_cache.store cache ~accel ~op ~budget:small_budget value;
         (* bloat the journal with dead adds so reopening compacts *)
@@ -256,7 +247,7 @@ let journal_tests =
         let accel = toy_accel () in
         let a = Ops.conv2d ~n:2 ~c:2 ~k:2 ~p:4 ~q:4 ~r:3 ~s:3 () in
         let b = Ops.gemm ~m:4 ~n:4 ~k:4 () in
-        let dir = temp_dir "amos-fault-clear" in
+        let dir = Temp.dir "amos-fault-clear" in
         let cache = Plan_cache.create ~dir () in
         Plan_cache.store cache ~accel ~op:a ~budget:small_budget
           (tune_value accel a);
@@ -300,7 +291,7 @@ let journal_tests =
         let accel = toy_accel () in
         let a = an_op () in
         let b = Ops.gemm ~m:4 ~n:4 ~k:4 () in
-        let dir = temp_dir "amos-fault-heal" in
+        let dir = Temp.dir "amos-fault-heal" in
         let _, _, _, failed =
           store_under_faults ~dir
             [ { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Torn 3 } ]
@@ -330,7 +321,7 @@ let multiprocess_tests =
       (fun () ->
         let accel = toy_accel () in
         let op = an_op () in
-        let dir = temp_dir "amos-mp-refresh" in
+        let dir = Temp.dir "amos-mp-refresh" in
         let writer = Plan_cache.create ~dir () in
         let reader = Plan_cache.create ~dir () in
         Alcotest.(check bool) "reader cold-misses" true
@@ -349,7 +340,7 @@ let multiprocess_tests =
         let accel = toy_accel () in
         let op = an_op () in
         let value = tune_value accel op in
-        let dir = temp_dir "amos-mp-race" in
+        let dir = Temp.dir "amos-mp-race" in
         let store_repeatedly () =
           let cache = Plan_cache.create ~dir () in
           for _ = 1 to 20 do
@@ -508,7 +499,7 @@ let degradation_tests =
       (fun () ->
         let accel = toy_accel () in
         let g = Graph.mini_cnn ~channels:2 () in
-        let dir = temp_dir "amos-store-fail" in
+        let dir = Temp.dir "amos-store-fail" in
         (* every entry write fails: tuning succeeds, persistence keeps
            failing, compile must still complete with tuned plans *)
         let faults =
@@ -537,7 +528,7 @@ let known_bad_tests =
       (fun () ->
         let accel = toy_accel () in
         let op = an_op () in
-        let dir = temp_dir "amos-known-bad" in
+        let dir = Temp.dir "amos-known-bad" in
         let broken = { small_budget with Fingerprint.measure_top = 0 } in
         (* cold run 1: tuning fails, the stage degrades, and a marker is
            persisted next to the cache *)
@@ -577,7 +568,7 @@ let known_bad_tests =
     Alcotest.test_case "marker-write-failure-is-survivable" `Quick (fun () ->
         let accel = toy_accel () in
         let op = an_op () in
-        let dir = temp_dir "amos-known-bad-fault" in
+        let dir = Temp.dir "amos-known-bad-fault" in
         let broken = { small_budget with Fingerprint.measure_top = 0 } in
         (* every append fails: the marker write is injected away, but the
            compile's own degradation handling must be untouched *)
@@ -606,7 +597,7 @@ let known_bad_tests =
            fault plan, refuses the append (EISDIR), and the run must
            degrade exactly as it does under an injected error *)
         let accel = toy_accel () in
-        let dir = temp_dir "amos-known-bad-eisdir" in
+        let dir = Temp.dir "amos-known-bad-eisdir" in
         Sys.mkdir (Filename.concat dir Badlist.file_name) 0o755;
         let broken = { small_budget with Fingerprint.measure_top = 0 } in
         let cache = Plan_cache.create ~dir () in
@@ -631,7 +622,7 @@ let known_bad_tests =
       (fun () ->
         let accel = toy_accel () in
         let op = an_op () in
-        let dir = temp_dir "amos-fsck-rename-eio" in
+        let dir = Temp.dir "amos-fsck-rename-eio" in
         let cache = Plan_cache.create ~dir () in
         Plan_cache.store cache ~accel ~op ~budget:small_budget
           Plan_cache.Scalar;
@@ -732,7 +723,7 @@ let economy_fault_tests =
   [
     Alcotest.test_case "crash-after-victim-unlink" `Quick (fun () ->
         (* the victim's file is gone but its journal add survives *)
-        let dir = temp_dir "amos-eco-fault-unlink" in
+        let dir = Temp.dir "amos-eco-fault-unlink" in
         let accel = eco_seed dir in
         let crashed =
           evicting_store ~dir ~accel
@@ -745,7 +736,7 @@ let economy_fault_tests =
            add, reached through the append fault instead.  [after = 1]
            because the store's own add line is this handle's first
            append *)
-        let dir = temp_dir "amos-eco-fault-del" in
+        let dir = Temp.dir "amos-eco-fault-del" in
         let accel = eco_seed dir in
         let crashed =
           evicting_store ~dir ~accel
@@ -758,7 +749,7 @@ let economy_fault_tests =
     Alcotest.test_case "torn-eviction-journal-del" `Quick (fun () ->
         (* crash mid-append leaves a fragment of the del line; replay
            must ignore it and fsck must heal the tail *)
-        let dir = temp_dir "amos-eco-fault-torn-del" in
+        let dir = Temp.dir "amos-eco-fault-torn-del" in
         let accel = eco_seed dir in
         let crashed =
           evicting_store ~dir ~accel
@@ -771,7 +762,7 @@ let economy_fault_tests =
         (* EIO on the victim's unlink: the store must still succeed, the
            del line still lands, and the stranded file comes back as an
            fsck orphan rather than being lost or double-counted *)
-        let dir = temp_dir "amos-eco-fault-eio" in
+        let dir = Temp.dir "amos-eco-fault-eio" in
         let accel = eco_seed dir in
         let failed =
           evicting_store ~dir ~accel
@@ -799,7 +790,7 @@ let economy_fault_tests =
            store's): the index keeps the accounting of the file that is
            still on disk, so the retry on the same handle re-stamps the
            journal *)
-        let dir = temp_dir "amos-eco-fault-overwrite" in
+        let dir = Temp.dir "amos-eco-fault-overwrite" in
         let accel = toy_accel () in
         let fs =
           Fs_io.faulty
@@ -832,7 +823,7 @@ let economy_fault_tests =
     Alcotest.test_case "torn-store-accounting-rebuilt" `Quick (fun () ->
         (* crash mid-tmp-write: nothing lands, and fsck's rebuilt byte
            accounting reflects only the entries that exist *)
-        let dir = temp_dir "amos-eco-fault-torn-store" in
+        let dir = Temp.dir "amos-eco-fault-torn-store" in
         let accel = eco_seed dir in
         let crashed =
           evicting_store ~dir ~accel
@@ -878,7 +869,7 @@ let quarantined_entry dir =
 let quarantine_ttl_tests =
   [
     Alcotest.test_case "ttl-reclaims-only-aged-files" `Quick (fun () ->
-        let dir = temp_dir "amos-qttl" in
+        let dir = Temp.dir "amos-qttl" in
         let q = quarantined_entry dir in
         (* a young quarantine file survives a TTL fsck *)
         let r1 = Plan_cache.fsck ~quarantine_ttl:3600. ~dir () in
@@ -900,7 +891,7 @@ let quarantine_ttl_tests =
         Alcotest.(check bool) "directory clean afterwards" true
           (Plan_cache.fsck_clean (Plan_cache.fsck ~dir ())));
     Alcotest.test_case "ttl-reclaim-survives-remove-fault" `Quick (fun () ->
-        let dir = temp_dir "amos-qttl-fault" in
+        let dir = Temp.dir "amos-qttl-fault" in
         let q = quarantined_entry dir in
         Unix.utimes q 1000. 1000.;
         (* the reclaim's unlink fails: fsck must survive, not count the

@@ -28,11 +28,6 @@ let qcheck_seed =
 let to_alcotest t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| qcheck_seed |]) t
 
-let temp_name prefix =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.bits ()))
-
 (* --- ring ----------------------------------------------------------- *)
 
 let keys n = List.init n (fun i -> Printf.sprintf "fingerprint-%d" i)
@@ -276,7 +271,7 @@ let raw_roundtrip port frame =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       (match frame with Some f -> Protocol.write_frame fd f | None -> ());
-      match Protocol.read_frame fd with
+      match Protocol.read_frame (Protocol.reader fd) with
       | Ok payload -> Protocol.decode_hello_reply payload
       | Error `Eof -> Error "eof"
       | Error (`Bad msg) -> Error msg)
@@ -485,8 +480,7 @@ let journal_tests =
   [
     Alcotest.test_case "fresh-journal-carries-the-version-stamp" `Quick
       (fun () ->
-        let dir = temp_name "fleet-journal" in
-        Sys.mkdir dir 0o755;
+        let dir = Temp.dir "fleet-journal" in
         let cache = Plan_cache.create ~dir () in
         let accel = Option.get (Accelerator.by_name "toy") in
         Plan_cache.store cache ~accel ~op:(Ops.gemm ~m:4 ~n:4 ~k:4 ())
@@ -499,8 +493,7 @@ let journal_tests =
               first
         | [] -> Alcotest.fail "empty journal");
     Alcotest.test_case "legacy-unstamped-journal-still-loads" `Quick (fun () ->
-        let dir = temp_name "fleet-journal-legacy" in
-        Sys.mkdir dir 0o755;
+        let dir = Temp.dir "fleet-journal-legacy" in
         let accel = Option.get (Accelerator.by_name "toy") in
         let op = Ops.gemm ~m:4 ~n:4 ~k:4 () in
         let cache = Plan_cache.create ~dir () in
@@ -523,8 +516,7 @@ let journal_tests =
         | None -> Alcotest.fail "legacy journal lost the entry"));
     Alcotest.test_case "unknown-journal-version-rejected-typed" `Quick
       (fun () ->
-        let dir = temp_name "fleet-journal-future" in
-        Sys.mkdir dir 0o755;
+        let dir = Temp.dir "fleet-journal-future" in
         Out_channel.with_open_text (Filename.concat dir "journal.txt")
           (fun oc -> Out_channel.output_string oc "amos-journal 2\n");
         match Plan_cache.create ~dir () with

@@ -35,15 +35,6 @@ let toy_accel () =
 
 let an_op () = Ops.conv2d ~n:2 ~c:2 ~k:2 ~p:4 ~q:4 ~r:3 ~s:3 ()
 
-let temp_dir prefix =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.bits ()))
-  in
-  Sys.mkdir d 0o755;
-  d
-
 (* bit-exact float comparison: round-trips and identity invariants are
    claimed to the bit, so the checks must be too *)
 let feq a b = Int64.bits_of_float a = Int64.bits_of_float b
@@ -120,7 +111,7 @@ let obs_log_tests =
   [
     Alcotest.test_case "create-stamps-and-roundtrips-bit-exact" `Quick
       (fun () ->
-        let dir = temp_dir "amos-learn-log" in
+        let dir = Temp.dir "amos-learn-log" in
         let clock = Clock.virtual_ ~now:123.5 () in
         let log = Obs_log.create ~clock ~dir () in
         Obs_log.append log ~fingerprint:"fp-a" ~accel:"v100"
@@ -150,7 +141,7 @@ let obs_log_tests =
         Alcotest.(check int) "scan skipped" 0 s.Obs_log.skipped;
         Alcotest.(check bool) "scan not torn" false s.Obs_log.torn);
     Alcotest.test_case "torn-append-is-skipped-then-healed" `Quick (fun () ->
-        let dir = temp_dir "amos-learn-torn" in
+        let dir = Temp.dir "amos-learn-torn" in
         let clock = Clock.virtual_ ~now:10. () in
         let log = Obs_log.create ~clock ~dir () in
         append_simple log ~fingerprint:"fp-1" ~predicted:1.5 ~measured:2.0;
@@ -187,7 +178,7 @@ let obs_log_tests =
               b.Obs_log.fingerprint
         | l -> Alcotest.failf "expected 2 records, read %d" (List.length l));
     Alcotest.test_case "corrupt-line-is-skipped-not-fatal" `Quick (fun () ->
-        let dir = temp_dir "amos-learn-corrupt" in
+        let dir = Temp.dir "amos-learn-corrupt" in
         let log = Obs_log.create ~dir () in
         append_simple log ~fingerprint:"fp-1" ~predicted:1.0 ~measured:2.0;
         let fs = Fs_io.real () in
@@ -204,7 +195,7 @@ let obs_log_tests =
         Alcotest.(check int) "skipped counted" 1 s.Obs_log.skipped;
         Alcotest.(check int) "records counted" 2 s.Obs_log.records);
     Alcotest.test_case "unknown-version-rejected-typed" `Quick (fun () ->
-        let dir = temp_dir "amos-learn-version" in
+        let dir = Temp.dir "amos-learn-version" in
         let fs = Fs_io.real () in
         Fs_io.write_file fs
           (Filename.concat dir Obs_log.file_name)
@@ -229,7 +220,7 @@ let obs_log_tests =
           | ob :: _ -> ob
           | [] -> Alcotest.fail "tune produced no observation"
         in
-        let dir = temp_dir "amos-learn-observer" in
+        let dir = Temp.dir "amos-learn-observer" in
         ignore (Obs_log.create ~dir ());
         (* ENOSPC on the first record append: the observer must treat
            the log as best-effort and keep the tune alive *)
@@ -253,7 +244,7 @@ let obs_log_tests =
 
 (* --- calibration ------------------------------------------------------ *)
 
-let model_dir = lazy (temp_dir "amos-learn-models")
+let model_dir = lazy (Temp.dir "amos-learn-models")
 let model_files = ref 0
 
 let fresh_model_path () =
@@ -498,7 +489,7 @@ let fsck_tests =
     Alcotest.test_case "fsck-counts-and-heals-the-obs-log" `Quick (fun () ->
         let accel = toy_accel () in
         let op = an_op () in
-        let dir = temp_dir "amos-learn-fsck" in
+        let dir = Temp.dir "amos-learn-fsck" in
         let cache = Plan_cache.create ~dir () in
         let value =
           let r = small_tune accel op in

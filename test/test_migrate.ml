@@ -31,17 +31,6 @@ let measure accel (c : Explore.candidate) =
   Spatial_sim.Machine.estimate_seconds accel.Accelerator.config
     (Codegen.lower accel c.Explore.mapping c.Explore.schedule)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "amos-migrate-%d-%d" (Unix.getpid ()) !n)
-    in
-    d
-
 let migrate_tests =
   [
     Alcotest.test_case "direct-v100-to-a100" `Quick (fun () ->
@@ -113,7 +102,7 @@ let migrate_tests =
 let cache_tests =
   [
     Alcotest.test_case "lookup-migratable-and-from-cache" `Quick (fun () ->
-        let dir = fresh_dir () in
+        let dir = Temp.name "amos-migrate" in
         let cache = Plan_cache.create ~dir () in
         let op = Ops.gemm ~m:32 ~n:32 ~k:32 () in
         let a100 = Accelerator.a100 () and v100 = Accelerator.v100 () in
@@ -147,7 +136,7 @@ let cache_tests =
     Alcotest.test_case "pre-migration-entries-are-skipped" `Quick (fun () ->
         (* an entry written before the opkey header existed must be
            ignored by the migration scan but still load normally *)
-        let dir = fresh_dir () in
+        let dir = Temp.name "amos-migrate" in
         let cache = Plan_cache.create ~dir () in
         let op = Ops.gemm ~m:32 ~n:32 ~k:32 () in
         let a100 = Accelerator.a100 () and v100 = Accelerator.v100 () in
@@ -173,7 +162,7 @@ let cache_tests =
         Alcotest.(check bool) "legacy entry still loads" true
           (Plan_cache.lookup cache ~accel:a100 ~op ~budget <> None));
     Alcotest.test_case "provenance-survives-store" `Quick (fun () ->
-        let dir = fresh_dir () in
+        let dir = Temp.name "amos-migrate" in
         let cache = Plan_cache.create ~dir () in
         let op = Ops.gemm ~m:32 ~n:32 ~k:32 () in
         let a100 = Accelerator.a100 () in

@@ -597,22 +597,6 @@ let eco_ops =
       Ops.gemm ~m:6 ~n:8 ~k:4 ();
     |]
 
-let eco_temp_dir () =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "amos-prop-eco-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Sys.mkdir d 0o755;
-  d
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 (* an arbitrary interleaving of the operations that move value records:
    stores (with integer tuning costs), lookups (which re-stamp access
    times), virtual-clock advances and explicit trims *)
@@ -684,9 +668,9 @@ let apply_eco ~dir (kind, bound, steps) =
 let prop_bytes_accounted =
   QCheck.Test.make ~count:100 ~name:"accounted bytes = sum of entry sizes"
     arb_eco_script (fun script ->
-      let dir = eco_temp_dir () in
+      let dir = Temp.dir "amos-prop-eco" in
       Fun.protect
-        ~finally:(fun () -> rm_rf dir)
+        ~finally:(fun () -> Temp.rm_rf dir)
         (fun () ->
           let cache = apply_eco ~dir script in
           let on_disk =
@@ -710,9 +694,9 @@ let prop_eviction_order =
     arb_eco_script (fun (kind, bound, steps) ->
       (* force a budget so the sequence actually evicts *)
       let kind = if kind = 0 then 2 else kind in
-      let dir = eco_temp_dir () in
+      let dir = Temp.dir "amos-prop-eco" in
       Fun.protect
-        ~finally:(fun () -> rm_rf dir)
+        ~finally:(fun () -> Temp.rm_rf dir)
         (fun () ->
           let cache = apply_eco ~dir (kind, bound, steps) in
           List.for_all
@@ -1266,6 +1250,126 @@ let prop_complete_lines =
       let text = String.concat "" (List.map (fun l -> l ^ "\n") ls) ^ f in
       Fs_io.complete_lines text = (List.filter (fun l -> l <> "") ls, f <> ""))
 
+(* --- JSON codec -------------------------------------------------------- *)
+
+module Json = Amos_server.Json
+
+(* every byte value, weighted toward the ones the writer escapes and
+   the reader treats specially *)
+let gen_json_bytes =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (3, char);
+             (2, printable);
+             ( 1,
+               oneofl
+                 [
+                   '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127';
+                   '\255';
+                 ] );
+           ])
+      (0 -- 12))
+
+let gen_json =
+  QCheck.Gen.(
+    let leaf =
+      frequency
+        [
+          (1, return Json.Null);
+          (1, map (fun b -> Json.Bool b) bool);
+          ( 2,
+            map
+              (fun i -> Json.Int i)
+              (oneof [ int; small_signed_int; oneofl [ 0; min_int; max_int ] ])
+          );
+          ( 2,
+            map
+              (fun f -> Json.Float f)
+              (oneof
+                 [
+                   float;
+                   oneofl
+                     [
+                       0.; -0.; 0.1; 1e300; 5e-324; nan; infinity; neg_infinity;
+                     ];
+                 ]) );
+          (3, map (fun s -> Json.String s) gen_json_bytes);
+        ]
+    in
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              ( 1,
+                map
+                  (fun l -> Json.List l)
+                  (list_size (0 -- 4) (self (depth - 1))) );
+              ( 1,
+                map
+                  (fun l -> Json.Obj l)
+                  (list_size (0 -- 4) (pair gen_json_bytes (self (depth - 1))))
+              );
+            ])
+      3)
+
+let print_json v = String.escaped (Json_oracle.to_string v)
+
+(* the reader's whole answer: the value, or the error with its offset *)
+let reader_agrees text =
+  compare (Json.of_string text) (Json_oracle.of_string text) = 0
+
+let prop_json_writer =
+  QCheck.Test.make ~count:cases ~name:"writer bytes = oracle"
+    (QCheck.make ~print:print_json gen_json)
+    (fun v -> Json.to_string v = Json_oracle.to_string v)
+
+(* a rendering, its truncations, and copies with 1-3 flipped bytes *)
+let prop_json_reader =
+  QCheck.Test.make ~count:cases
+    ~name:"reader = oracle on renderings, truncations and flipped bytes"
+    (QCheck.make
+       ~print:(fun (v, _, _) -> print_json v)
+       QCheck.Gen.(
+         triple gen_json
+           (list_size (1 -- 4) nat)
+           (list_size (1 -- 4) (list_size (1 -- 3) (pair nat (1 -- 255))))))
+    (fun (v, cuts, flips) ->
+      let text = Json_oracle.to_string v in
+      let n = String.length text in
+      let flipped positions =
+        let b = Bytes.of_string text in
+        List.iter
+          (fun (i, x) ->
+            let i = i mod n in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x)))
+          positions;
+        Bytes.to_string b
+      in
+      List.for_all reader_agrees
+        ((text :: List.map (fun c -> String.sub text 0 (c mod (n + 1))) cuts)
+        @ List.map flipped flips))
+
+(* fragments no rendering contains: every escape form, broken escapes,
+   number edges and cut literals *)
+let prop_json_reader_soup =
+  let fragments =
+    [ "{"; "}"; "["; "]"; ","; ":"; " "; "\n"; "\""; "\\"; "\\u"; "\\u00e9";
+      "\\u20AC"; "\\uD83D"; "\\u0zz1"; "\\/"; "\\b"; "\\f"; "\\x"; "0"; "-";
+      "12"; "."; "e"; "E+"; "1e999"; "99999999999999999999"; "-0.5"; "true";
+      "tru"; "null"; "false"; "\000"; "\031"; "\255"; "a" ]
+  in
+  QCheck.Test.make ~count:cases ~name:"reader = oracle on token soup"
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         map (String.concat "") (list_size (0 -- 12) (oneofl fragments))))
+    reader_agrees
+
 (* [props.mapping_memo] runs first: [props.algorithm1]'s random
    operators alone fill the 512-key memo, after which no new structure
    is admitted and a repeat request misses like the first *)
@@ -1310,4 +1414,7 @@ let suites =
           prop_score_translation_invariant;
         ] );
     ("props.retain_table", [ to_alcotest prop_retain_table ]);
+    ( "props.json",
+      List.map to_alcotest
+        [ prop_json_writer; prop_json_reader; prop_json_reader_soup ] );
   ]

@@ -15,14 +15,11 @@ module Single_flight = Amos_server.Single_flight
 module Admission = Amos_server.Admission
 module Server = Amos_server.Server
 module Client = Amos_server.Client
+module Net_io = Amos_server.Net_io
+module Transport = Amos_server.Transport
 
 let small_budget =
   { Fingerprint.population = 2; generations = 1; measure_top = 1; seed = 7 }
-
-let temp_name prefix =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.bits ()))
 
 let wait_for ?(timeout = 10.) msg pred =
   let t0 = Unix.gettimeofday () in
@@ -290,10 +287,11 @@ let framing_tests =
   [
     Alcotest.test_case "frame-round-trips" `Quick (fun () ->
         with_pipe (fun r w _ ->
+            let rd = Protocol.reader r in
             List.iter
               (fun payload ->
                 Protocol.write_frame w payload;
-                match Protocol.read_frame r with
+                match Protocol.read_frame rd with
                 | Ok p -> Alcotest.(check string) "payload" payload p
                 | Error `Eof -> Alcotest.fail "eof"
                 | Error (`Bad m) -> Alcotest.fail m)
@@ -301,21 +299,21 @@ let framing_tests =
     Alcotest.test_case "clean-eof-detected" `Quick (fun () ->
         with_pipe (fun r w close ->
             close w;
-            match Protocol.read_frame r with
+            match Protocol.read_frame (Protocol.reader r) with
             | Error `Eof -> ()
             | Ok _ | Error (`Bad _) -> Alcotest.fail "expected Eof"));
     Alcotest.test_case "truncated-payload-rejected" `Quick (fun () ->
         with_pipe (fun r w close ->
             write_raw w "32\nonly-a-few-bytes";
             close w;
-            match Protocol.read_frame r with
+            match Protocol.read_frame (Protocol.reader r) with
             | Error (`Bad _) -> ()
             | Ok _ | Error `Eof -> Alcotest.fail "expected Bad"));
     Alcotest.test_case "truncated-header-rejected" `Quick (fun () ->
         with_pipe (fun r w close ->
             write_raw w "123";
             close w;
-            match Protocol.read_frame r with
+            match Protocol.read_frame (Protocol.reader r) with
             | Error (`Bad _) -> ()
             | Ok _ | Error `Eof -> Alcotest.fail "expected Bad"));
     Alcotest.test_case "oversized-frame-rejected-before-read" `Quick
@@ -324,7 +322,7 @@ let framing_tests =
             (* 99,999,999 > 4 MiB: rejected on the header alone — the
                payload is never buffered (and is not even present) *)
             write_raw w "99999999\n";
-            match Protocol.read_frame r with
+            match Protocol.read_frame (Protocol.reader r) with
             | Error (`Bad msg) ->
                 Alcotest.(check bool) "mentions the limit" true
                   (String.length msg > 0)
@@ -332,21 +330,149 @@ let framing_tests =
     Alcotest.test_case "absurd-header-rejected" `Quick (fun () ->
         with_pipe (fun r w _ ->
             write_raw w "123456789123\n";
-            match Protocol.read_frame r with
+            match Protocol.read_frame (Protocol.reader r) with
             | Error (`Bad _) -> ()
             | Ok _ | Error `Eof -> Alcotest.fail "expected Bad"));
     Alcotest.test_case "garbage-header-rejected" `Quick (fun () ->
         with_pipe (fun r w _ ->
             write_raw w "xx\n";
-            match Protocol.read_frame r with
+            match Protocol.read_frame (Protocol.reader r) with
             | Error (`Bad _) -> ()
             | Ok _ | Error `Eof -> Alcotest.fail "expected Bad"));
     Alcotest.test_case "missing-terminator-rejected" `Quick (fun () ->
         with_pipe (fun r w _ ->
             write_raw w "3\nabcX";
-            match Protocol.read_frame r with
+            match Protocol.read_frame (Protocol.reader r) with
             | Error (`Bad _) -> ()
             | Ok _ | Error `Eof -> Alcotest.fail "expected Bad"));
+    Alcotest.test_case "two-frames-in-one-write-both-read" `Quick (fun () ->
+        with_pipe (fun r w close ->
+            write_raw w "5\nhello\n5\nworld\n";
+            close w;
+            let net = Net_io.faulty [] in
+            let rd = Protocol.reader ~net r in
+            let next () =
+              match Protocol.read_frame rd with
+              | Ok p -> p
+              | Error `Eof -> "<eof>"
+              | Error (`Bad m) -> "<bad " ^ m ^ ">"
+            in
+            let first = next () in
+            let second = next () in
+            Alcotest.(check (list string)) "both frames, in order"
+              [ "hello"; "world" ] [ first; second ];
+            Alcotest.(check int) "one read took both" 1
+              (Net_io.op_count net Net_io.Read);
+            Alcotest.(check string) "then a clean end" "<eof>" (next ())));
+    Alcotest.test_case "frame-larger-than-the-initial-buffer" `Quick
+      (fun () ->
+        let a, b =
+          Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter
+              (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+              [ a; b ])
+          (fun () ->
+            (* 300 kB: far past the 4 KiB start and a socket buffer, so
+               the reader grows and fills over many reads *)
+            let big = String.init 300_000 (fun i -> Char.chr (i land 0xFF)) in
+            let writer =
+              Thread.create
+                (fun () ->
+                  Protocol.write_frame a big;
+                  Protocol.write_frame a "after")
+                ()
+            in
+            let rd = Protocol.reader b in
+            let got = Protocol.read_frame rd in
+            let after = Protocol.read_frame rd in
+            Thread.join writer;
+            (match got with
+            | Ok p ->
+                Alcotest.(check bool) "large payload intact" true (p = big)
+            | Error `Eof -> Alcotest.fail "eof"
+            | Error (`Bad m) -> Alcotest.fail m);
+            match after with
+            | Ok p -> Alcotest.(check string) "next frame intact" "after" p
+            | Error `Eof -> Alcotest.fail "eof"
+            | Error (`Bad m) -> Alcotest.fail m));
+    Alcotest.test_case "one-byte-per-read-still-frames" `Quick (fun () ->
+        with_pipe (fun r w _ ->
+            let payload = "{\"v\":1,\"type\":\"health\"}" in
+            Protocol.write_frame w payload;
+            Protocol.write_frame w "x";
+            let net =
+              Net_io.faulty
+                (List.init 64 (fun after ->
+                     { Net_io.op = Net_io.Read; after; mode = Net_io.Short 1 }))
+            in
+            let rd = Protocol.reader ~net r in
+            (match Protocol.read_frame rd with
+            | Ok p -> Alcotest.(check string) "payload" payload p
+            | Error `Eof -> Alcotest.fail "eof"
+            | Error (`Bad m) -> Alcotest.fail m);
+            (* "24\n", the payload, '\n': one byte per read *)
+            Alcotest.(check int) "one read per byte"
+              (String.length payload + 4)
+              (Net_io.op_count net Net_io.Read);
+            match Protocol.read_frame rd with
+            | Ok p -> Alcotest.(check string) "next frame" "x" p
+            | Error `Eof -> Alcotest.fail "eof"
+            | Error (`Bad m) -> Alcotest.fail m));
+    Alcotest.test_case "hello-and-first-request-in-one-write" `Quick
+      (fun () ->
+        let server =
+          Server.create
+            {
+              (Server.default_config ~socket_path:"unused") with
+              Server.socket_path = None;
+              tcp = Some ("127.0.0.1", 0);
+              auth_token = Some "sesame";
+            }
+        in
+        let thread = Thread.create Server.serve server in
+        let port = Option.get (Server.tcp_port server) in
+        let fd =
+          Transport.connect (Transport.Tcp { host = "127.0.0.1"; port })
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            Server.stop server;
+            Thread.join thread)
+          (fun () ->
+            (* a lost request fails the test instead of hanging it *)
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+            (* the handshake reads the hello; the request loop must find
+               the request the same write carried *)
+            let frame payload =
+              Printf.sprintf "%d\n%s\n" (String.length payload) payload
+            in
+            write_raw fd
+              (frame
+                 (Protocol.encode_hello
+                    {
+                      Protocol.hello_version = Protocol.version;
+                      token = "sesame";
+                      peer = false;
+                    })
+              ^ frame (Protocol.encode_request Protocol.Health));
+            let rd = Protocol.reader fd in
+            (match Protocol.read_frame rd with
+            | Ok p -> (
+                match Protocol.decode_hello_reply p with
+                | Ok Protocol.Hello_ok -> ()
+                | _ -> Alcotest.fail ("hello refused: " ^ p))
+            | Error _ -> Alcotest.fail "no hello reply");
+            match Protocol.read_frame rd with
+            | Ok p -> (
+                match Protocol.decode_response p with
+                | Ok (Protocol.Ok_r _) -> ()
+                | _ -> Alcotest.fail ("health not answered: " ^ p))
+            | Error `Eof -> Alcotest.fail "request lost: connection closed"
+            | Error (`Bad m) -> Alcotest.fail m));
     Alcotest.test_case "oversized-write-refused" `Quick (fun () ->
         with_pipe (fun _ w _ ->
             match
@@ -570,7 +696,7 @@ let gated_tuner () =
 
 let start_server ?tuner ?clock ?(workers = 1) ?(queue = 4) ?cache_dir
     ?(hot_capacity = 16) ?hot_max_bytes () =
-  let socket_path = temp_name "amosd" ^ ".sock" in
+  let socket_path = Temp.name ~suffix:".sock" "amosd" in
   let server =
     Server.create ?tuner ?clock
       {
@@ -766,7 +892,7 @@ let daemon_tests =
         Server.stop server;
         Thread.join thread);
     Alcotest.test_case "persistent-cache-survives-restart" `Quick (fun () ->
-        let dir = temp_name "amosd-cache" in
+        let dir = Temp.name "amosd-cache" in
         Sys.mkdir dir 0o755;
         let calls = Atomic.make 0 in
         let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
@@ -803,7 +929,7 @@ let daemon_tests =
         Server.stop server2;
         Thread.join thread2);
     Alcotest.test_case "stats-report-hot-and-cache-economy" `Quick (fun () ->
-        let dir = temp_name "amosd-eco-stats" in
+        let dir = Temp.name "amosd-eco-stats" in
         Sys.mkdir dir 0o755;
         let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
           { Server.value = Plan_cache.Scalar; evaluations = 1 }
@@ -851,7 +977,7 @@ let daemon_tests =
         (* a fingerprint bouncing between the persistent cache and the
            hot layer (restart, hot eviction, re-lookup) is one slot, not
            an accumulating series of them *)
-        let dir = temp_name "amosd-eco-readmit" in
+        let dir = Temp.name "amosd-eco-readmit" in
         Sys.mkdir dir 0o755;
         let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
           { Server.value = Plan_cache.Scalar; evaluations = 1 }
@@ -893,7 +1019,7 @@ let daemon_tests =
         Thread.join thread2);
     Alcotest.test_case "idle-drain-retunes-quarantined-fingerprint" `Quick
       (fun () ->
-        let dir = temp_name "amosd-eco-retune" in
+        let dir = Temp.name "amosd-eco-retune" in
         Sys.mkdir dir 0o755;
         let calls = Atomic.make 0 in
         let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
@@ -975,7 +1101,7 @@ let daemon_tests =
         let text = "for {i:32, j:32} for {r:32r}: out[i,j] += a[i,r] * b[r,j]" in
         let op = Amos_ir.Dsl.parse_exn ~name:"mig" text in
         let v100 = Accelerator.v100 () and a100 = Accelerator.a100 () in
-        let cache_dir = temp_name "amosd-migrate" in
+        let cache_dir = Temp.name "amosd-migrate" in
         let m = List.hd (Compiler.mappings v100 op) in
         Plan_cache.store
           (Plan_cache.create ~dir:cache_dir ())
@@ -1058,6 +1184,40 @@ let daemon_tests =
               (String.length msg > 0)
         | Ok _ -> Alcotest.fail "unknown accel must be a typed error"
         | Error msg -> Alcotest.fail msg);
+        Server.stop server;
+        Thread.join thread);
+    Alcotest.test_case "request-split-across-the-receive-timeout" `Quick
+      (fun () ->
+        (* the daemon reads with a 0.5 s receive timeout and re-enters
+           its reader on each expiry; a frame whose second half arrives
+           after one must still parse, wherever it was split *)
+        let server, thread, socket = start_server () in
+        let payload = Protocol.encode_request Protocol.Health in
+        let frame = Printf.sprintf "%d\n%s\n" (String.length payload) payload in
+        List.iter
+          (fun split ->
+            let fd = Transport.connect (Transport.Unix_path socket) in
+            Fun.protect
+              ~finally:(fun () ->
+                try Unix.close fd with Unix.Unix_error _ -> ())
+              (fun () ->
+                Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+                write_raw fd (String.sub frame 0 split);
+                Thread.delay 0.8;
+                write_raw fd
+                  (String.sub frame split (String.length frame - split));
+                match Protocol.read_frame (Protocol.reader fd) with
+                | Ok p -> (
+                    match Protocol.decode_response p with
+                    | Ok (Protocol.Ok_r _) -> ()
+                    | _ ->
+                        Alcotest.failf "split after byte %d: answered %s"
+                          split p)
+                | Error `Eof ->
+                    Alcotest.failf "split after byte %d: connection dropped"
+                      split
+                | Error (`Bad m) -> Alcotest.fail m))
+          [ 1; 10 ];
         Server.stop server;
         Thread.join thread);
   ]
@@ -1516,7 +1676,7 @@ let memo_tests =
         Thread.join thread);
     Alcotest.test_case "idle-drain-retunes-a-kind-only-fingerprint" `Quick
       (fun () ->
-        let dir = temp_name "amosd-kind-retune" in
+        let dir = Temp.name "amosd-kind-retune" in
         Sys.mkdir dir 0o755;
         let calls = Atomic.make 0 in
         let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =

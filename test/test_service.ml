@@ -21,15 +21,6 @@ let small_budget =
     seed = 42;
   }
 
-let temp_dir prefix =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.bits ()))
-  in
-  Sys.mkdir d 0o755;
-  d
-
 (* --- fingerprints --------------------------------------------------- *)
 
 let fingerprint_tests =
@@ -95,7 +86,7 @@ let cache_tests =
     Alcotest.test_case "disk-persistence-across-reopen" `Quick (fun () ->
         let accel = toy_accel () in
         let op = Ops.conv2d ~n:2 ~c:2 ~k:2 ~p:4 ~q:4 ~r:3 ~s:3 () in
-        let dir = temp_dir "amos-cache" in
+        let dir = Temp.dir "amos-cache" in
         let cache = Plan_cache.create ~dir () in
         Plan_cache.store cache ~accel ~op ~budget:small_budget
           (tune_value accel op);
@@ -508,7 +499,7 @@ let batch_tests =
     Alcotest.test_case "warm-recompile-zero-evaluations" `Quick (fun () ->
         let accel = toy_accel () in
         let g = Graph.mini_cnn ~channels:2 () in
-        let cache = Plan_cache.create ~dir:(temp_dir "amos-batch") () in
+        let cache = Plan_cache.create ~dir:(Temp.dir "amos-batch") () in
         let cold =
           Batch_compile.compile ~jobs:2 ~budget:small_budget ~cache accel g
         in
@@ -560,7 +551,7 @@ let batch_tests =
     Alcotest.test_case "corrupt-entry-evicted-and-retuned" `Quick (fun () ->
         let accel = toy_accel () in
         let g = Graph.mini_cnn ~channels:2 () in
-        let dir = temp_dir "amos-corrupt" in
+        let dir = Temp.dir "amos-corrupt" in
         let cache = Plan_cache.create ~dir () in
         let _cold =
           Batch_compile.compile ~jobs:1 ~budget:small_budget ~cache accel g

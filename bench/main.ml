@@ -610,30 +610,35 @@ let robustness () =
   let fsck_s = Unix.gettimeofday () -. t0 in
   Printf.printf "fsck over %d entries: %.1f ms (clean=%b)\n%!"
     r.Plan_cache.live (1e3 *. fsck_s) (Plan_cache.fsck_clean r);
-  (* crash at each injected fault point, then time the repair *)
+  (* crash at each injected fault point, then time the repair; the
+     compaction point re-stamps one plan until its dead records trigger
+     a rewrite *)
   let crash_points =
-    [ ("torn entry write", { Fs_io.op = Fs_io.Write; after = 0; mode = Fs_io.Torn 10 });
-      ("lost entry rename", { Fs_io.op = Fs_io.Rename; after = 0; mode = Fs_io.Crash_before });
-      ("torn journal append", { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Torn 3 });
+    [ ("torn record append", { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Torn 10 }, 0);
+      ("lost record append", { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Crash_before }, 0);
+      ("lost compaction rename", { Fs_io.op = Fs_io.Rename; after = 0; mode = Fs_io.Crash_before }, 20);
     ]
   in
   let op = Ops.conv2d ~n:2 ~c:2 ~k:2 ~p:4 ~q:4 ~r:3 ~s:3 () in
   List.iter
-    (fun (name, fault) ->
+    (fun (name, fault, restamps) ->
       let dir = fresh_dir "crash" in
       let faulty = Plan_cache.create ~fs:(Fs_io.faulty [ fault ]) ~dir () in
       (try
          let v, _ = Batch_compile.tune_op ~budget ~cache:faulty accel op in
-         Plan_cache.store faulty ~accel ~op ~budget v
+         for i = 1 to restamps do
+           Plan_cache.store ~tuning_seconds:(float_of_int i) faulty ~accel ~op
+             ~budget v
+         done
        with Fs_io.Crashed _ -> ());
       let t0 = Unix.gettimeofday () in
       let r = Plan_cache.fsck ~dir () in
       let ms = 1e3 *. (Unix.gettimeofday () -. t0) in
       Printf.printf
-        "crash at %-20s -> fsck %.1f ms: %d live, %d adopted, %d \
-         quarantined, %d tmp swept\n%!"
-        name ms r.Plan_cache.live r.Plan_cache.adopted
-        r.Plan_cache.quarantined r.Plan_cache.tmp_removed)
+        "crash at %-22s -> fsck %.1f ms: %d live, %d quarantined, %d tmp \
+         swept\n%!"
+        name ms r.Plan_cache.live r.Plan_cache.quarantined
+        r.Plan_cache.tmp_removed)
     crash_points;
   (* degradation: a broken tuner (measure_top = 0 yields no plans) must
      cost only the failed attempts, not the network *)
@@ -686,11 +691,10 @@ let check_gates gates =
 let migration () =
   header "Plan migration: cold vs migrated tuning convergence";
   let module Migrate = Amos_service.Migrate in
-  let seed = !seed_ref in
   let gens = if !smoke_flag then 3 else 6 in
   let population = if !smoke_flag then 6 else 12 in
-  Printf.printf "(seed %d, population %d, generations 0..%d%s)\n" seed
-    population gens (if !smoke_flag then ", smoke" else "");
+  Printf.printf "(population %d, generations 0..%d%s)\n" population gens
+    (if !smoke_flag then ", smoke" else "");
   let tune ?initial_population ~generations accel op =
     (Explore.tune ~population ~generations ?initial_population ~accel
        ~mappings:(Compiler.mappings accel op) ())
@@ -1367,14 +1371,13 @@ let vm_hwm_kb () =
 let tuner_throughput () =
   header "Tuner throughput: word-parallel Algorithm 1 + allocation-lean loop";
   let smoke = !smoke_flag in
-  let seed = !seed_ref in
   let reps = if smoke then 2 else 5 in
   let accel = Accelerator.a100 () in
   let label = "C5" in
   let op = Resnet.config (Resnet.by_label label) in
   let mappings = Explore.mappings accel op in
-  Printf.printf "(seed %d, %s on A100, %d mappings, best of %d%s)\n%!" seed
-    label (List.length mappings) reps
+  Printf.printf "(%s on A100, %d mappings, best of %d%s)\n%!" label
+    (List.length mappings) reps
     (if smoke then ", smoke" else "");
   let run tune =
     let a0 = Gc.allocated_bytes () in
@@ -1630,7 +1633,9 @@ let experiments =
 
 let () =
   (* global flags first ([--smoke], [--seed N]); what remains selects
-     experiments by name *)
+     experiments by name.  The seed steers serve, cache_economy and
+     fleet (it enters their tuning budget's fingerprint) and chaos (its
+     fault schedule); every report records it *)
   let rec parse acc = function
     | [] -> List.rev acc
     | "--smoke" :: rest ->

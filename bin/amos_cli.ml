@@ -160,27 +160,22 @@ let model_arg =
 (* rebuild the [Compiler.plan] view of a cached value so the reporting
    code paths (describe / profile) work unchanged; the estimates are
    deterministic, so a cached plan reports the numbers it was tuned at *)
-let compiler_plan accel op = function
-  | Plan_cache.Spatial (m, sched) ->
-      let k = Codegen.lower accel m sched in
-      {
-        Compiler.op;
-        accel;
-        target =
-          Compiler.Spatial
-            {
-              Explore.candidate = { Explore.mapping = m; schedule = sched };
-              predicted = Perf_model.predict_seconds accel.Accelerator.config k;
-              measured =
-                Spatial_sim.Machine.estimate_seconds accel.Accelerator.config k;
-            };
-      }
-  | Plan_cache.Scalar ->
-      {
-        Compiler.op;
-        accel;
-        target = Compiler.Scalar (Batch_compile.scalar_seconds accel op);
-      }
+let compiler_plan accel op value =
+  let seconds = Batch_compile.plan_seconds accel op value in
+  let target =
+    match value with
+    | Plan_cache.Spatial (m, sched) ->
+        Compiler.Spatial
+          {
+            Explore.candidate = { Explore.mapping = m; schedule = sched };
+            predicted =
+              Perf_model.predict_seconds accel.Accelerator.config
+                (Codegen.lower accel m sched);
+            measured = seconds;
+          }
+    | Plan_cache.Scalar -> Compiler.Scalar seconds
+  in
+  { Compiler.op; accel; target }
 
 let intrinsic_arg =
   let doc =
@@ -609,7 +604,7 @@ let cache_warm_cmd =
 
 let quarantine_ttl_arg =
   let doc =
-    "Reclaim (delete) quarantined entry files older than this many \
+    "Reclaim (delete) quarantine files older than this many \
      seconds.  Off by default: without it quarantine files are kept \
      forever for post-mortems."
   in
@@ -634,6 +629,16 @@ let cache_fsck_cmd =
   let run dir quarantine_ttl list_known_bad clear_known_bad =
     let r = Plan_cache.fsck ?quarantine_ttl ~dir () in
     print_string (Plan_cache.describe_fsck r);
+    (* the observation log next to the plans: counted, and a torn tail
+       terminated so later appends land on a fresh line *)
+    (match Obs_log.scan ~dir () with
+    | s ->
+        Printf.printf "observations     : %d (%d skipped, torn %s)\n"
+          s.Obs_log.records s.Obs_log.skipped
+          (if Obs_log.heal ~dir () then "repaired" else "no")
+    | exception Obs_log.Unsupported_obs_log { version; _ } ->
+        Printf.printf "observations     : unsupported log version %s\n"
+          version);
     if list_known_bad then
       List.iter
         (fun (fp, at, reason) ->
@@ -644,8 +649,8 @@ let cache_fsck_cmd =
         (Amos_service.Badlist.clear ~dir ());
     if not (Plan_cache.fsck_clean r) then begin
       print_endline
-        "fsck: anomalies found and repaired (corrupt entries quarantined, \
-         dead journal lines dropped)";
+        "fsck: anomalies found (corrupt records quarantined, or the \
+         journal could not be read)";
       exit 1
     end
     else print_endline "fsck: clean"
@@ -653,8 +658,9 @@ let cache_fsck_cmd =
   Cmd.v
     (Cmd.info "fsck"
        ~doc:
-         "Replay the journal, validate every entry header, adopt orphans, \
-          quarantine corruption and sweep abandoned temp files; optionally \
+         "Replay the journal, check every record's digest and entry \
+          header, quarantine corruption, sweep abandoned temp files and \
+          heal the observation log; optionally \
           reclaim aged quarantine files and list or clear known-bad \
           markers.  Exits 1 when anomalies were found (they are repaired \
           regardless).")

@@ -609,60 +609,58 @@ let route_to_owner t ~from_peer ~deadline ~fingerprint req =
 
 (* The one queued task behind every exploration the daemon runs: time the
    tuner, store the plan, admit it to the hot tier and resolve the
-   flight.  A client tune ([quarantined = None]) fans each generation's
+   flight.  A client tune ([quarantined = false]) fans each generation's
    snapshot out to the flight's streaming waiters, and its progress hook
    raises [Explore.Aborted] instead once the last waiter has detached:
    the exploration tears itself down at that generation boundary and
    the flight resolves busy, so a racing joiner retries fresh.  A
    quarantine retune streams nothing and, once the fresh plan is
-   stored, removes the quarantined copy at [quarantined].  A tune
+   stored, removes the fingerprint's quarantined copy.  A tune
    seeded by a [migration] stores its source as the plan's
    provenance. *)
 let tune_task t fl ~quarantined { accel; op; fingerprint } ~budget ~migration
     () =
   let seeds = match migration with Some o -> o.Migrate.seeds | None -> [] in
   let progress =
-    match quarantined with
-    | Some _ -> None
-    | None ->
-        Some
-          (fun p ->
-            if Single_flight.abort_requested fl then raise Explore.Aborted;
-            Single_flight.publish t.flights fl (progress_body p))
+    if quarantined then None
+    else
+      Some
+        (fun p ->
+          if Single_flight.abort_requested fl then raise Explore.Aborted;
+          Single_flight.publish t.flights fl (progress_body p))
   in
   let t0 = Clock.now t.clock in
   match t.tuner ~jobs:t.config.jobs ~accel ~op ~budget ~seeds ~progress with
   | { value; evaluations } ->
       let dt = Clock.now t.clock -. t0 in
       locked t.cache_mu (fun () ->
-          try
-            Plan_cache.store
-              ?provenance:(Option.map Migrate.provenance migration)
-              t.cache ~accel ~op ~budget ~tuning_seconds:dt value
-          with e ->
-            Log.warn (fun m ->
-                m "plan store failed for %s: %s" fingerprint
-                  (Printexc.to_string e)));
-      (* only after a good plan is back in the cache does the
-         quarantined copy stop being post-mortem material *)
-      Option.iter
-        (fun qpath ->
-          (try Fs_io.remove (Plan_cache.fs_handle t.cache) qpath
-           with Unix.Unix_error _ -> ());
-          Log.info (fun m ->
-              m "re-tuned quarantined fingerprint %s" fingerprint))
-        quarantined;
+          (try
+             Plan_cache.store
+               ?provenance:(Option.map Migrate.provenance migration)
+               t.cache ~accel ~op ~budget ~tuning_seconds:dt value
+           with e ->
+             Log.warn (fun m ->
+                 m "plan store failed for %s: %s" fingerprint
+                   (Printexc.to_string e)));
+          (* only after a good plan is back in the cache does the
+             quarantined copy stop being post-mortem material *)
+          if quarantined then begin
+            Plan_cache.unquarantine t.cache fingerprint;
+            Log.info (fun m ->
+                m "re-tuned quarantined fingerprint %s" fingerprint)
+          end);
       let plan = wire_of_value value in
       hot_put t fingerprint plan ~tuning_seconds:dt;
       let source =
         locked t.mu (fun () ->
-            match quarantined with
-            | None ->
-                t.tunes <- t.tunes + 1;
-                "tuned"
-            | Some _ ->
-                t.quarantine_retunes <- t.quarantine_retunes + 1;
-                "retuned")
+            if quarantined then begin
+              t.quarantine_retunes <- t.quarantine_retunes + 1;
+              "retuned"
+            end
+            else begin
+              t.tunes <- t.tunes + 1;
+              "tuned"
+            end)
       in
       Single_flight.complete t.flights fl
         (Fl_plan
@@ -676,11 +674,7 @@ let tune_task t fl ~quarantined { accel; op; fingerprint } ~budget ~migration
   | exception Explore.Aborted ->
       Single_flight.complete t.flights fl (Fl_busy (retry_hint t))
   | exception e ->
-      let failed =
-        match quarantined with
-        | None -> "tuning failed: "
-        | Some _ -> "retune failed: "
-      in
+      let failed = if quarantined then "retune failed: " else "tuning failed: " in
       Single_flight.complete t.flights fl
         (Fl_error (failed ^ Printexc.to_string e))
 
@@ -720,7 +714,7 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline req
                 in
                 match
                   Admission.submit t.admission ~client ?deadline_ms
-                    (tune_task t fl ~quarantined:None r ~budget ~migration)
+                    (tune_task t fl ~quarantined:false r ~budget ~migration)
                 with
                 | `Admitted ->
                     register_stream t ~request_id w;
@@ -799,11 +793,9 @@ let handle_compile t ~accel:accel_name ~network ~batch ~budget ~jobs =
 
 (* --- quarantined-fingerprint retune --------------------------------- *)
 
-let quarantine_suffix = ".plan.quarantined"
-
 (* queue a re-tune of one quarantined fingerprint; [false] when the
    queue refuses it or another flight already owns the fingerprint *)
-let retune_quarantined t ~qpath r ~budget =
+let retune_quarantined t r ~budget =
   match Single_flight.acquire t.flights r.fingerprint with
   | `Join w ->
       (* a client-driven tune is already producing it; withdraw the
@@ -816,7 +808,7 @@ let retune_quarantined t ~qpath r ~budget =
          abort flag cannot rise under a retune nobody is watching *)
       match
         Admission.submit t.admission ~client:"retune"
-          (tune_task t fl ~quarantined:(Some qpath) r ~budget ~migration:None)
+          (tune_task t fl ~quarantined:true r ~budget ~migration:None)
       with
       | `Admitted -> true
       | `Busy | `Deadline _ ->
@@ -825,46 +817,25 @@ let retune_quarantined t ~qpath r ~budget =
 
 (* One low-priority step of the background drain: only when the tuning
    queue is idle, pick the first quarantined fingerprint whose
-   specification a client request has taught us and re-tune it.  A
-   quarantine file whose fingerprint already has a live entry again is
-   simply removed — the corruption was superseded. *)
+   specification a client request has taught us and re-tune it.  The
+   cache itself lists the quarantined fingerprints, sweeping those
+   superseded by a live record. *)
 let drain_quarantined_once t =
-  match t.config.cache_dir with
-  | None -> false
-  | Some dir ->
-      if locked t.mu (fun () -> t.stopping) then false
-      else if Admission.load t.admission > 0 then false
-      else begin
-        let fs = Plan_cache.fs_handle t.cache in
-        let quarantined =
-          Fs_io.list_dir fs dir
-          |> List.filter (fun n -> Filename.check_suffix n quarantine_suffix)
-          |> List.map (fun n -> Filename.chop_suffix n quarantine_suffix)
-          |> List.sort compare
-        in
-        let rec step = function
-          | [] -> false
-          | fp :: rest -> (
-              let qpath = Filename.concat dir (fp ^ quarantine_suffix) in
-              if Fs_io.exists fs (Filename.concat dir (fp ^ ".plan")) then begin
-                (try Fs_io.remove fs qpath with Unix.Unix_error _ -> ());
-                true
-              end
-              else
-                let spec =
-                  locked t.mu (fun () ->
-                      Hashtbl.to_seq t.memo
-                      |> Seq.find_map (fun ((_, _, budget), r) ->
-                             if r.fingerprint = fp then Some (r, budget)
-                             else None))
-                in
-                match spec with
-                | None -> step rest (* never seen its spec: leave it *)
-                | Some (r, budget) ->
-                    retune_quarantined t ~qpath r ~budget || step rest)
-        in
-        step quarantined
-      end
+  if Option.is_none t.config.cache_dir then false
+  else if locked t.mu (fun () -> t.stopping) then false
+  else if Admission.load t.admission > 0 then false
+  else
+    let spec fp =
+      locked t.mu (fun () ->
+          Hashtbl.to_seq t.memo
+          |> Seq.find_map (fun ((_, _, budget), r) ->
+                 if r.fingerprint = fp then Some (r, budget) else None))
+    in
+    locked t.cache_mu (fun () -> Plan_cache.quarantined t.cache)
+    |> List.exists (fun fp ->
+           match spec fp with
+           | None -> false (* never seen its spec: leave it *)
+           | Some (r, budget) -> retune_quarantined t r ~budget)
 
 (* --- shutdown ------------------------------------------------------- *)
 

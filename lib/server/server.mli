@@ -206,13 +206,11 @@ val stats : t -> Protocol.server_stats
 val drain_quarantined_once : t -> bool
 (** One step of the background quarantine drain, normally invoked from
     the accept loop's idle ticks: when the tuning queue is idle, pick
-    the lexicographically first [*.plan.quarantined] fingerprint whose
-    operator specification the daemon has seen (an earlier
-    [Tune]/[Lookup] spec held in the request memo) and queue a re-tune;
-    the quarantine file is
-    removed only after the fresh plan is stored.  A quarantined
-    fingerprint that regained a live entry is just swept.  Returns
-    [false] when there is nothing to do — no cache directory, the
-    daemon is stopping or the queue is busy (the drain never delays
-    client work), or no quarantined fingerprint is actionable.
-    Exposed for deterministic tests. *)
+    the lexicographically first {!Amos_service.Plan_cache.quarantined}
+    fingerprint whose operator specification the daemon has seen (an
+    earlier [Tune]/[Lookup] spec held in the request memo) and queue a
+    re-tune; the quarantine file is removed only after the fresh plan is
+    stored.  Returns [false] when no re-tune was queued — no cache
+    directory, the daemon is stopping or the queue is busy (the drain
+    never delays client work), or no quarantined fingerprint is
+    actionable.  Exposed for deterministic tests. *)

@@ -234,6 +234,12 @@ let run t ~input ~weights =
       | Some { value = Plan_cache.Spatial (m, sched); _ } -> Some (m, sched)
       | Some { value = Plan_cache.Scalar; _ } | None -> None)
 
+let plan_seconds accel op = function
+  | Plan_cache.Spatial (m, sched) ->
+      Spatial_sim.Machine.estimate_seconds accel.Accelerator.config
+        (Codegen.lower accel m sched)
+  | Plan_cache.Scalar -> scalar_seconds accel op
+
 (* Spatial layer times are re-derived from the plan (the structural
    estimate the tuner measured), so a warm compile needs no tuner at
    all. *)
@@ -242,12 +248,9 @@ let compile_network ?jobs ?budget ~cache accel (net : Networks.t) =
   let network =
     Compiler.price_network accel
       (fun op ->
-        match tune_cached ctx accel op with
-        | _, Plan_cache.Spatial (m, sched), _ ->
-            ( true,
-              Spatial_sim.Machine.estimate_seconds accel.Accelerator.config
-                (Codegen.lower accel m sched) )
-        | _, Plan_cache.Scalar, _ -> (false, scalar_seconds accel op))
+        let _, value, _ = tune_cached ctx accel op in
+        ( (match value with Plan_cache.Spatial _ -> true | Plan_cache.Scalar -> false),
+          plan_seconds accel op value ))
       net
   in
   ( network,

@@ -80,6 +80,13 @@ val scalar_seconds : Accelerator.t -> Amos_ir.Operator.t -> float
 (** [Compiler.tuned_scalar_seconds]: the roofline spatial plans must
     beat. *)
 
+val plan_seconds :
+  Accelerator.t -> Amos_ir.Operator.t -> Plan_cache.value -> float
+(** What a stored plan costs: the simulator's structural estimate of
+    the lowered spatial plan (what the tuner measured), else
+    {!scalar_seconds}.  The one pricing of a cached value — network
+    compiles and the CLI's reports both use it. *)
+
 val tune_fresh :
   ?seeds:Explore.candidate list ->
   ?model:Explore.screen_model ->

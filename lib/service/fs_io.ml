@@ -89,28 +89,35 @@ let append_line t path line =
     [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
     path (line ^ "\n")
 
-(* one buffer sized by [fstat]: no channel buffer and no growing copies
-   on the disk-tier lookup path.  A file that shrank mid-read yields
-   what was there; one that grew yields the size [fstat] saw. *)
-let read_whole path =
-  with_fd path [ Unix.O_RDONLY ] (fun fd ->
-      let size = (Unix.fstat fd).Unix.st_size in
-      let buf = Bytes.create size in
-      let rec fill off =
-        if off = size then off
-        else
-          match Unix.read fd buf off (size - off) with
-          | 0 -> off
-          | n -> fill (off + n)
-      in
-      let n = fill 0 in
-      if n = size then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 n)
+(* [len] bytes from [fd]'s position into one buffer, fewer when the
+   file ends first: no channel buffer and no growing copies on the
+   disk-tier lookup path *)
+let read_upto fd len =
+  let buf = Bytes.create len in
+  let rec fill off =
+    if off = len then off
+    else
+      match Unix.read fd buf off (len - off) with
+      | 0 -> off
+      | n -> fill (off + n)
+  in
+  let n = fill 0 in
+  if n = len then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 n
 
-let read_file t path =
+let faulted_read t path read =
   match trip t Read with
   | Some (Fail e) -> failed e "read" path
   | Some (Crash_before | Crash_after | Torn _) -> crashed "read" path
-  | None -> read_whole path
+  | None -> with_fd path [ Unix.O_RDONLY ] read
+
+(* a file that grew mid-read yields the size [fstat] saw *)
+let read_file t path =
+  faulted_read t path (fun fd -> read_upto fd (Unix.fstat fd).Unix.st_size)
+
+let read_at t path ~off ~len =
+  faulted_read t path (fun fd ->
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      read_upto fd len)
 
 let rename t src dst =
   match trip t Rename with

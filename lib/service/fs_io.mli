@@ -4,9 +4,9 @@
     {!t} handle.  The default handle ({!real}) passes straight through
     to the OS; a handle built with {!faulty} carries a {!Fault_plan} of
     one-shot triggers, so crash consistency becomes a unit-testable
-    property: "the journal append never lands", "the entry write is
-    torn after 10 bytes", "the rename is interrupted" are all
-    reproducible, deterministic schedules rather than rare races.
+    property: "the record append never lands", "the record append is
+    torn after 10 bytes", "the compaction's rename is interrupted" are
+    all reproducible, deterministic schedules rather than rare races.
 
     A faultable operation raises only two exceptions.  [Unix.Unix_error]
     is an OS error the process survives and must handle (EIO, ENOSPC,
@@ -17,11 +17,11 @@
     exactly like a restart after a power cut. *)
 
 type op =
-  | Append  (** O_APPEND journal writes *)
+  | Append  (** O_APPEND log writes *)
   | Write  (** whole-file (tmp) writes *)
   | Rename
   | Remove
-  | Read  (** whole-file reads *)
+  | Read  (** whole-file and positioned reads *)
   | Lock  (** lock-file acquisition *)
 
 type mode =
@@ -76,6 +76,11 @@ val list_dir : t -> string -> string list
 (** Basenames, [[]] when the directory does not exist. *)
 
 val read_file : t -> string -> string
+
+val read_at : t -> string -> off:int -> len:int -> string
+(** The [len] bytes at offset [off], fewer when the file ends first: a
+    lookup reads one record, not the whole log.  Faults as [Read]. *)
+
 val write_file : t -> string -> string -> unit
 (** Whole-file create-or-truncate write in one [write(2)] call. *)
 

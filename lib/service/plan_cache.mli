@@ -1,17 +1,23 @@
 (** Persistent, content-addressed store of tuned plans.
 
-    Two layers: an in-memory cache of recently used entries over an
-    on-disk directory of {!Amos.Plan_io} text files (one file per
-    fingerprint, atomically written via a unique temp name + rename)
-    plus an append-only journaled index ([journal.txt], [add]/[del]
-    lines, compacted on open when it grows past twice the live set).
+    {2 Layers}
+
+    An in-memory cache of recently used entries over one append-only
+    log on disk, [journal.txt], stamped [amos-journal 2].  Every stored
+    plan is one record line,
+    [add <fp> <bytes> <tuning_seconds> <digest> <entry>]: the entry is
+    the plan's text (newlines and backslashes escaped onto the line) and
+    [<digest>] its MD5; an eviction appends [del <fp>], and later lines
+    win.  The index maps each live fingerprint to its record's offset and
+    accounting, never to its text, so a disk-tier lookup is one
+    positioned read that checks the fingerprint and digest.
 
     Every lookup re-binds the stored text to the requesting operator and
     accelerator through [Plan_io.load], which re-runs the Algorithm-1
     mapping validation — a corrupt, truncated or stale entry therefore
-    fails to load, is {e evicted} (memory, disk and journal) and the
-    caller falls back to tuning.  The cache can never serve a plan that
-    does not validate against the operator in hand.
+    fails to load, is {e evicted} (memory, index and a [del] record) and
+    the caller falls back to tuning.  The cache can never serve a plan
+    that does not validate against the operator in hand.
 
     Scalar decisions ("the tuner chose the scalar units for this
     operator") are cached as explicit markers so that a warm cache
@@ -21,32 +27,51 @@
 
     Every entry carries a {!Retain.item} — serialized bytes, the tuning
     seconds spent producing it, and its last-access time read off an
-    injectable {!Clock} — persisted through the journal
-    ([add <fp> <bytes> <tuning_seconds>]; bare legacy [add <fp>] lines
-    load with the file's size and {!Retain.default_tuning_seconds}).
-    Both layers keep their entries in a {!Retain.Table} — each owns its
-    items, and a hit stamps the entry in both.  When [max_bytes] /
-    [max_tuning_seconds] budgets are set, the disk layer evicts the
-    table's {!Retain.Table.victim} — the lowest {!Retain.score}
+    injectable {!Clock} — persisted in its record.  Both layers keep
+    their entries in a {!Retain.Table} — each owns its items, and a hit
+    stamps the entry in both.  When [max_bytes] / [max_tuning_seconds]
+    budgets are set, the disk layer evicts the table's
+    {!Retain.Table.victim} — the lowest {!Retain.score}
     (tuning-seconds-saved per byte, age-decayed) — until it fits again;
     the in-memory layer evicts its own victim before admitting past
     [mem_capacity].  Passing [policy:`Lru] orders both layers by last
     access instead, a value-blind baseline kept so [bench cache_economy]
     can compare the two on identical code paths.
 
-    {2 Crash consistency and multi-process sharing}
+    {2 Write protocol and crash consistency}
+
+    A store is one [O_APPEND] write of its record (a fresh journal's
+    stamp rides in the same write).  A crash leaves the record whole or
+    a torn tail; replay reads only complete lines, so a torn tail is
+    skipped, and the next writer rewrites it away before appending, so
+    the fragment never absorbs another record.  An identical overwrite
+    appends nothing.  Rewrites — compaction once dead records outnumber
+    the live ones (on open and in a running handle alike, so a budgeted
+    cache bounds its directory), {!clear} and {!fsck} — write the live
+    records to a temp file and rename it over the journal; a crash
+    before the rename leaves the old journal whole.
+
+    {2 Sharing between handles and processes}
 
     The directory is safe to share between concurrent compiler
-    processes.  The write protocol orders every store as {e entry file
-    first} (tmp write + rename, with a PID-and-counter-unique temp
-    name), {e journal add second} (a single [O_APPEND] write): a crash
-    at any point leaves either nothing, an abandoned temp file, or an
-    orphan entry file — never a journal line pointing at a plan that
-    does not exist, and never a half-written plan served.  Journal
-    rewrites (compaction, [clear], {!fsck}) run under an exclusive
-    [lockf] lock on [<dir>/lock]; appends deliberately do not take the
-    lock.  Lookups that miss the local index re-replay the journal, so
-    one process observes another's stores without reopening.
+    processes, and between handles in one process (the daemon opens one
+    per network compile).  Appends and rewrites serialize under an
+    exclusive [lockf] lock on [<dir>/lock] plus a per-directory mutex
+    shared by the process's handles, since [lockf] does not exclude
+    those; no store is lost to another's compaction.  Readers take no
+    lock: a handle picks up other handles' records by reading past the
+    offset it last read, and a journal compacted behind its back — one
+    that shrank, or whose new tail does not start on a line boundary —
+    is replayed whole, as is a lookup whose offset no longer holds its
+    record.
+
+    A directory written before the log (one [<fp>.plan] file per entry
+    next to an [add]/[del] journal, stamped [amos-journal 1] or not at
+    all) is imported once, under the lock, on open or {!fsck}: the live
+    entries are copied verbatim with the accounting they had, files the
+    journal did not vouch for are set aside as quarantine, one rename
+    switches the journal, and the copied files are removed last.  An
+    older build opening the new journal gets {!Unsupported_journal}.
 
     All disk traffic goes through an {!Fs_io} handle, so every one of
     these claims is exercised by deterministic fault injection in the
@@ -54,8 +79,7 @@
 
     A cache value is owned by one domain: share it across parallel
     tuning by doing lookups/stores on the coordinating domain (as
-    {!Batch_compile} does), not from workers.  Cross-{e process} sharing
-    needs no coordination beyond pointing at the same directory. *)
+    {!Batch_compile} does), not from workers. *)
 
 open Amos
 open Amos_ir
@@ -70,15 +94,15 @@ type policy = Retain.policy
 
 val journal_version : int
 (** Format version stamped as the first line of every journal this code
-    writes (["amos-journal 1"]). *)
+    writes (["amos-journal 2"]). *)
 
 exception Unsupported_journal of { path : string; version : string }
 (** Raised by any operation that replays a journal claiming a version
-    other than {!journal_version} — {!create}, {!refresh}, {!clear},
-    {!fsck}.  A journal with no stamp at all is a legacy pre-versioning
-    journal and is accepted.  Fingerprint sharding ships cache state
-    between fleet peers, so a format this build does not speak must
-    fail loudly and typed, never be misparsed entry-by-entry. *)
+    other than {!journal_version} — {!create}, {!refresh}, {!fsck} —
+    except version 1 and the unstamped journal before it, which are
+    imported.  Fingerprint sharding ships cache state between fleet
+    peers, so a format this build does not speak must fail loudly and
+    typed, never be misparsed entry-by-entry. *)
 
 type stats = {
   hits : int;
@@ -112,7 +136,8 @@ val create :
     with a virtual clock instead of sleeping.  [fs] (default
     {!Fs_io.real}) mediates all disk operations — pass a
     {!Fs_io.faulty} handle to test crash consistency.  Opening
-    self-heals a torn trailing journal line. *)
+    rewrites a torn journal tail away and imports a version-1
+    directory. *)
 
 val dir : t -> string option
 
@@ -127,7 +152,8 @@ val lookup :
 (** [None] is a miss (absent, unreadable, or present but failed
     re-validation).  A miss on the local index triggers a journal
     {!refresh} first, so stores from concurrent processes are found.
-    A hit stamps the entry's last-access time from the cache's clock. *)
+    A read error misses and keeps the record.  A hit stamps the entry's
+    last-access time from the cache's clock. *)
 
 val lookup_migratable :
   t -> accel:Accelerator.t -> op:Operator.t -> budget:Fingerprint.budget ->
@@ -148,19 +174,19 @@ val store :
   value -> unit
 (** May raise [Unix.Unix_error] (disk errors): the in-memory layer is
     already updated when that happens, and the on-disk state and its
-    accounting are left consistent (possibly without the new entry, or
-    with the entry it would have overwritten).  [provenance] (for
-    plans that won via migration) is serialized into the plan text.
+    accounting are left consistent (without the new record, so with
+    the entry it would have overwritten).  [provenance] (for plans that
+    won via migration) is serialized into the plan text.
     [tuning_seconds] (default {!Retain.default_tuning_seconds}) is the
     exploration cost this entry amortizes — it drives the retention
     score and is persisted in both the entry header ([tuned_in]) and the
-    journal.  Storing may trigger budget evictions of lower-scoring
+    record.  Storing may trigger budget evictions of lower-scoring
     entries (possibly including the one just stored, if it is worth the
     least). *)
 
 val refresh : t -> unit
-(** Re-replay the journal if its size changed since we last read it —
-    i.e. pick up entries stored by other processes.  Called
+(** Read the records other handles and processes appended since we
+    last read (or replay a journal compacted behind our back).  Called
     automatically by [lookup] on index misses. *)
 
 val trim : t -> int
@@ -173,8 +199,8 @@ val disk_size : t -> int
 (** Number of live fingerprints in the index (0 for memory-only). *)
 
 val disk_bytes : t -> int
-(** Accounted bytes across live entries (from the journal's value
-    records, not per-call [stat]s). *)
+(** Accounted bytes across live entries: the sum of their entries'
+    sizes, as their records state them. *)
 
 val disk_tuning_seconds : t -> float
 (** Total tuning seconds the disk layer currently protects. *)
@@ -189,62 +215,60 @@ val eviction_log : t -> (string * float * float) list
 
 val stats : t -> stats
 val clear : t -> unit
-(** Drop every entry, on disk too (under the directory lock, including
-    entries added by other processes); resets statistics. *)
+(** Drop every entry, on disk too (one rename under the directory lock,
+    including entries added by other processes); resets statistics. *)
+
+val quarantined : t -> string list
+(** Fingerprints whose corrupt record {!fsck} set aside in a
+    [<fp>.plan.quarantined] file and that have no live record — the
+    ones a re-tune would restore — sorted.  A quarantine file whose
+    fingerprint is live again was superseded, and is removed here. *)
+
+val unquarantine : t -> string -> unit
+(** Remove a fingerprint's quarantine file once a fresh plan replaced
+    it; a failing remove leaves it for {!quarantined} to sweep. *)
 
 (** {2 Offline checking and repair} *)
 
 type fsck_report = {
-  live : int;  (** valid entries referenced by the rewritten journal *)
+  live : int;  (** valid records in the rewritten journal *)
   bytes : int;
-      (** accounted bytes after repair — measured from the files, so a
-          journal whose value records drifted is corrected here *)
-  adopted : int;
-      (** orphan entry files (valid header, no journal line) re-added *)
+      (** accounted bytes after repair — measured from the entries, so a
+          record whose accounting drifted is corrected here *)
   quarantined : int;
-      (** corrupt entry files renamed to [*.plan.quarantined] *)
+      (** corrupt records whose entry was set aside in
+          [<fp>.plan.quarantined] *)
   unreadable : int;
-      (** entry files a read error kept fsck from checking; each keeps
-          its file and journal add (an orphan stays unadopted) *)
-  dropped : int;  (** journal adds whose entry file is gone or corrupt *)
-  tmp_removed : int;  (** abandoned temp files removed *)
-  torn_repaired : bool;  (** the journal did not end in a newline *)
+      (** 1 when a read error kept fsck from checking the journal, which
+          it then leaves as it is *)
+  tmp_removed : int;
+      (** abandoned temp files, and entry files an interrupted import
+          left behind, removed *)
+  torn_repaired : bool;  (** the journal ended in a torn fragment *)
   quarantine_reclaimed : int;
       (** quarantine files older than the TTL that were removed *)
   known_bad : int;  (** {!Badlist} markers next to the cache *)
-  obs_records : int;
-      (** well-formed lines in the learned-model observation log
-          ([observations.log]) living next to the plans *)
-  obs_skipped : int;
-      (** malformed observation lines (excluding the version stamp) *)
-  obs_torn_repaired : bool;
-      (** the observation log had a torn trailing fragment, now
-          newline-terminated *)
 }
 
 val fsck :
   ?fs:Fs_io.t -> ?clock:Clock.t -> ?quarantine_ttl:float -> dir:string ->
   unit -> fsck_report
-(** Replay the journal, validate every entry file's header against its
-    fingerprint, adopt orphans, quarantine corruption, sweep abandoned
-    temp files, and rewrite a compact journal — all under the directory
-    lock.  Byte and tuning-second accounting is rebuilt from the entry
-    files themselves (actual size, [tuned_in] header), so crash-torn
-    journals recover correct value records.  Safe to run against a live
-    directory (writers only append).  Never deletes plan content:
-    corrupt files are renamed, not removed, and a file that cannot be
-    read is left as it is — except that passing
-    [quarantine_ttl] (seconds; omitted = keep forever) reclaims
-    quarantine files whose mtime is older than the TTL, judged against
-    [clock] (default {!Clock.real}).  The report also counts the
-    {!Badlist} known-bad markers living next to the cache
-    (informational: they never affect {!fsck_clean}), and checks the
-    learned-model observation log ([observations.log]) at the line
-    level — counting records and junk, and terminating a torn trailing
-    fragment so later appends land cleanly.  Observation-log figures
-    are informational too. *)
+(** Replay the journal (importing a version-1 directory first), check
+    every live record's entry against its digest and header, quarantine
+    corruption, sweep abandoned temp files, and rewrite a compact
+    journal — all under the directory lock.  Byte and tuning-second
+    accounting is rebuilt from the entries themselves (actual size,
+    [tuned_in] header).  Safe to run against a live directory.  Never
+    deletes plan content: a corrupt record's entry is written to
+    [<fp>.plan.quarantined] before the rewrite drops it, a failing
+    write rewrites nothing, and a journal that cannot be read is left
+    as it is — except that passing [quarantine_ttl] (seconds; omitted =
+    keep forever) reclaims quarantine files whose mtime is older than
+    the TTL, judged against [clock] (default {!Clock.real}).  The
+    report also counts the {!Badlist} known-bad markers living next to
+    the cache (informational: they never affect {!fsck_clean}). *)
 
 val fsck_clean : fsck_report -> bool
-(** No quarantined or unreadable entries and no dropped journal lines. *)
+(** No quarantined records and no unreadable journal. *)
 
 val describe_fsck : fsck_report -> string

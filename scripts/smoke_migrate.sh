@@ -3,7 +3,7 @@
 #
 # Tunes ResNet C5 for A100 seeded with a plan migrated from V100, into a
 # fresh cache directory, then checks what the cache economy was told the
-# migrated plan cost: its journal `add` line must carry the measured
+# migrated plan cost: its journal record must carry the measured
 # tuning time, not the 1.000000 s default an unstamped store falls back
 # to.  Any failure exits non-zero.
 set -euo pipefail
@@ -29,20 +29,16 @@ grep -q '^\[migrated ' "$DIR/tune.log" || {
   exit 1
 }
 
-# the migrated entry is the one stored for the target accelerator
-entry="$(grep -l '^accel A100$' "$CACHE"/*.plan || true)"
-if [ "$(printf '%s\n' "$entry" | grep -c .)" -ne 1 ]; then
-  echo "FAIL: expected exactly one A100 entry, found: ${entry:-none}"
-  exit 1
-fi
-fp="$(basename "$entry" .plan)"
-
-add="$(grep "^add $fp " "$CACHE/journal.txt" | tail -n 1)"
-if [ -z "$add" ]; then
-  echo "FAIL: no journal add line for the migrated entry $fp"
+# the migrated entry is the one stored for the target accelerator: its
+# record is `add <fp> <bytes> <tuning_seconds> <digest> <entry>`, the
+# entry's newlines escaped as \n
+add="$(grep '^add .*\\naccel A100\\n' "$CACHE/journal.txt" || true)"
+if [ "$(printf '%s\n' "$add" | grep -c .)" -ne 1 ]; then
+  echo "FAIL: expected exactly one A100 record in the journal"
   sed 's/^/  journal| /' "$CACHE/journal.txt"
   exit 1
 fi
+fp="$(printf '%s\n' "$add" | awk '{print $2}')"
 seconds="$(printf '%s\n' "$add" | awk '{print $4}')"
 if [ -z "$seconds" ] || [ "$seconds" = "1.000000" ]; then
   echo "FAIL: migrated entry stored with the default tuning cost: $add"

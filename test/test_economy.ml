@@ -38,14 +38,9 @@ let store ?tuning_seconds cache ~accel op =
 let lookup cache ~accel op =
   Plan_cache.lookup cache ~accel ~op ~budget:small_budget
 
-(* sum of the actual on-disk entry sizes — the ground truth the
-   journal's accounting must agree with *)
-let real_entry_bytes dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".plan")
-  |> List.fold_left
-       (fun acc f -> acc + (Unix.stat (Filename.concat dir f)).Unix.st_size)
-       0
+(* sum of the live records' entry sizes — the ground truth the
+   accounting must agree with *)
+let real_entry_bytes = Log_records.entry_bytes
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -145,35 +140,38 @@ let accounting_tests =
         | None -> Alcotest.fail "entry must be accounted after reopen");
     Alcotest.test_case "legacy-journal-lines-account-conservatively" `Quick
       (fun () ->
-        (* strip the value record off the add line, as a pre-economy
-           writer would have left it: the entry must still be accounted
-           (probed size, default cost), never dropped or worth zero *)
+        (* a version-1 directory whose add line carries no value record,
+           as a pre-economy writer left it: the import must still
+           account the entry (its size, the default cost), never drop
+           it or make it worth zero *)
         let accel = toy_accel () in
         let dir = Temp.dir "amos-eco-legacy" in
-        let cache = Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir () in
-        store cache ~accel (op_a ()) ~tuning_seconds:9.;
+        Plan_cache_oracle.store ~tuning_seconds:9.
+          (Plan_cache_oracle.create ~clock:(Clock.virtual_ ()) ~dir ())
+          ~accel ~op:(op_a ()) ~budget:small_budget Plan_cache.Scalar;
         let journal = Filename.concat dir "journal.txt" in
-        let ic = open_in journal in
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> close_in ic);
-        let oc = open_out journal in
-        List.iter
-          (fun line ->
-            match String.split_on_char ' ' line with
-            | "add" :: fp :: _ -> Printf.fprintf oc "add %s\n" fp
-            | _ -> Printf.fprintf oc "%s\n" line)
-          (List.rev !lines);
-        close_out oc;
+        let lines =
+          In_channel.with_open_bin journal In_channel.input_all
+          |> String.split_on_char '\n'
+        in
+        Out_channel.with_open_bin journal (fun oc ->
+            List.iter
+              (fun line ->
+                match String.split_on_char ' ' line with
+                | "add" :: fp :: _ -> Printf.fprintf oc "add %s\n" fp
+                | _ -> if line <> "" then Printf.fprintf oc "%s\n" line)
+              lines);
+        let entry_file =
+          Filename.concat dir (fp_of accel (op_a ()) ^ ".plan")
+        in
+        let file_size = (Unix.stat entry_file).Unix.st_size in
         let reopened =
           Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir ()
         in
-        Alcotest.(check int) "legacy entry accounted by probe"
-          (real_entry_bytes dir)
+        Alcotest.(check int) "legacy entry accounted by its size" file_size
           (Plan_cache.disk_bytes reopened);
+        Alcotest.(check int) "and the records agree" file_size
+          (real_entry_bytes dir);
         check_float "legacy entry gets the default cost"
           Retain.default_tuning_seconds
           (Plan_cache.disk_tuning_seconds reopened);
@@ -181,30 +179,24 @@ let accounting_tests =
         | Some Plan_cache.Scalar -> ()
         | _ -> Alcotest.fail "legacy entry must still be served");
     Alcotest.test_case "fsck-rebuilds-drifted-accounting" `Quick (fun () ->
-        (* a journal whose value records lie (crash-torn, hand-edited)
-           is corrected by fsck from the files themselves *)
+        (* records whose value fields lie (hand-edited) are corrected by
+           fsck from the entries themselves *)
         let accel = toy_accel () in
         let dir = Temp.dir "amos-eco-fsck" in
         let cache = Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir () in
         store cache ~accel (op_a ()) ~tuning_seconds:2.;
         store cache ~accel (op_b ()) ~tuning_seconds:3.;
-        let journal = Filename.concat dir "journal.txt" in
-        let ic = open_in journal in
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> close_in ic);
-        let oc = open_out journal in
-        List.iter
-          (fun line ->
-            match String.split_on_char ' ' line with
-            | "add" :: fp :: _ ->
-                Printf.fprintf oc "add %s 999999 50.000000\n" fp
-            | _ -> Printf.fprintf oc "%s\n" line)
-          (List.rev !lines);
-        close_out oc;
+        let drifted =
+          List.map
+            (fun line ->
+              match String.split_on_char ' ' line with
+              | "add" :: fp :: _ :: _ :: rest ->
+                  String.concat " " ("add" :: fp :: "999999" :: "50.000000" :: rest)
+              | _ -> line)
+            (Log_records.lines dir)
+        in
+        Out_channel.with_open_bin (Log_records.journal dir) (fun oc ->
+            List.iter (fun l -> output_string oc (l ^ "\n")) drifted);
         let drifted = Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir () in
         Alcotest.(check int) "drifted journal believed at first"
           (2 * 999999)
@@ -490,23 +482,10 @@ let quarantined_entry dir =
   let accel = toy_accel () in
   let cache = Plan_cache.create ~dir () in
   store cache ~accel (op_a ());
-  let entry =
-    match
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".plan")
-    with
-    | [ f ] -> Filename.concat dir f
-    | _ -> Alcotest.fail "expected exactly one entry file"
-  in
-  let oc = open_out entry in
-  output_string oc "garbage: not a plan header\n";
-  close_out oc;
+  Log_records.garble dir;
   let r = Plan_cache.fsck ~dir () in
   Alcotest.(check int) "corruption quarantined" 1 r.Plan_cache.quarantined;
-  match
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".plan.quarantined")
-  with
+  match Log_records.quarantine_files dir with
   | [ f ] -> Filename.concat dir f
   | _ -> Alcotest.fail "expected exactly one quarantine file"
 

@@ -69,55 +69,76 @@ let assert_recovers ~dir ~accel ~op ~value ~expect_live ~expect_hit () =
   let r3 = Plan_cache.fsck ~dir () in
   Alcotest.(check bool) "final fsck clean" true (Plan_cache.fsck_clean r3)
 
-(* store one entry through a fault plan; returns whether the store
-   visibly failed (an OS error or a simulated crash) *)
-let store_under_faults ~dir faults =
+(* store one entry through a fault plan — after a clean earlier version
+   when [seeded], then re-stamped [restamps] times with fresh tuning
+   costs, so dead records pile up until the running handle compacts;
+   returns whether a write visibly failed (an OS error or a simulated
+   crash) *)
+let store_under_faults ?(seeded = false) ?(restamps = 0) ~dir faults =
   let accel = toy_accel () in
   let op = an_op () in
   let value = tune_value accel op in
+  if seeded then
+    Plan_cache.store ~tuning_seconds:0.5 (Plan_cache.create ~dir ()) ~accel ~op
+      ~budget:small_budget value;
   let fs = Fs_io.faulty faults in
   let cache = Plan_cache.create ~fs ~dir () in
   let failed =
-    match Plan_cache.store cache ~accel ~op ~budget:small_budget value with
+    match
+      Plan_cache.store cache ~accel ~op ~budget:small_budget value;
+      for i = 1 to restamps do
+        Plan_cache.store ~tuning_seconds:(float_of_int i) cache ~accel ~op
+          ~budget:small_budget value
+      done
+    with
     | () -> false
     | exception (Unix.Unix_error _ | Fs_io.Crashed _) -> true
   in
   (accel, op, value, failed)
 
 let fault_point_tests =
-  let mk name faults ~must_fail ~expect_live ~expect_hit =
+  let mk ?seeded ?restamps name faults ~must_fail ~expect_live ~expect_hit =
     Alcotest.test_case name `Quick (fun () ->
         let dir = Temp.dir ("amos-fault-" ^ name) in
-        let accel, op, value, failed = store_under_faults ~dir faults in
+        let accel, op, value, failed =
+          store_under_faults ?seeded ?restamps ~dir faults
+        in
         Alcotest.(check bool) "store outcome" must_fail failed;
         assert_recovers ~dir ~accel ~op ~value ~expect_live ~expect_hit ())
   in
   [
-    (* 1: ENOSPC on the entry tmp write — nothing lands *)
+    (* 1: ENOSPC on the record append, the store's one write — nothing
+       lands *)
     mk "enospc-on-entry-write"
-      [ { Fs_io.op = Fs_io.Write; after = 0; mode = Fs_io.Fail Unix.ENOSPC } ]
+      [ { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Fail Unix.ENOSPC } ]
       ~must_fail:true ~expect_live:0 ~expect_hit:false;
-    (* 2: torn entry tmp write (crash mid-write) — partial tmp left *)
-    mk "torn-entry-tmp-write"
+    (* 2: torn temp write of a running handle's compaction — the record
+       had landed, the fragment is swept, the journal is whole *)
+    mk "torn-entry-tmp-write" ~restamps:20
       [ { Fs_io.op = Fs_io.Write; after = 0; mode = Fs_io.Torn 10 } ]
-      ~must_fail:true ~expect_live:0 ~expect_hit:false;
-    (* 3: crash before the entry rename — full tmp left, target absent *)
-    mk "crash-before-entry-rename"
-      [ { Fs_io.op = Fs_io.Rename; after = 0; mode = Fs_io.Crash_before } ]
-      ~must_fail:true ~expect_live:0 ~expect_hit:false;
-    (* 4: crash after rename, before the journal add — orphan entry
-       that fsck adopts, after which the warm lookup hits *)
-    mk "orphan-entry-no-journal-line"
-      [ { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Crash_before } ]
       ~must_fail:true ~expect_live:1 ~expect_hit:true;
-    (* 5: torn journal add (crash mid-append) — entry file landed, the
-       add line is a fragment; replay ignores it, fsck adopts *)
+    (* 3: crash before that compaction's rename — the full temp file is
+       left, the old journal still serves *)
+    mk "crash-before-entry-rename" ~restamps:20
+      [ { Fs_io.op = Fs_io.Rename; after = 0; mode = Fs_io.Crash_before } ]
+      ~must_fail:true ~expect_live:1 ~expect_hit:true;
+    (* 4: crash before the record append — nothing lands *)
+    mk "crash-before-record-append"
+      [ { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Crash_before } ]
+      ~must_fail:true ~expect_live:0 ~expect_hit:false;
+    (* 5: crash right after the record append — the record is the
+       plan, so it serves *)
+    mk "orphan-entry-no-journal-line"
+      [ { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Crash_after } ]
+      ~must_fail:true ~expect_live:1 ~expect_hit:true;
+    (* 6: torn record append (crash mid-append) — replay skips the
+       fragment and the next writer rewrites it away *)
     mk "torn-journal-append"
       [ { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Torn 3 } ]
-      ~must_fail:true ~expect_live:1 ~expect_hit:true;
-    (* 6: ENOSPC on the journal add — same shape as the orphan case but
-       through the survivable-error path *)
-    mk "enospc-on-journal-append"
+      ~must_fail:true ~expect_live:0 ~expect_hit:false;
+    (* 7: ENOSPC on an overwrite's record append — the earlier version
+       keeps serving *)
+    mk "enospc-on-journal-append" ~seeded:true
       [ { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Fail Unix.ENOSPC } ]
       ~must_fail:true ~expect_live:1 ~expect_hit:true;
     Alcotest.test_case "unreadable-entry-kept-by-fsck" `Quick (fun () ->
@@ -126,17 +147,20 @@ let fault_point_tests =
         let dir = Temp.dir "amos-fsck-read-eio" in
         Plan_cache.store (Plan_cache.create ~dir ()) ~accel ~op
           ~budget:small_budget (tune_value accel op);
-        (* EIO on the entry's read (read 0 is fsck's journal replay): a
-           read error is no evidence of corruption *)
+        let before = Log_records.lines dir in
+        (* EIO on the journal's read: a read error is no evidence of
+           corruption, so fsck rewrites nothing *)
         let fs =
           Fs_io.faulty
-            [ { Fs_io.op = Fs_io.Read; after = 1; mode = Fs_io.Fail Unix.EIO } ]
+            [ { Fs_io.op = Fs_io.Read; after = 0; mode = Fs_io.Fail Unix.EIO } ]
         in
         let r = Plan_cache.fsck ~fs ~dir () in
         Alcotest.(check int) "nothing quarantined" 0 r.Plan_cache.quarantined;
         Alcotest.(check int) "unreadable counted" 1 r.Plan_cache.unreadable;
         Alcotest.(check bool) "not clean while unchecked" false
           (Plan_cache.fsck_clean r);
+        Alcotest.(check (list string)) "journal untouched" before
+          (Log_records.lines dir);
         Alcotest.(check bool) "a fresh handle still hits" true
           (Plan_cache.lookup (Plan_cache.create ~dir ()) ~accel ~op
              ~budget:small_budget
@@ -145,6 +169,27 @@ let fault_point_tests =
         Alcotest.(check bool) "fault-free fsck clean" true
           (Plan_cache.fsck_clean r2);
         Alcotest.(check int) "entry live" 1 r2.Plan_cache.live);
+    Alcotest.test_case "lookup-read-error-keeps-the-record" `Quick (fun () ->
+        let accel = toy_accel () in
+        let op = an_op () in
+        let dir = Temp.dir "amos-lookup-read-eio" in
+        Plan_cache.store (Plan_cache.create ~dir ()) ~accel ~op
+          ~budget:small_budget (tune_value accel op);
+        (* read 0 is the open's replay, read 1 the record's positioned
+           read *)
+        let fs =
+          Fs_io.faulty
+            [ { Fs_io.op = Fs_io.Read; after = 1; mode = Fs_io.Fail Unix.EIO } ]
+        in
+        let cache = Plan_cache.create ~fs ~dir () in
+        Alcotest.(check bool) "the read error misses" true
+          (Plan_cache.lookup cache ~accel ~op ~budget:small_budget = None);
+        Alcotest.(check int) "no corrupt eviction" 0
+          (Plan_cache.stats cache).Plan_cache.corrupt_evictions;
+        Alcotest.(check int) "the record stays indexed" 1
+          (Plan_cache.disk_size cache);
+        Alcotest.(check bool) "the next read hits" true
+          (Plan_cache.lookup cache ~accel ~op ~budget:small_budget <> None));
     Alcotest.test_case "failed-tmp-remove-not-counted" `Quick (fun () ->
         let dir = Temp.dir "amos-fsck-tmp-eio" in
         let tmp = Filename.concat dir "x.plan.tmp-1-1" in
@@ -179,25 +224,30 @@ let journal_tests =
         Alcotest.(check int) "entry stored in the new tree" 1
           (Plan_cache.fsck ~dir ()).Plan_cache.live);
     Alcotest.test_case "add-without-entry-file-dropped" `Quick (fun () ->
+        (* an add line that lost its entry (hand-edited, cut short) is no
+           record: replay skips it and fsck's rewrite drops it *)
         let accel = toy_accel () in
         let op = an_op () in
         let value = tune_value accel op in
         let dir = Temp.dir "amos-fault-dangling-add" in
         let cache = Plan_cache.create ~dir () in
         Plan_cache.store cache ~accel ~op ~budget:small_budget value;
-        (* the entry file vanishes (crash ordering, external deletion)
-           while its journal add survives *)
-        Array.iter
-          (fun f ->
-            if Filename.check_suffix f ".plan" then
-              Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
+        let cut =
+          List.map
+            (fun line ->
+              match Log_records.record line with
+              | Some (fp, b, s, d, _) -> String.concat " " [ "add"; fp; b; s; d ]
+              | None -> line)
+            (Log_records.lines dir)
+        in
+        Out_channel.with_open_bin (Log_records.journal dir) (fun oc ->
+            List.iter (fun l -> output_string oc (l ^ "\n")) cut);
         let r = Plan_cache.fsck ~dir () in
-        Alcotest.(check int) "dangling add dropped" 1 r.Plan_cache.dropped;
+        Alcotest.(check int) "nothing live" 0 r.Plan_cache.live;
         Alcotest.(check int) "nothing quarantined" 0 r.Plan_cache.quarantined;
-        let r2 = Plan_cache.fsck ~dir () in
-        Alcotest.(check bool) "clean after repair" true
-          (Plan_cache.fsck_clean r2);
+        Alcotest.(check bool) "clean" true (Plan_cache.fsck_clean r);
+        Alcotest.(check bool) "dropped by the rewrite" true
+          (Log_records.lines dir = [ "amos-journal 2" ]);
         let warm = Plan_cache.create ~dir () in
         Alcotest.(check bool) "miss, never a phantom hit" true
           (Plan_cache.lookup warm ~accel ~op ~budget:small_budget = None));
@@ -209,7 +259,7 @@ let journal_tests =
         let dir = Temp.dir "amos-fault-compaction" in
         let cache = Plan_cache.create ~dir () in
         Plan_cache.store cache ~accel ~op ~budget:small_budget value;
-        (* bloat the journal with dead adds so reopening compacts *)
+        (* bloat the journal with dead lines so reopening compacts *)
         let real = Fs_io.real () in
         for i = 0 to 39 do
           Fs_io.append_line real
@@ -244,50 +294,44 @@ let journal_tests =
           r.Plan_cache.tmp_removed;
         Alcotest.(check bool) "clean" true (Plan_cache.fsck_clean r));
     Alcotest.test_case "crash-during-clear" `Quick (fun () ->
+        (* clear is one rename: a crash before it leaves every plan, a
+           crash after it none — never an error, never a wrong plan *)
         let accel = toy_accel () in
         let a = Ops.conv2d ~n:2 ~c:2 ~k:2 ~p:4 ~q:4 ~r:3 ~s:3 () in
         let b = Ops.gemm ~m:4 ~n:4 ~k:4 () in
-        let dir = Temp.dir "amos-fault-clear" in
-        let cache = Plan_cache.create ~dir () in
-        Plan_cache.store cache ~accel ~op:a ~budget:small_budget
-          (tune_value accel a);
-        Plan_cache.store cache ~accel ~op:b ~budget:small_budget
-          Plan_cache.Scalar;
-        (* die after removing the first entry file, journal unrewritten *)
-        let faulty_cache =
-          Plan_cache.create
-            ~fs:
-              (Fs_io.faulty
-                 [
-                   {
-                     Fs_io.op = Fs_io.Remove;
-                     after = 0;
-                     mode = Fs_io.Crash_after;
-                   };
-                 ])
-            ~dir ()
+        let served mode =
+          let dir = Temp.dir "amos-fault-clear" in
+          let cache = Plan_cache.create ~dir () in
+          Plan_cache.store cache ~accel ~op:a ~budget:small_budget
+            (tune_value accel a);
+          Plan_cache.store cache ~accel ~op:b ~budget:small_budget
+            Plan_cache.Scalar;
+          let faulty_cache =
+            Plan_cache.create
+              ~fs:(Fs_io.faulty [ { Fs_io.op = Fs_io.Rename; after = 0; mode } ])
+              ~dir ()
+          in
+          (match Plan_cache.clear faulty_cache with
+          | _ -> Alcotest.fail "expected simulated crash during clear"
+          | exception Fs_io.Crashed _ -> ());
+          let r = Plan_cache.fsck ~dir () in
+          Alcotest.(check bool) "clean after the crash" true
+            (Plan_cache.fsck_clean r);
+          let warm = Plan_cache.create ~dir () in
+          List.length
+            (List.filter
+               (fun op ->
+                 Plan_cache.lookup warm ~accel ~op ~budget:small_budget <> None)
+               [ a; b ])
         in
-        (match Plan_cache.clear faulty_cache with
-        | _ -> Alcotest.fail "expected simulated crash during clear"
-        | exception Fs_io.Crashed _ -> ());
-        (* journal still lists both; one file is gone.  fsck drops the
-           dangling add; the surviving entry is served, the removed one
-           misses — never an error, never a wrong plan *)
-        let r = Plan_cache.fsck ~dir () in
-        Alcotest.(check int) "one dangling add dropped" 1 r.Plan_cache.dropped;
-        Alcotest.(check int) "one survivor" 1 r.Plan_cache.live;
-        let warm = Plan_cache.create ~dir () in
-        let got_a =
-          Plan_cache.lookup warm ~accel ~op:a ~budget:small_budget <> None
-        in
-        let got_b =
-          Plan_cache.lookup warm ~accel ~op:b ~budget:small_budget <> None
-        in
-        Alcotest.(check bool) "exactly one entry survives" true
-          (got_a <> got_b));
+        Alcotest.(check int) "crash before the rename keeps both" 2
+          (served Fs_io.Crash_before);
+        Alcotest.(check int) "crash after the rename cleared both" 0
+          (served Fs_io.Crash_after));
     Alcotest.test_case "torn-line-healed-for-next-writer" `Quick (fun () ->
         (* a torn trailing line must not corrupt the NEXT append: the
-           reopening cache terminates it, so new adds parse cleanly *)
+           reopening cache rewrites it away, so new records parse
+           cleanly *)
         let accel = toy_accel () in
         let a = an_op () in
         let b = Ops.gemm ~m:4 ~n:4 ~k:4 () in
@@ -304,13 +348,35 @@ let journal_tests =
         (match Plan_cache.lookup reopened ~accel ~op:b ~budget:small_budget with
         | Some Plan_cache.Scalar -> ()
         | _ -> Alcotest.fail "append after healed torn line must round-trip");
-        (* fsck then also adopts the orphan from the torn store *)
-        let r = Plan_cache.fsck ~dir () in
-        Alcotest.(check int) "orphan adopted" 1 r.Plan_cache.adopted;
-        let warm = Plan_cache.create ~dir () in
-        Alcotest.(check bool) "both entries served" true
-          (Plan_cache.lookup warm ~accel ~op:a ~budget:small_budget <> None
-          && Plan_cache.lookup warm ~accel ~op:b ~budget:small_budget <> None));
+        Alcotest.(check bool) "the torn store never landed" true
+          (Plan_cache.lookup reopened ~accel ~op:a ~budget:small_budget = None);
+        Alcotest.(check bool) "clean" true
+          (Plan_cache.fsck_clean (Plan_cache.fsck ~dir ())));
+    Alcotest.test_case "torn-tail-rewritten-before-the-next-append" `Quick
+      (fun () ->
+        (* a fragment left by a dead writer on a running handle's
+           journal: the next store rewrites it away under the lock, so
+           the fragment never absorbs the record *)
+        let accel = toy_accel () in
+        let dir = Temp.dir "amos-fault-live-heal" in
+        let cache = Plan_cache.create ~dir () in
+        Plan_cache.store cache ~accel ~op:(an_op ()) ~budget:small_budget
+          Plan_cache.Scalar;
+        Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644
+          (Log_records.journal dir) (fun oc -> output_string oc "add 0123");
+        let b = Ops.gemm ~m:4 ~n:4 ~k:4 () in
+        Plan_cache.store cache ~accel ~op:b ~budget:small_budget
+          Plan_cache.Scalar;
+        Alcotest.(check bool) "no line holds the fragment" true
+          (List.for_all
+             (fun l -> not (String.length l >= 8 && String.sub l 0 8 = "add 0123"))
+             (Log_records.lines dir));
+        Alcotest.(check int) "both records parse" 2
+          (List.length (Log_records.entries dir));
+        Alcotest.(check bool) "a fresh handle serves the new record" true
+          (Plan_cache.lookup (Plan_cache.create ~dir ()) ~accel ~op:b
+             ~budget:small_budget
+          = Some Plan_cache.Scalar));
   ]
 
 (* --- multi-process behavior, simulated with two handles ------------- *)
@@ -328,15 +394,14 @@ let multiprocess_tests =
           (Plan_cache.lookup reader ~accel ~op ~budget:small_budget = None);
         Plan_cache.store writer ~accel ~op ~budget:small_budget
           (tune_value accel op);
-        (* the reader's next miss re-replays the journal and hits *)
+        (* the reader's next miss reads past its last offset and hits *)
         (match Plan_cache.lookup reader ~accel ~op ~budget:small_budget with
         | Some _ -> ()
         | None -> Alcotest.fail "reader must observe writer's store"));
     Alcotest.test_case "concurrent-same-fingerprint-stores" `Quick (fun () ->
-        (* the regression the fixed-name tmp file made possible: two
-           writers storing the same fingerprint raced on
-           [fp ^ ".plan.tmp"].  With unique temp names both must
-           succeed and leave a valid, servable entry. *)
+        (* two writers storing the same fingerprint through their own
+           handles: appends serialize, and both succeed and leave a
+           valid, servable entry *)
         let accel = toy_accel () in
         let op = an_op () in
         let value = tune_value accel op in
@@ -362,6 +427,76 @@ let multiprocess_tests =
               (Schedule.validate m sched)
         | Some Plan_cache.Scalar -> Alcotest.fail "expected spatial"
         | None -> Alcotest.fail "expected hit after concurrent stores");
+    Alcotest.test_case "compacting-handles-never-lose-a-store" `Quick
+      (fun () ->
+        (* the daemon's shape: a worker stores through the shared handle
+           while each network compile opens its own handle on the same
+           directory, and a bloated journal makes those opens (and the
+           re-stamps between them) compact.  No store may be lost to a
+           rewrite *)
+        let accel = toy_accel () in
+        let dir = Temp.dir "amos-mp-compact" in
+        let n = 60 in
+        let op i = Ops.gemm ~m:(i + 1) ~n:4 ~k:4 () in
+        let churn = Ops.gemm ~m:4 ~n:8 ~k:8 () in
+        let writing = Atomic.make true and opens = Atomic.make 0 in
+        let compactor =
+          Domain.spawn (fun () ->
+              while Atomic.get writing do
+                let c = Plan_cache.create ~dir () in
+                Atomic.incr opens;
+                (* each re-stamp leaves a dead record behind *)
+                for k = 1 to 4 do
+                  Plan_cache.store
+                    ~tuning_seconds:(float_of_int ((4 * Atomic.get opens) + k))
+                    c ~accel ~op:churn ~budget:small_budget Plan_cache.Scalar
+                done
+              done)
+        in
+        while Atomic.get opens = 0 do
+          Domain.cpu_relax ()
+        done;
+        let writer = Plan_cache.create ~dir () in
+        for i = 0 to n - 1 do
+          Plan_cache.store writer ~accel ~op:(op i) ~budget:small_budget
+            Plan_cache.Scalar;
+          Unix.sleepf 0.001
+        done;
+        Atomic.set writing false;
+        Domain.join compactor;
+        let fresh = Plan_cache.create ~dir () in
+        for i = 0 to n - 1 do
+          if Plan_cache.lookup fresh ~accel ~op:(op i) ~budget:small_budget
+             <> Some Plan_cache.Scalar
+          then Alcotest.failf "store %d lost" i
+        done;
+        Alcotest.(check bool) "clean" true
+          (Plan_cache.fsck_clean (Plan_cache.fsck ~dir ())));
+    Alcotest.test_case "stale-offset-refreshes-not-evicts" `Quick (fun () ->
+        (* another handle's compaction moves every record: a lookup at
+           the old offset replays the journal and hits, with no corrupt
+           eviction *)
+        let accel = toy_accel () in
+        let dir = Temp.dir "amos-mp-stale" in
+        let op i = Ops.gemm ~m:(i + 1) ~n:4 ~k:4 () in
+        let writer = Plan_cache.create ~dir () in
+        for i = 0 to 3 do
+          Plan_cache.store writer ~accel ~op:(op i) ~budget:small_budget
+            Plan_cache.Scalar
+        done;
+        let reader = Plan_cache.create ~mem_capacity:1 ~dir () in
+        (* dead records ahead of the live ones, then a compaction *)
+        for i = 1 to 40 do
+          Plan_cache.store ~tuning_seconds:(float_of_int i) writer ~accel
+            ~op:(op 0) ~budget:small_budget Plan_cache.Scalar
+        done;
+        for i = 1 to 3 do
+          Alcotest.(check bool) "hit at a moved offset" true
+            (Plan_cache.lookup reader ~accel ~op:(op i) ~budget:small_budget
+            = Some Plan_cache.Scalar)
+        done;
+        Alcotest.(check int) "no corrupt eviction" 0
+          (Plan_cache.stats reader).Plan_cache.corrupt_evictions);
   ]
 
 (* --- graceful degradation ------------------------------------------- *)
@@ -500,11 +635,11 @@ let degradation_tests =
         let accel = toy_accel () in
         let g = Graph.mini_cnn ~channels:2 () in
         let dir = Temp.dir "amos-store-fail" in
-        (* every entry write fails: tuning succeeds, persistence keeps
+        (* every record append fails: tuning succeeds, persistence keeps
            failing, compile must still complete with tuned plans *)
         let faults =
           List.init 64 (fun i ->
-              { Fs_io.op = Fs_io.Write; after = i; mode = Fs_io.Fail Unix.EIO })
+              { Fs_io.op = Fs_io.Append; after = i; mode = Fs_io.Fail Unix.EIO })
         in
         let cache = Plan_cache.create ~fs:(Fs_io.faulty faults) ~dir () in
         let t =
@@ -626,14 +761,11 @@ let known_bad_tests =
         let cache = Plan_cache.create ~dir () in
         Plan_cache.store cache ~accel ~op ~budget:small_budget
           Plan_cache.Scalar;
-        Array.iter
-          (fun f ->
-            if Filename.check_suffix f ".plan" then
-              Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
-                  output_string oc "garbage: not a plan header\n"))
-          (Sys.readdir dir);
-        (* EIO on fsck's first rename, the quarantine: fsck completes,
-           and the entry leaves the index even though the file stays *)
+        Log_records.garble dir;
+        let before = Log_records.lines dir in
+        (* EIO on the rename of fsck's rewrite, after the corrupt entry
+           was set aside: fsck completes, reports it, and the journal
+           stands as it was *)
         let fs =
           Fs_io.faulty
             [
@@ -643,20 +775,51 @@ let known_bad_tests =
         let r = Plan_cache.fsck ~fs ~dir () in
         Alcotest.(check int) "corruption counted" 1 r.Plan_cache.quarantined;
         Alcotest.(check int) "nothing live" 0 r.Plan_cache.live;
+        Alcotest.(check bool) "not clean" false (Plan_cache.fsck_clean r);
+        Alcotest.(check (list string)) "journal as it was" before
+          (Log_records.lines dir);
+        (* a fault-free fsck sets it aside and rewrites *)
+        let r2 = Plan_cache.fsck ~dir () in
+        Alcotest.(check int) "healthy fsck quarantines" 1
+          r2.Plan_cache.quarantined;
+        Alcotest.(check (list string)) "quarantine file present"
+          [ Fingerprint.key ~accel ~op ~budget:small_budget ^ ".plan.quarantined" ]
+          (Log_records.quarantine_files dir);
         Alcotest.(check bool) "corrupt entry never served" true
           (Plan_cache.lookup (Plan_cache.create ~dir ()) ~accel ~op
              ~budget:small_budget
           = None);
-        (* a fault-free fsck moves the stranded file into quarantine *)
-        let r2 = Plan_cache.fsck ~dir () in
-        Alcotest.(check int) "healthy fsck quarantines" 1
-          r2.Plan_cache.quarantined;
-        Alcotest.(check bool) "quarantine file present" true
-          (Array.exists
-             (fun f -> Filename.check_suffix f ".plan.quarantined")
-             (Sys.readdir dir));
         Alcotest.(check bool) "clean afterwards" true
           (Plan_cache.fsck_clean (Plan_cache.fsck ~dir ())));
+    Alcotest.test_case "quarantine-write-failure-rewrites-nothing" `Quick
+      (fun () ->
+        (* fsck never deletes plan content: when the corrupt entry cannot
+           be set aside, the record stays in the journal *)
+        let accel = toy_accel () in
+        let op = an_op () in
+        let dir = Temp.dir "amos-fsck-qwrite-eio" in
+        Plan_cache.store (Plan_cache.create ~dir ()) ~accel ~op
+          ~budget:small_budget Plan_cache.Scalar;
+        Log_records.garble dir;
+        let before = Log_records.lines dir in
+        let fs =
+          Fs_io.faulty
+            [ { Fs_io.op = Fs_io.Write; after = 0; mode = Fs_io.Fail Unix.EIO } ]
+        in
+        let r = Plan_cache.fsck ~fs ~dir () in
+        Alcotest.(check bool) "not clean" false (Plan_cache.fsck_clean r);
+        Alcotest.(check (list string)) "nothing rewritten" before
+          (Log_records.lines dir);
+        Alcotest.(check (list string)) "no quarantine file" []
+          (Log_records.quarantine_files dir);
+        let r2 = Plan_cache.fsck ~dir () in
+        Alcotest.(check int) "a healthy fsck sets it aside" 1
+          r2.Plan_cache.quarantined;
+        Alcotest.(check string) "the entry is preserved"
+          "garbage: not a plan header\n"
+          (In_channel.with_open_bin
+             (Filename.concat dir (List.hd (Log_records.quarantine_files dir)))
+             In_channel.input_all));
   ]
 
 (* --- cache-economy eviction under faults ------------------------------- *)
@@ -681,29 +844,21 @@ let eco_seed dir =
     ~budget:small_budget Plan_cache.Scalar;
   accel
 
-(* real size of the live entry files — what fsck's [bytes] must report *)
-let live_entry_bytes dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".plan")
-  |> List.fold_left
-       (fun acc f -> acc + (Unix.stat (Filename.concat dir f)).Unix.st_size)
-       0
-
-(* after any interrupted eviction: fsck must drop dangling journal adds,
-   rebuild the byte accounting from the files, and go clean *)
-let assert_eviction_recovers ?(expect_torn = false) ~dir ~dropped () =
+(* after any interrupted eviction: fsck must rebuild the byte
+   accounting from the records' entries, and go clean *)
+let assert_eviction_recovers ?(expect_torn = false) ~dir ~live () =
   let r = Plan_cache.fsck ~dir () in
   if expect_torn then
     Alcotest.(check bool) "torn tail repaired" true r.Plan_cache.torn_repaired;
-  Alcotest.(check int) "dangling adds dropped" dropped r.Plan_cache.dropped;
+  Alcotest.(check int) "live entries" live r.Plan_cache.live;
   Alcotest.(check int) "nothing quarantined" 0 r.Plan_cache.quarantined;
-  Alcotest.(check int) "byte accounting rebuilt from the files"
-    (live_entry_bytes dir) r.Plan_cache.bytes;
+  Alcotest.(check int) "byte accounting rebuilt from the records"
+    (Log_records.entry_bytes dir) r.Plan_cache.bytes;
   let r2 = Plan_cache.fsck ~dir () in
   Alcotest.(check bool) "clean after repair" true (Plan_cache.fsck_clean r2);
   let reopened = Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir () in
   Alcotest.(check int) "reopened handle agrees with disk"
-    (live_entry_bytes dir)
+    (Log_records.entry_bytes dir)
     (Plan_cache.disk_bytes reopened)
 
 let economy_fault_tests =
@@ -720,22 +875,22 @@ let economy_fault_tests =
     | () -> false
     | exception (Unix.Unix_error _ | Fs_io.Crashed _) -> true
   in
+  (* append 0 is the store's record, append 1 the first victim's del *)
   [
     Alcotest.test_case "crash-after-victim-unlink" `Quick (fun () ->
-        (* the victim's file is gone but its journal add survives *)
+        (* the first victim's del landed, then the process died before
+           evicting the second *)
         let dir = Temp.dir "amos-eco-fault-unlink" in
         let accel = eco_seed dir in
         let crashed =
           evicting_store ~dir ~accel
-            [ { Fs_io.op = Fs_io.Remove; after = 0; mode = Fs_io.Crash_after } ]
+            [ { Fs_io.op = Fs_io.Append; after = 1; mode = Fs_io.Crash_after } ]
         in
         Alcotest.(check bool) "eviction crashed" true crashed;
-        assert_eviction_recovers ~dir ~dropped:1 ());
+        assert_eviction_recovers ~dir ~live:2 ());
     Alcotest.test_case "crash-before-eviction-journal-del" `Quick (fun () ->
-        (* unlink succeeded, the del line never landed: same dangling
-           add, reached through the append fault instead.  [after = 1]
-           because the store's own add line is this handle's first
-           append *)
+        (* the record landed, the del line never did: every entry
+           survives the crash, over budget until the next trim *)
         let dir = Temp.dir "amos-eco-fault-del" in
         let accel = eco_seed dir in
         let crashed =
@@ -745,10 +900,10 @@ let economy_fault_tests =
             ]
         in
         Alcotest.(check bool) "eviction crashed" true crashed;
-        assert_eviction_recovers ~dir ~dropped:1 ());
+        assert_eviction_recovers ~dir ~live:3 ());
     Alcotest.test_case "torn-eviction-journal-del" `Quick (fun () ->
         (* crash mid-append leaves a fragment of the del line; replay
-           must ignore it and fsck must heal the tail *)
+           must skip it and fsck must repair the tail *)
         let dir = Temp.dir "amos-eco-fault-torn-del" in
         let accel = eco_seed dir in
         let crashed =
@@ -756,28 +911,30 @@ let economy_fault_tests =
             [ { Fs_io.op = Fs_io.Append; after = 1; mode = Fs_io.Torn 2 } ]
         in
         Alcotest.(check bool) "eviction crashed" true crashed;
-        assert_eviction_recovers ~expect_torn:true ~dir ~dropped:1 ());
+        assert_eviction_recovers ~expect_torn:true ~dir ~live:3 ());
     Alcotest.test_case "eviction-unlink-failure-is-survivable" `Quick
       (fun () ->
-        (* EIO on the victim's unlink: the store must still succeed, the
-           del line still lands, and the stranded file comes back as an
-           fsck orphan rather than being lost or double-counted *)
+        (* EIO on every victim's del: the store must still succeed, and
+           the victims' records outlive their failed dels — accounted,
+           never lost, and re-trimmed by a budgeted handle *)
         let dir = Temp.dir "amos-eco-fault-eio" in
         let accel = eco_seed dir in
         let failed =
           evicting_store ~dir ~accel
             (List.init 4 (fun i ->
-                 { Fs_io.op = Fs_io.Remove; after = i; mode = Fs_io.Fail Unix.EIO }))
+                 {
+                   Fs_io.op = Fs_io.Append;
+                   after = i + 1;
+                   mode = Fs_io.Fail Unix.EIO;
+                 }))
         in
-        Alcotest.(check bool) "store survives the unlink failure" false failed;
+        Alcotest.(check bool) "store survives the del failure" false failed;
         let r = Plan_cache.fsck ~dir () in
-        Alcotest.(check bool) "stranded victims adopted back" true
-          (r.Plan_cache.adopted >= 1);
-        Alcotest.(check int) "accounting covers the adopted files"
-          (live_entry_bytes dir) r.Plan_cache.bytes;
-        Alcotest.(check bool) "clean after adoption" true
-          (Plan_cache.fsck_clean (Plan_cache.fsck ~dir ()));
-        (* a budgeted reopen re-trims the adopted overflow *)
+        Alcotest.(check int) "stranded victims still live" 3 r.Plan_cache.live;
+        Alcotest.(check int) "accounting covers them"
+          (Log_records.entry_bytes dir) r.Plan_cache.bytes;
+        Alcotest.(check bool) "clean" true (Plan_cache.fsck_clean r);
+        (* a budgeted reopen re-trims the overflow *)
         let reopened =
           Plan_cache.create ~max_tuning_seconds:8. ~clock:(Clock.virtual_ ())
             ~dir ()
@@ -786,15 +943,15 @@ let economy_fault_tests =
         Alcotest.(check bool) "back under budget" true
           (Plan_cache.disk_tuning_seconds reopened <= 8.));
     Alcotest.test_case "failed-overwrite-keeps-accounting" `Quick (fun () ->
-        (* EIO on the overwrite's tmp write (write 0 is the first
-           store's): the index keeps the accounting of the file that is
-           still on disk, so the retry on the same handle re-stamps the
-           journal *)
+        (* EIO on the overwrite's record append (append 0 is the first
+           store's): the index keeps the accounting of the record that
+           is still in the journal, so the retry on the same handle
+           re-stamps it *)
         let dir = Temp.dir "amos-eco-fault-overwrite" in
         let accel = toy_accel () in
         let fs =
           Fs_io.faulty
-            [ { Fs_io.op = Fs_io.Write; after = 1; mode = Fs_io.Fail Unix.EIO } ]
+            [ { Fs_io.op = Fs_io.Append; after = 1; mode = Fs_io.Fail Unix.EIO } ]
         in
         let cache = Plan_cache.create ~fs ~clock:(Clock.virtual_ ()) ~dir () in
         let store ts =
@@ -814,55 +971,39 @@ let economy_fault_tests =
         (match store 2. with
         | () -> Alcotest.fail "the overwrite must fail"
         | exception Unix.Unix_error _ -> ());
-        Alcotest.(check (float 0.)) "accounting of the file on disk" 1.
+        Alcotest.(check (float 0.)) "accounting of the record on disk" 1.
           (cost cache);
         store 2.;
         Alcotest.(check (float 0.)) "retry accounted" 2. (cost cache);
         Alcotest.(check (float 0.)) "journal follows the entry" 2.
           (cost (Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir ())));
     Alcotest.test_case "torn-store-accounting-rebuilt" `Quick (fun () ->
-        (* crash mid-tmp-write: nothing lands, and fsck's rebuilt byte
-           accounting reflects only the entries that exist *)
+        (* crash mid-record-append: nothing lands, and fsck's rebuilt
+           byte accounting reflects only the entries that exist *)
         let dir = Temp.dir "amos-eco-fault-torn-store" in
         let accel = eco_seed dir in
         let crashed =
           evicting_store ~dir ~accel
-            [ { Fs_io.op = Fs_io.Write; after = 0; mode = Fs_io.Torn 10 } ]
+            [ { Fs_io.op = Fs_io.Append; after = 0; mode = Fs_io.Torn 10 } ]
         in
         Alcotest.(check bool) "store crashed" true crashed;
-        let r = Plan_cache.fsck ~dir () in
-        Alcotest.(check int) "seed entries intact" 2 r.Plan_cache.live;
-        Alcotest.(check int) "tmp fragment swept" 1 r.Plan_cache.tmp_removed;
-        assert_eviction_recovers ~dir ~dropped:0 ());
+        assert_eviction_recovers ~expect_torn:true ~dir ~live:2 ());
   ]
 
 (* --- quarantine TTL reclaim -------------------------------------------- *)
 
-(* store one entry, then corrupt its file so fsck quarantines it; returns
-   the quarantine file's path *)
+(* store one entry, then corrupt its record so fsck quarantines it;
+   returns the quarantine file's path *)
 let quarantined_entry dir =
   let accel = toy_accel () in
   let op = an_op () in
   let cache = Plan_cache.create ~dir () in
   Plan_cache.store cache ~accel ~op ~budget:small_budget
     (tune_value accel op);
-  let entry =
-    match
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".plan")
-    with
-    | [ f ] -> Filename.concat dir f
-    | _ -> Alcotest.fail "expected exactly one entry file"
-  in
-  let oc = open_out entry in
-  output_string oc "garbage: not a plan header\n";
-  close_out oc;
+  Log_records.garble dir;
   let r = Plan_cache.fsck ~dir () in
   Alcotest.(check int) "corruption quarantined" 1 r.Plan_cache.quarantined;
-  match
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".plan.quarantined")
-  with
+  match Log_records.quarantine_files dir with
   | [ f ] -> Filename.concat dir f
   | _ -> Alcotest.fail "expected exactly one quarantine file"
 
@@ -914,6 +1055,123 @@ let quarantine_ttl_tests =
         Alcotest.(check bool) "reclaimed on retry" false (Sys.file_exists q));
   ]
 
+(* --- importing a version-1 directory ----------------------------------- *)
+
+(* the fixtures under [fixtures/] were written by the per-entry-file
+   store: [v1-stamped] as it left them plus a quarantine file and a
+   stray temp file, [v1-unstamped] with the stamp stripped, one bare
+   [add <fp>] line and that entry's [opkey]/[tuned_in] header lines
+   removed *)
+let fixture_ops () =
+  [
+    ("882eac2d24b372a43537809fdd423425", an_op ());
+    ("97b460046fe9c3d10021871dc259fd18", Ops.gemm ~m:4 ~n:4 ~k:4 ());
+    ("06704d339ff596c91929d9b6060dcb7d", Ops.gemm ~m:8 ~n:8 ~k:8 ());
+    ("fcd04d8a1251960db94ca0e3cc0aaf29", Ops.gemm ~m:6 ~n:6 ~k:6 ());
+  ]
+
+let render = function
+  | None -> "miss"
+  | Some Plan_cache.Scalar -> "scalar"
+  | Some (Plan_cache.Spatial (m, sched)) -> Plan_io.save m sched
+
+(* what the per-entry-file store serves and accounts for a fixture *)
+let oracle_view fixture =
+  let old =
+    Plan_cache_oracle.create ~clock:(Clock.virtual_ ())
+      ~dir:(Log_records.copy_dir fixture) ()
+  in
+  let accel = toy_accel () in
+  ( List.map
+      (fun (fp, op) ->
+        ( render (Plan_cache_oracle.lookup old ~accel ~op ~budget:small_budget),
+          Plan_cache_oracle.info old ~fingerprint:fp ))
+      (fixture_ops ()),
+    Plan_cache_oracle.disk_bytes old )
+
+let log_view dir =
+  let cache = Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir () in
+  let accel = toy_accel () in
+  ( List.map
+      (fun (fp, op) ->
+        let info = Plan_cache.info cache ~fingerprint:fp in
+        ( render (Plan_cache.lookup cache ~accel ~op ~budget:small_budget),
+          info ))
+      (fixture_ops ()),
+    Plan_cache.disk_bytes cache )
+
+(* [dune runtest] runs in the build's test directory; [dune exec] from
+   the repository root *)
+let fixture name =
+  let here = Filename.concat "fixtures" name in
+  if Sys.file_exists here then here else Filename.concat "test" here
+
+let fixtures = [ fixture "v1-stamped"; fixture "v1-unstamped" ]
+
+let import_tests =
+  [
+    Alcotest.test_case "v1-fixtures-import-once-and-serve-alike" `Quick
+      (fun () ->
+        let accel = toy_accel () in
+        List.iter
+          (fun (fp, op) ->
+            Alcotest.(check string) "fixture fingerprint" fp
+              (Fingerprint.key ~accel ~op ~budget:small_budget))
+          (fixture_ops ());
+        List.iter
+          (fun fixture ->
+            let dir = Log_records.copy_dir fixture in
+            let (served, bytes) = log_view dir in
+            let (want, want_bytes) = oracle_view fixture in
+            Alcotest.(check bool) (fixture ^ ": every plan served") true
+              (List.for_all (fun (r, _) -> r <> "miss") served);
+            Alcotest.(check bool) (fixture ^ ": bit-identical plans") true
+              (List.map fst served = List.map fst want);
+            Alcotest.(check bool) (fixture ^ ": the old accounting") true
+              (List.map snd served = List.map snd want);
+            Alcotest.(check int) (fixture ^ ": accounted bytes") want_bytes
+              bytes;
+            Alcotest.(check (list string)) (fixture ^ ": no entry files") []
+              (Log_records.plan_files dir);
+            Alcotest.(check string) (fixture ^ ": stamped") "amos-journal 2"
+              (List.hd (Log_records.lines dir));
+            (* imported once: a second open moves nothing *)
+            let fs = Fs_io.faulty [] in
+            ignore (Plan_cache.create ~fs ~dir ());
+            Alcotest.(check int) (fixture ^ ": no second import") 0
+              (Fs_io.op_count fs Fs_io.Rename + Fs_io.op_count fs Fs_io.Remove);
+            let r = Plan_cache.fsck ~dir () in
+            Alcotest.(check bool) (fixture ^ ": fsck clean") true
+              (Plan_cache.fsck_clean r);
+            Alcotest.(check int) (fixture ^ ": fsck live") 4 r.Plan_cache.live)
+          fixtures);
+    Alcotest.test_case "v1-import-survives-a-crash-at-each-step" `Quick
+      (fun () ->
+        let fixture = fixture "v1-stamped" in
+        let (want, _) = oracle_view fixture in
+        let steps =
+          List.concat_map
+            (fun mode ->
+              { Fs_io.op = Fs_io.Rename; after = 0; mode }
+              :: List.init 4 (fun after -> { Fs_io.op = Fs_io.Remove; after; mode }))
+            [ Fs_io.Crash_before; Fs_io.Crash_after ]
+        in
+        List.iter
+          (fun fault ->
+            let dir = Log_records.copy_dir fixture in
+            (match Plan_cache.create ~fs:(Fs_io.faulty [ fault ]) ~dir () with
+            | _ -> Alcotest.fail "expected a simulated crash mid-import"
+            | exception Fs_io.Crashed _ -> ());
+            let (served, _) = log_view dir in
+            Alcotest.(check bool) "every plan served after the crash" true
+              (List.map fst served = List.map fst want);
+            Alcotest.(check bool) "fsck clean" true
+              (Plan_cache.fsck_clean (Plan_cache.fsck ~dir ()));
+            Alcotest.(check (list string)) "leftover entry files swept" []
+              (Log_records.plan_files dir))
+          steps);
+  ]
+
 let suites =
   [
     ("service.faults", fault_point_tests);
@@ -923,4 +1181,5 @@ let suites =
     ("service.known_bad", known_bad_tests);
     ("service.economy_faults", economy_fault_tests);
     ("service.quarantine_ttl", quarantine_ttl_tests);
+    ("service.import", import_tests);
   ]

@@ -487,6 +487,9 @@ let small_budget =
 let fsck_tests =
   [
     Alcotest.test_case "fsck-counts-and-heals-the-obs-log" `Quick (fun () ->
+        (* [cache fsck] reports the observation log through [Obs_log.scan]
+           and repairs it through [Obs_log.heal]; the plan cache's own
+           fsck never looks at it *)
         let accel = toy_accel () in
         let op = an_op () in
         let dir = Temp.dir "amos-learn-fsck" in
@@ -497,41 +500,35 @@ let fsck_tests =
           Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule)
         in
         Plan_cache.store cache ~accel ~op ~budget:small_budget value;
-        (* the log is written through Obs_log under its own name; fsck
-           carries a duplicate of that name — this test pins the two *)
         let log = Obs_log.create ~dir () in
         append_simple log ~fingerprint:"fp-1" ~predicted:1.0 ~measured:2.0;
         append_simple log ~fingerprint:"fp-2" ~predicted:2.0 ~measured:3.0;
-        let r = Plan_cache.fsck ~dir () in
-        Alcotest.(check int) "obs records" 2 r.Plan_cache.obs_records;
-        Alcotest.(check int) "obs skipped" 0 r.Plan_cache.obs_skipped;
-        Alcotest.(check bool) "no tear" false r.Plan_cache.obs_torn_repaired;
-        Alcotest.(check bool) "cache clean" true (Plan_cache.fsck_clean r);
+        let s = Obs_log.scan ~dir () in
+        Alcotest.(check int) "obs records" 2 s.Obs_log.records;
+        Alcotest.(check int) "obs skipped" 0 s.Obs_log.skipped;
+        Alcotest.(check bool) "no tear" false (Obs_log.heal ~dir ());
+        Alcotest.(check bool) "cache clean" true
+          (Plan_cache.fsck_clean (Plan_cache.fsck ~dir ()));
         (* garbage line plus a torn trailing fragment, written raw — the
-           crash shapes fsck must absorb without quarantining the cache *)
+           crash shapes the log must absorb without dirtying the cache *)
         let oc =
           open_out_gen [ Open_append ] 0o644
             (Filename.concat dir Obs_log.file_name)
         in
         output_string oc "garbage line\nobs fp-3 toy 1.0";
         close_out oc;
-        let r2 = Plan_cache.fsck ~dir () in
-        Alcotest.(check bool) "tear repaired" true
-          r2.Plan_cache.obs_torn_repaired;
-        Alcotest.(check int) "records preserved" 2 r2.Plan_cache.obs_records;
-        Alcotest.(check int) "garbage skipped" 1 r2.Plan_cache.obs_skipped;
-        let r3 = Plan_cache.fsck ~dir () in
-        Alcotest.(check bool) "repair sticks" false
-          r3.Plan_cache.obs_torn_repaired;
-        Alcotest.(check int) "healed fragment now skipped" 2
-          r3.Plan_cache.obs_skipped;
+        let s2 = Obs_log.scan ~dir () in
+        Alcotest.(check bool) "tear seen" true s2.Obs_log.torn;
+        Alcotest.(check int) "records preserved" 2 s2.Obs_log.records;
+        Alcotest.(check int) "garbage skipped" 1 s2.Obs_log.skipped;
         Alcotest.(check bool) "obs damage never dirties the cache" true
-          (Plan_cache.fsck_clean r3);
-        (* and Obs_log agrees with fsck's view after the repair *)
-        let s = Obs_log.scan ~dir () in
-        Alcotest.(check int) "obs_log records agree" 2 s.Obs_log.records;
-        Alcotest.(check int) "obs_log skipped agree" 2 s.Obs_log.skipped;
-        Alcotest.(check bool) "obs_log sees no tear" false s.Obs_log.torn;
+          (Plan_cache.fsck_clean (Plan_cache.fsck ~dir ()));
+        Alcotest.(check bool) "tear repaired" true (Obs_log.heal ~dir ());
+        Alcotest.(check bool) "repair sticks" false (Obs_log.heal ~dir ());
+        let s3 = Obs_log.scan ~dir () in
+        Alcotest.(check int) "records agree" 2 s3.Obs_log.records;
+        Alcotest.(check int) "healed fragment now skipped" 2 s3.Obs_log.skipped;
+        Alcotest.(check bool) "no tear after repair" false s3.Obs_log.torn;
         (* appends after repair land on a fresh line *)
         let log2 = Obs_log.create ~dir () in
         append_simple log2 ~fingerprint:"fp-4" ~predicted:3.0 ~measured:4.0;

@@ -661,10 +661,10 @@ let apply_eco ~dir (kind, bound, steps) =
     steps;
   cache
 
-(* the journal's byte accounting never drifts from the directory: after
-   any operation sequence — including budget evictions, overwrites and
-   trims — the accounted total equals the stat'd size of the live entry
-   files, and a fresh handle replays to the same totals *)
+(* the byte accounting never drifts from the log: after any operation
+   sequence — including budget evictions, overwrites and trims — the
+   accounted total equals the sizes of the live records' entries, and a
+   fresh handle replays to the same totals *)
 let prop_bytes_accounted =
   QCheck.Test.make ~count:100 ~name:"accounted bytes = sum of entry sizes"
     arb_eco_script (fun script ->
@@ -673,19 +673,164 @@ let prop_bytes_accounted =
         ~finally:(fun () -> Temp.rm_rf dir)
         (fun () ->
           let cache = apply_eco ~dir script in
-          let on_disk =
-            Sys.readdir dir |> Array.to_list
-            |> List.filter (fun f -> Filename.check_suffix f ".plan")
-            |> List.fold_left
-                 (fun acc f ->
-                   acc + (Unix.stat (Filename.concat dir f)).Unix.st_size)
-                 0
-          in
+          let on_disk = Log_records.entry_bytes dir in
           let reopened = Plan_cache.create ~clock:(Clock.virtual_ ()) ~dir () in
           Plan_cache.disk_bytes cache = on_disk
           && Plan_cache.disk_bytes reopened = on_disk
           && Plan_cache.disk_tuning_seconds reopened
              = Plan_cache.disk_tuning_seconds cache))
+
+(* --- the plan log against the store it replaced ----------------------- *)
+
+(* an interleaving of everything that moves the disk tier: stores
+   (spatial or scalar values, so overwrites change content and size),
+   lookups, clock advances, trims, clears and reopens *)
+type log_step =
+  | L_store of int * int * bool  (* operator index, tuning seconds, spatial *)
+  | L_lookup of int
+  | L_advance of int
+  | L_trim
+  | L_clear
+  | L_reopen
+
+let show_log_step = function
+  | L_store (i, ts, sp) ->
+      Printf.sprintf "store(%d, %ds%s)" i ts (if sp then ", spatial" else "")
+  | L_lookup i -> Printf.sprintf "lookup(%d)" i
+  | L_advance dt -> Printf.sprintf "advance(%ds)" dt
+  | L_trim -> "trim"
+  | L_clear -> "clear"
+  | L_reopen -> "reopen"
+
+let gen_log_step =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 5,
+        map3
+          (fun i ts sp -> L_store (i, ts, sp))
+          (int_range 0 5) (int_range 1 20) bool );
+      (3, map (fun i -> L_lookup i) (int_range 0 7));
+      (2, map (fun dt -> L_advance dt) (int_range 1 7200));
+      (1, return L_trim);
+      (1, frequency [ (1, return L_clear); (3, return L_reopen) ]);
+    ]
+
+let arb_log_script =
+  QCheck.make
+    ~print:(fun (kind, bound, steps) ->
+      Printf.sprintf "kind=%d bound=%d [%s]" kind bound
+        (String.concat "; " (List.map show_log_step steps)))
+    QCheck.Gen.(
+      triple (int_range 0 2) (int_range 1 12)
+        (list_size (int_range 1 40) gen_log_step))
+
+(* one tuned plan per operator (scalar when unmappable); indices 6 and 7
+   are looked up but never stored *)
+let log_ops =
+  lazy
+    (let accel = Lazy.force eco_accel in
+     let stored = Lazy.force eco_ops in
+     let ops =
+       Array.append stored
+         [| Ops.gemm ~m:2 ~n:4 ~k:6 (); Ops.gemm ~m:6 ~n:2 ~k:2 () |]
+     in
+     Array.map
+       (fun op ->
+         ( op,
+           match Explore.tune_op ~population:4 ~generations:2 ~accel op with
+           | Some r ->
+               let c = r.Explore.best.Explore.candidate in
+               Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule)
+           | None -> Plan_cache.Scalar ))
+       ops)
+
+let render_value = function
+  | None -> "miss"
+  | Some Plan_cache.Scalar -> "scalar"
+  | Some (Plan_cache.Spatial (m, sched)) -> Plan_io.save m sched
+
+(* every lookup, stats, disk size, accounting, per-entry item and
+   eviction log agree between the log and the per-entry-file store,
+   each on its own directory, on one virtual clock *)
+let prop_plan_log =
+  QCheck.Test.make ~count:100 ~name:"plan log = per-entry-file store"
+    arb_log_script (fun (kind, bound, steps) ->
+      let accel = Lazy.force eco_accel in
+      let ops = Lazy.force log_ops in
+      let dir_log = Temp.dir "amos-prop-log" in
+      let dir_old = Temp.dir "amos-prop-log-oracle" in
+      Fun.protect
+        ~finally:(fun () ->
+          Temp.rm_rf dir_log;
+          Temp.rm_rf dir_old)
+        (fun () ->
+          let clock = Clock.virtual_ () in
+          let max_bytes = if kind = 1 then Some (bound * 150) else None in
+          let max_tuning_seconds =
+            if kind = 2 then Some (float_of_int bound *. 3.) else None
+          in
+          let open_log () =
+            Plan_cache.create ?max_bytes ?max_tuning_seconds ~clock
+              ~dir:dir_log ()
+          in
+          let open_old () =
+            Plan_cache_oracle.create ?max_bytes ?max_tuning_seconds ~clock
+              ~dir:dir_old ()
+          in
+          let log = ref (open_log ()) and old = ref (open_old ()) in
+          let agree () =
+            Plan_cache.stats !log = Plan_cache_oracle.stats !old
+            && Plan_cache.disk_size !log = Plan_cache_oracle.disk_size !old
+            && Plan_cache.disk_bytes !log = Plan_cache_oracle.disk_bytes !old
+            && Plan_cache.disk_tuning_seconds !log
+               = Plan_cache_oracle.disk_tuning_seconds !old
+            && Plan_cache.eviction_log !log
+               = Plan_cache_oracle.eviction_log !old
+            && Array.for_all
+                 (fun (op, _) ->
+                   let fingerprint =
+                     Fingerprint.key ~accel ~op ~budget:eco_budget
+                   in
+                   Plan_cache.info !log ~fingerprint
+                   = Plan_cache_oracle.info !old ~fingerprint)
+                 ops
+          in
+          List.for_all
+            (fun step ->
+              let same =
+                match step with
+                | L_store (i, ts, spatial) ->
+                    let op, v = ops.(i) in
+                    let v = if spatial then v else Plan_cache.Scalar in
+                    let tuning_seconds = float_of_int ts in
+                    Plan_cache.store ~tuning_seconds !log ~accel ~op
+                      ~budget:eco_budget v;
+                    Plan_cache_oracle.store ~tuning_seconds !old ~accel ~op
+                      ~budget:eco_budget v;
+                    true
+                | L_lookup i ->
+                    let op, _ = ops.(i) in
+                    render_value
+                      (Plan_cache.lookup !log ~accel ~op ~budget:eco_budget)
+                    = render_value
+                        (Plan_cache_oracle.lookup !old ~accel ~op
+                           ~budget:eco_budget)
+                | L_advance dt ->
+                    Clock.advance clock (float_of_int dt);
+                    true
+                | L_trim -> Plan_cache.trim !log = Plan_cache_oracle.trim !old
+                | L_clear ->
+                    Plan_cache.clear !log;
+                    Plan_cache_oracle.clear !old;
+                    true
+                | L_reopen ->
+                    log := open_log ();
+                    old := open_old ();
+                    true
+              in
+              same && agree ())
+            steps))
 
 (* eviction never sacrifices a more valuable entry: at the moment each
    victim was chosen, every retained entry scored at least as high *)
@@ -1414,6 +1559,7 @@ let suites =
           prop_score_translation_invariant;
         ] );
     ("props.retain_table", [ to_alcotest prop_retain_table ]);
+    ("props.plan_log", [ to_alcotest prop_plan_log ]);
     ( "props.json",
       List.map to_alcotest
         [ prop_json_writer; prop_json_reader; prop_json_reader_soup ] );

@@ -1039,15 +1039,8 @@ let daemon_tests =
         | Error msg -> Alcotest.fail msg);
         Server.stop server1;
         Thread.join thread1;
-        (* the entry is corrupted on disk; fsck quarantines it *)
-        Array.iter
-          (fun f ->
-            if Filename.check_suffix f ".plan" then begin
-              let oc = open_out (Filename.concat dir f) in
-              output_string oc "garbage: not a plan header\n";
-              close_out oc
-            end)
-          (Sys.readdir dir);
+        (* the record is corrupted on disk; fsck quarantines it *)
+        Log_records.garble dir;
         let r = Plan_cache.fsck ~dir () in
         Alcotest.(check int) "entry quarantined" 1 r.Plan_cache.quarantined;
         (* a fresh daemon misses — but the lookup teaches it the spec *)
@@ -1134,10 +1127,9 @@ let daemon_tests =
         Server.stop server;
         Thread.join thread;
         let stored =
-          In_channel.with_open_text
-            (Filename.concat cache_dir
-               (Fingerprint.key ~accel:a100 ~op ~budget:small_budget ^ ".plan"))
-            In_channel.input_all
+          List.assoc
+            (Fingerprint.key ~accel:a100 ~op ~budget:small_budget)
+            (Log_records.entries cache_dir)
         in
         match Plan_io.provenance stored with
         | Some p ->
@@ -1696,12 +1688,7 @@ let memo_tests =
         ignore (expect_plan "first tune" (request socket1 (kind_req tune)));
         Server.stop server1;
         Thread.join thread1;
-        Array.iter
-          (fun f ->
-            if Filename.check_suffix f ".plan" then
-              Out_channel.with_open_text (Filename.concat dir f) (fun oc ->
-                  output_string oc "garbage: not a plan header\n"))
-          (Sys.readdir dir);
+        Log_records.garble dir;
         Alcotest.(check int) "entry quarantined" 1
           (Plan_cache.fsck ~dir ()).Plan_cache.quarantined;
         (* the fresh daemon only ever sees the operator as a Kind spec *)

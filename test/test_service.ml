@@ -556,19 +556,13 @@ let batch_tests =
         let _cold =
           Batch_compile.compile ~jobs:1 ~budget:small_budget ~cache accel g
         in
-        (* vandalize every on-disk entry: the header still looks right,
-           so detection has to come from Plan_io re-validation *)
-        Array.iter
-          (fun f ->
-            if Filename.check_suffix f ".plan" then
-              let fp = Filename.chop_suffix f ".plan" in
-              Out_channel.with_open_text (Filename.concat dir f) (fun oc ->
-                  Out_channel.output_string oc
-                    (Printf.sprintf
-                       "amos-plan-cache 1\nfingerprint %s\nkind \
-                        spatial\n---\ngarbage\n"
-                       fp)))
-          (Sys.readdir dir);
+        (* vandalize every record's entry, digest kept matching: the
+           header still looks right, so detection has to come from
+           Plan_io re-validation *)
+        Log_records.map_entries dir (fun fp _ ->
+            Printf.sprintf
+              "amos-plan-cache 1\nfingerprint %s\nkind spatial\n---\ngarbage\n"
+              fp);
         (* a fresh cache over the same directory must detect the damage,
            evict, and re-tune instead of crashing or serving garbage *)
         let cache2 = Plan_cache.create ~dir () in

@@ -16,7 +16,10 @@
     Tuned plans travel as {!Amos.Plan_io} text: the client re-binds the
     plan against its own operator and accelerator through
     [Plan_io.load], which re-runs the Algorithm-1 validation — the wire
-    cannot introduce a plan that does not validate. *)
+    cannot introduce a plan that does not validate.  The text names the
+    iterations of the operator it was tuned for, and binds them by
+    position, so every client of one fingerprint can bind the plan the
+    daemon holds for it, whatever the client calls its iterations. *)
 
 val version : int
 (** Current protocol version (1). *)

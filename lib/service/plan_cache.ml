@@ -15,9 +15,6 @@ type stats = {
   corrupt_evictions : int;
 }
 
-(* memory entries keep the serialized text, not the parsed plan: parsing
-   through [Plan_io.load] on every hit is what re-runs the Algorithm-1
-   validation against the operator actually being compiled *)
 type meta = {
   accel_name : string;
   op_key : string option;
@@ -28,10 +25,20 @@ type meta = {
           written before the cache economy existed *)
 }
 
+(* A memory entry keeps its plan's text, which [lookup_migratable] hands
+   out, beside the text parsed: a disk-tier hit parses it on admission,
+   a store on the entry's first hit, and never again.  What the parse
+   holds is the same for every operator, so each hit still binds it to
+   the operator in hand through [Plan_io.bind], which re-runs the
+   Algorithm-1 validation and the schedule check. *)
 type entry = {
-  kind : [ `Spatial of string (* Plan_io text *) | `Scalar ];
+  kind : [ `Spatial of string * Plan_io.plan option Lazy.t | `Scalar ];
   meta : meta;
 }
+
+let resident = function
+  | `Scalar -> `Scalar
+  | `Spatial text -> `Spatial (text, lazy (Plan_io.parse text))
 
 (* where a live record's line sits in the journal (without its newline)
    and its entry's digest; a compaction moves [off] in place *)
@@ -595,8 +602,8 @@ let trim t =
 let validate ~accel ~op kind =
   match kind with
   | `Scalar -> Some Scalar
-  | `Spatial text -> (
-      match Plan_io.load accel op text with
+  | `Spatial (_, plan) -> (
+      match Option.bind (Lazy.force plan) (Plan_io.bind accel op) with
       | Some (m, sched) -> Some (Spatial (m, sched))
       | None -> None)
 
@@ -610,6 +617,7 @@ let lookup t ~accel ~op ~budget =
     | Some (loc, it) -> (
         match read_record t d fp loc with
         | `Ok (_, kind, meta) ->
+            let kind = resident kind in
             mem_insert t fp { kind; meta } it;
             ignore (touch t fp);
             Some kind
@@ -679,7 +687,11 @@ let lookup_migratable t ~accel ~op ~budget =
   in
   let from_mem =
     Retain.Table.fold
-      (fun fp e _ acc -> candidate fp e.kind e.meta acc)
+      (fun fp e _ acc ->
+        let kind =
+          match e.kind with `Spatial (text, _) -> `Spatial text | `Scalar -> `Scalar
+        in
+        candidate fp kind e.meta acc)
       t.mem []
   in
   let from_disk =
@@ -726,7 +738,7 @@ let store ?provenance ?tuning_seconds t ~accel ~op ~budget v =
       last_access = Clock.now t.clock;
     }
   in
-  mem_insert t fp { kind; meta } item;
+  mem_insert t fp { kind = resident kind; meta } item;
   (match t.dir with
   | None -> ()
   | Some d ->

@@ -12,12 +12,17 @@
     accounting, never to its text, so a disk-tier lookup is one
     positioned read that checks the fingerprint and digest.
 
-    Every lookup re-binds the stored text to the requesting operator and
-    accelerator through [Plan_io.load], which re-runs the Algorithm-1
-    mapping validation — a corrupt, truncated or stale entry therefore
-    fails to load, is {e evicted} (memory, index and a [del] record) and
-    the caller falls back to tuning.  The cache can never serve a plan
-    that does not validate against the operator in hand.
+    Every lookup re-binds the stored plan to the requesting operator and
+    accelerator through [Plan_io.bind], which re-runs the Algorithm-1
+    mapping validation and the schedule check — a corrupt, truncated or
+    stale entry therefore fails to bind, is {e evicted} (memory, index
+    and a [del] record) and the caller falls back to tuning.  The cache
+    can never serve a plan that does not validate against the operator
+    in hand.  The text is parsed ([Plan_io.parse]) once per memory
+    entry, when a disk-tier hit admits it or at a stored entry's first
+    hit, so a memory-tier hit costs the fingerprint and the bind.  A
+    plan binds by position to any operator of its fingerprint, whatever
+    its iterations are called.
 
     Scalar decisions ("the tuner chose the scalar units for this
     operator") are cached as explicit markers so that a warm cache

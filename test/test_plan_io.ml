@@ -57,6 +57,50 @@ let roundtrip_tests =
         let op = Ops.gemm ~m:4 ~n:4 ~k:4 () in
         Alcotest.(check bool) "rejected" true
           (Plan_io.load accel op "nonsense\n" = None));
+    Alcotest.test_case "out-of-range-src-perm-rejected" `Quick (fun () ->
+        (* a source index that does not exist, or a negative one, is no
+           permutation: [None], like the ones Algorithm 1 rejects *)
+        let accel = toy_accel () in
+        let op = Ops.gemm ~m:4 ~n:4 ~k:4 () in
+        let m = List.hd (Compiler.mappings accel op) in
+        let text = Plan_io.save m (Schedule.default m) in
+        List.iter
+          (fun perm ->
+            let bad =
+              Str.global_replace (Str.regexp "src_perm [0-9,]*")
+                ("src_perm " ^ perm) text
+            in
+            Alcotest.(check bool) (perm ^ " rejected") true
+              (Plan_io.load accel op bad = None))
+          [ "0,5"; "-1,0"; "1,1"; "0,0" ]);
+    Alcotest.test_case "renamed-operator-binds-by-position" `Quick (fun () ->
+        (* the [iters] line maps the saved operator's names onto the
+           requester's iterations; without it the plan binds by name *)
+        let accel = toy_accel () in
+        let op = Ops.gemm ~m:4 ~n:4 ~k:4 () in
+        let renamed =
+          Amos_ir.Dsl.parse_exn
+            "for {ii:4, jj:4} for {r:4r}: out[ii,jj] += a[ii,r] * b[r,jj]"
+        in
+        let m = List.hd (Compiler.mappings accel op) in
+        let text = Plan_io.save m (Schedule.default m) in
+        (match Plan_io.load accel renamed text with
+        | Some (m', sched') ->
+            Alcotest.(check bool) "bound to the renamed operator" true
+              (m'.Mapping.matching.Matching.view.Mac_view.op == renamed);
+            Alcotest.(check string) "same plan, renamed"
+              (Str.global_replace (Str.regexp "\\b\\([ij]\\)\\b") "\\1\\1" text)
+              (Plan_io.save m' sched')
+        | None -> Alcotest.fail "renamed operator failed to bind");
+        let legacy =
+          String.concat "\n"
+            (List.filter
+               (fun l -> not (String.length l > 6 && String.sub l 0 6 = "iters "))
+               (String.split_on_char '\n' text))
+        in
+        Alcotest.(check bool) "an older text binds by name" true
+          (Plan_io.load accel renamed legacy = None
+          && Plan_io.load accel op legacy <> None));
     Alcotest.test_case "loaded-plan-verifies-functionally" `Quick (fun () ->
         let accel = toy_accel () in
         let op = Ops.conv2d ~n:2 ~c:2 ~k:3 ~p:3 ~q:3 ~r:2 ~s:2 () in

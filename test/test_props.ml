@@ -1515,6 +1515,206 @@ let prop_json_reader_soup =
          map (String.concat "") (list_size (0 -- 12) (oneofl fragments))))
     reader_agrees
 
+(* --- plan loader = oracle ------------------------------------------- *)
+
+(* Real plans: the first two mappings of one configuration per suite
+   kind, on the first preset that maps it, each with its default
+   schedule and a random one. *)
+let plan_corpus =
+  lazy
+    (let accels =
+       [ Accelerator.a100 (); Accelerator.avx512_cpu (); Accelerator.ascend_like () ]
+     in
+     let rng = Rng.create 2027 in
+     List.concat_map
+       (fun kind ->
+         let op = Suites.representative ~batch:1 kind in
+         match
+           List.find_map
+             (fun a ->
+               match Compiler.mappings a op with
+               | [] -> None
+               | ms -> Some (a, List.filteri (fun i _ -> i < 2) ms))
+             accels
+         with
+         | None -> []
+         | Some (accel, ms) ->
+             List.concat_map
+               (fun m ->
+                 [ (accel, op, m, Schedule.default m);
+                   (accel, op, m, Schedule.random rng m) ])
+               ms)
+       Ops.all_kinds
+     |> Array.of_list)
+
+type plan_mutation =
+  | Drop of int
+  | Duplicate of int * int
+  | Shuffle of int
+  | Blank of int * string
+  | Bad_split_before of int * string
+  | Flip of int * int
+  | Truncate of int
+  | Src_perm of string
+  | Conflicting of int * int
+
+let gen_plan_mutation =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun i -> Drop i) nat);
+        (2, map2 (fun i j -> Duplicate (i, j)) nat nat);
+        (1, map (fun s -> Shuffle s) nat);
+        (1, map2 (fun i b -> Blank (i, b)) nat (oneofl [ ""; " "; "\t"; "\r" ]));
+        ( 2,
+          map2
+            (fun i v -> Bad_split_before (i, v))
+            nat
+            (oneofl [ "1 1"; "x 1 1"; "1 1 1 1"; "99999999999999999999 1 1"; "0 1 1" ])
+        );
+        (3, map2 (fun i x -> Flip (i, x)) nat (1 -- 255));
+        (1, map (fun n -> Truncate n) nat);
+        (2, map2 (fun i j -> Conflicting (i, j)) nat nat);
+        ( 2,
+          map
+            (fun v -> Src_perm v)
+            (oneofl
+               [ "0,5"; "-1,0"; "1,1"; "0,0"; "1,0"; "0,1"; "0,1,2"; "0"; "a,b";
+                 "0,,1"; "+1,0"; "0x0,1"; "5,-3" ]) );
+      ])
+
+let starts_with prefix l =
+  String.length l >= String.length prefix
+  && String.sub l 0 (String.length prefix) = prefix
+
+let mutate_plan text mutation =
+  let lines = String.split_on_char '\n' text in
+  let n = List.length lines in
+  let at i = i mod n in
+  let join = String.concat "\n" in
+  let insert_before j l =
+    join (List.concat (List.mapi (fun k x -> if k = at j then [ l; x ] else [ x ]) lines))
+  in
+  match mutation with
+  | Drop i -> join (List.filteri (fun k _ -> k <> at i) lines)
+  | Duplicate (i, j) -> insert_before j (List.nth lines (at i))
+  | Shuffle seed ->
+      let st = Random.State.make [| seed |] in
+      join
+        (List.map snd
+           (List.sort compare (List.map (fun l -> (Random.State.bits st, l)) lines)))
+  | Blank (i, b) -> join (List.mapi (fun k l -> if k = at i then b else l) lines)
+  | Bad_split_before (i, v) -> (
+      let splits = List.filter (starts_with "split ") lines in
+      match splits with
+      | [] -> text
+      | _ ->
+          let good = List.nth splits (i mod List.length splits) in
+          let name = List.nth (String.split_on_char ' ' good) 1 in
+          join
+            (List.concat_map
+               (fun l -> if l == good then [ Printf.sprintf "split %s %s" name v; l ] else [ l ])
+               lines))
+  | Conflicting (i, j) ->
+      (* line [i] with every digit advanced, inserted before line [j]:
+         the same key with another value *)
+      let advance c =
+        if c >= '0' && c <= '9' then Char.chr (48 + ((Char.code c - 47) mod 10)) else c
+      in
+      insert_before j (String.map advance (List.nth lines (at i)))
+  | Flip _ when text = "" -> text
+  | Flip (i, x) ->
+      let b = Bytes.of_string text in
+      let i = i mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+      Bytes.to_string b
+  | Truncate c -> String.sub text 0 (c mod (String.length text + 1))
+  | Src_perm v ->
+      join
+        (List.map
+           (fun l ->
+             if starts_with "src_perm " l then "src_perm " ^ v else l)
+           lines)
+
+let is_permutation a =
+  List.sort compare (Array.to_list a) = List.init (Array.length a) Fun.id
+
+(* [load] agrees with the oracle whenever the text binds by name: no
+   [iters] line, or one naming the operator's own iterations.  Where the
+   oracle raises or serves a [src_perm] that is not a permutation, [load]
+   gives [None].  A text whose [iters] line names other iterations binds
+   by position, which the oracle does not know: there [load] must only
+   serve a plan that passes Algorithm 1 and the schedule check against
+   the operator passed in. *)
+let plan_io_agrees accel (op : Operator.t) text =
+  let got = Plan_io.load accel op text in
+  let render = Option.map (fun (m, s) -> Plan_io.save m s) in
+  let own_names =
+    List.map (fun (it : Iter.t) -> it.Iter.name) op.Operator.iters
+  in
+  let iters_line =
+    List.find_map
+      (fun l ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+        | "iters" :: names -> Some names
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  in
+  match iters_line with
+  | Some names when names <> own_names -> (
+      match got with
+      | None -> true
+      | Some (m, s) ->
+          m.Mapping.matching.Matching.view.Mac_view.op == op
+          && Matching.validate m.Mapping.matching
+          && Schedule.validate m s)
+  | Some _ | None -> (
+      match Plan_io_oracle.load accel op text with
+      | exception Invalid_argument _ -> got = None
+      | Some (m, _) when not (is_permutation m.Mapping.matching.Matching.src_perm)
+        ->
+          got = None
+      | want -> render got = render want)
+
+(* corpus plan [i] as [Plan_io.save] writes it, with or without each
+   optional header line *)
+let corpus_text (i, prov, tuned, iters) =
+  let corpus = Lazy.force plan_corpus in
+  let accel, op, m, s = corpus.(i mod Array.length corpus) in
+  let provenance =
+    if prov then Some { Plan_io.source_accel = "V100"; source_fingerprint = "00ff" }
+    else None
+  in
+  let text =
+    Plan_io.save ?provenance ?tuning_seconds:(if tuned then Some 1.5 else None) m s
+  in
+  let text =
+    if iters then text
+    else
+      String.concat "\n"
+        (List.filter
+           (fun l -> not (starts_with "iters " l))
+           (String.split_on_char '\n' text))
+  in
+  (accel, op, text)
+
+(* the text after each prefix of the mutation list, the whole list first *)
+let mutated_texts (plan, muts) =
+  let accel, op, text = corpus_text plan in
+  (accel, op, List.fold_left (fun acc mu -> mutate_plan (List.hd acc) mu :: acc) [ text ] muts)
+
+let prop_plan_io =
+  QCheck.Test.make ~count:cases ~name:"load = oracle on real plans, mutated"
+    (QCheck.make
+       ~print:(fun case ->
+         let _, _, texts = mutated_texts case in
+         String.concat "\n--- after one mutation less:\n" texts)
+       QCheck.Gen.(
+         pair (quad nat bool bool bool) (list_size (0 -- 3) gen_plan_mutation)))
+    (fun case ->
+      let accel, op, texts = mutated_texts case in
+      List.for_all (plan_io_agrees accel op) texts)
+
 (* [props.mapping_memo] runs first: [props.algorithm1]'s random
    operators alone fill the 512-key memo, after which no new structure
    is admitted and a repeat request misses like the first *)
@@ -1563,4 +1763,5 @@ let suites =
     ( "props.json",
       List.map to_alcotest
         [ prop_json_writer; prop_json_reader; prop_json_reader_soup ] );
+    ("props.plan_io", [ to_alcotest prop_plan_io ]);
   ]

@@ -928,6 +928,51 @@ let daemon_tests =
         Alcotest.(check int) "no second exploration" 1 (Atomic.get calls);
         Server.stop server2;
         Thread.join thread2);
+    Alcotest.test_case "renamed-operator-binds-served-plan" `Quick (fun () ->
+        (* one fingerprint, two spellings: the plan tuned for [i, j] is
+           served to a client whose operator says [ii, jj], from the hot
+           tier and, after a restart, from the cache tier, and it binds
+           to the client's operator *)
+        let renamed_text =
+          "for {ii:4, jj:4} for {r:4r}: out[ii,jj] += a[ii,r] * b[r,jj]"
+        in
+        let accel = Option.get (Accelerator.by_name "toy") in
+        let renamed = Amos_ir.Dsl.parse_exn ~name:"renamed" renamed_text in
+        let tuner ~jobs:_ ~accel ~op ~budget:_ ~seeds:_ ~progress:_ =
+          let m = List.hd (Compiler.mappings accel op) in
+          { Server.value = Plan_cache.Spatial (m, Schedule.default m); evaluations = 1 }
+        in
+        let lookup = Protocol.Lookup
+            { accel = "toy"; op = Protocol.Dsl_text renamed_text; budget = small_budget }
+        in
+        let served_binds name socket ~source =
+          match Client.with_conn ~attempts:50 socket (fun c -> Client.request c lookup) with
+          | Ok (Protocol.Plan_r { Protocol.source = s; plan = Protocol.Wire_spatial text; _ }) ->
+              Alcotest.(check string) (name ^ ": tier") source s;
+              Alcotest.(check bool) (name ^ ": binds to the client's operator") true
+                (Plan_io.load accel renamed text <> None)
+          | Ok _ -> Alcotest.fail (name ^ ": expected a spatial plan")
+          | Error msg -> Alcotest.fail msg
+        in
+        let dir = Temp.name "amosd-cache" in
+        Sys.mkdir dir 0o755;
+        let server1, thread1, socket1 = start_server ~tuner ~cache_dir:dir () in
+        (match
+           Client.with_conn ~attempts:50 socket1 (fun c ->
+               Client.request c (tune_req gemm_text))
+         with
+        | Ok (Protocol.Plan_r r) ->
+            Alcotest.(check string) "the first spelling tunes" "tuned" r.Protocol.source
+        | Ok _ -> Alcotest.fail "expected Plan_r"
+        | Error msg -> Alcotest.fail msg);
+        served_binds "hot" socket1 ~source:"hot";
+        Server.stop server1;
+        Thread.join thread1;
+        let server2, thread2, socket2 = start_server ~tuner ~cache_dir:dir () in
+        served_binds "after a restart" socket2 ~source:"cache";
+        served_binds "re-admitted" socket2 ~source:"hot";
+        Server.stop server2;
+        Thread.join thread2);
     Alcotest.test_case "stats-report-hot-and-cache-economy" `Quick (fun () ->
         let dir = Temp.name "amosd-eco-stats" in
         Sys.mkdir dir 0o755;

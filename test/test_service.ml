@@ -583,10 +583,117 @@ let batch_tests =
           warm.Batch_compile.report.Batch_compile.evaluations);
   ]
 
+(* --- re-binding a stored plan ----------------------------------------- *)
+
+(* [Ops.gemm] and the same operator re-parsed with [i, j] renamed to
+   [ii, jj]: one fingerprint, since fingerprints identify iterations by
+   position *)
+let gemm_and_renamed () =
+  let op = Ops.gemm ~m:256 ~n:256 ~k:256 () in
+  let renamed =
+    Amos_ir.Dsl.parse_exn ~name:"renamed"
+      (Str.global_replace (Str.regexp "\\b\\([ij]\\)\\b") "\\1\\1"
+         (Amos_ir.Dsl.print op))
+  in
+  (op, renamed)
+
+let iter_names (op : Amos_ir.Operator.t) =
+  List.map (fun (it : Amos_ir.Iter.t) -> it.Amos_ir.Iter.name) op.Amos_ir.Operator.iters
+
+(* a hit bound to [op]: a spatial plan whose mapping reads [op] itself *)
+let check_bound name cache accel op =
+  match Plan_cache.lookup cache ~accel ~op ~budget:small_budget with
+  | Some (Plan_cache.Spatial (m, sched)) ->
+      Alcotest.(check bool) (name ^ ": bound to the operator passed in") true
+        (m.Mapping.matching.Matching.view.Mac_view.op == op);
+      Alcotest.(check bool) (name ^ ": Algorithm 1") true
+        (Matching.validate m.Mapping.matching);
+      Alcotest.(check bool) (name ^ ": schedule") true (Schedule.validate m sched)
+  | Some Plan_cache.Scalar -> Alcotest.fail (name ^ ": expected a spatial plan")
+  | None -> Alcotest.fail (name ^ ": expected a hit")
+
+let rebind_tests =
+  [
+    Alcotest.test_case "renamed-operator-hits-both-tiers" `Quick (fun () ->
+        let accel = Accelerator.a100 () in
+        let op, renamed = gemm_and_renamed () in
+        Alcotest.(check (list string)) "renamed" [ "ii"; "jj"; "r" ] (iter_names renamed);
+        Alcotest.(check string) "one fingerprint"
+          (Fingerprint.key ~accel ~op ~budget:small_budget)
+          (Fingerprint.key ~accel ~op:renamed ~budget:small_budget);
+        (* each operator tunes; the other looks it up, in memory and then
+           from the disk tier of a fresh handle, in both orders *)
+        List.iter
+          (fun (tuned, other) ->
+            let dir = Temp.dir "amos-rebind" in
+            let cache = Plan_cache.create ~dir () in
+            ignore (Batch_compile.tune_op ~budget:small_budget ~cache accel tuned);
+            check_bound "memory, other" cache accel other;
+            check_bound "memory, tuned" cache accel tuned;
+            let fresh = Plan_cache.create ~dir () in
+            check_bound "disk, other" fresh accel other;
+            check_bound "disk then memory, tuned" fresh accel tuned;
+            List.iter
+              (fun c ->
+                Alcotest.(check int) "no corrupt eviction" 0
+                  (Plan_cache.stats c).Plan_cache.corrupt_evictions)
+              [ cache; fresh ];
+            Alcotest.(check int) "the record is kept" 1 (Plan_cache.disk_size fresh);
+            Alcotest.(check bool) "no del record" false
+              (List.exists
+                 (fun l -> String.length l > 4 && String.sub l 0 4 = "del ")
+                 (Log_records.lines dir)))
+          [ (op, renamed); (renamed, op) ]);
+    Alcotest.test_case "memory-hit-binds-the-operator-passed-in" `Quick
+      (fun () ->
+        (* a structurally identical operator built apart from the stored
+           one: the hit re-binds to it, not to the operator it was stored
+           for *)
+        let accel = toy_accel () in
+        let op = Ops.conv2d ~n:2 ~c:2 ~k:2 ~p:4 ~q:4 ~r:3 ~s:3 () in
+        let twin = Ops.conv2d ~n:2 ~c:2 ~k:2 ~p:4 ~q:4 ~r:3 ~s:3 () in
+        let cache = Plan_cache.create () in
+        Plan_cache.store cache ~accel ~op ~budget:small_budget (tune_value accel op);
+        check_bound "twin" cache accel twin;
+        check_bound "stored" cache accel op;
+        check_bound "twin again" cache accel twin;
+        Alcotest.(check int) "three hits" 3 (Plan_cache.stats cache).Plan_cache.hits);
+    Alcotest.test_case "imported-out-of-range-src-perm-is-corrupt" `Quick
+      (fun () ->
+        (* a version-1 entry file is imported whatever it holds; one whose
+           plan names a source operand that does not exist must be evicted
+           as corrupt, not raise out of the lookup *)
+        let accel = toy_accel () in
+        let op = Ops.gemm ~m:4 ~n:4 ~k:4 () in
+        let m = List.hd (Compiler.mappings accel op) in
+        List.iter
+          (fun perm ->
+            let dir = Temp.dir "amos-v1-perm" in
+            Plan_cache_oracle.store
+              (Plan_cache_oracle.create ~dir ())
+              ~accel ~op ~budget:small_budget
+              (Plan_cache.Spatial (m, Schedule.default m));
+            let fp = Fingerprint.key ~accel ~op ~budget:small_budget in
+            let file = Filename.concat dir (fp ^ ".plan") in
+            let text = In_channel.with_open_bin file In_channel.input_all in
+            Out_channel.with_open_bin file (fun oc ->
+                output_string oc
+                  (Str.global_replace (Str.regexp "src_perm [0-9,]*")
+                     ("src_perm " ^ perm) text));
+            let cache = Plan_cache.create ~dir () in
+            Alcotest.(check bool) (perm ^ ": misses") true
+              (Plan_cache.lookup cache ~accel ~op ~budget:small_budget = None);
+            Alcotest.(check int) (perm ^ ": counted corrupt") 1
+              (Plan_cache.stats cache).Plan_cache.corrupt_evictions;
+            Alcotest.(check int) (perm ^ ": evicted") 0 (Plan_cache.disk_size cache))
+          [ "0,5"; "-1,0" ]);
+  ]
+
 let suites =
   [
     ("service.fingerprint", fingerprint_tests);
     ("service.cache", cache_tests);
+    ("service.rebind", rebind_tests);
     ("service.par_tune", par_tune_tests);
     ("service.tune_pins", pin_tests);
     ("service.batch", batch_tests);

@@ -45,14 +45,6 @@ let accel_by_name name =
   | Some a -> a
   | None -> failwith ("unknown accelerator " ^ name ^ " (see `amos_cli accels`)")
 
-let kind_by_name name =
-  match
-    List.find_opt (fun k -> Ops.kind_name k = String.uppercase_ascii name)
-      Ops.all_kinds
-  with
-  | Some k -> k
-  | None -> failwith ("unknown operator kind " ^ name)
-
 let accel_arg =
   let doc = "Target accelerator: v100, a100, avx512, mali, ascend, axpy, gemv, conv, toy." in
   Arg.(value & opt string "a100" & info [ "accel" ] ~docv:"NAME" ~doc)
@@ -212,7 +204,7 @@ let pick_op ?dsl ~layer ~kind ~batch ~index ~scale () =
       let cfg = if scale > 1 then Resnet.scaled ~factor:scale cfg else cfg in
       Resnet.config cfg
   | None, None, Some k ->
-      let configs = Suites.configs_per_kind ~batch (kind_by_name k) in
+      let configs = Suites.configs_per_kind ~batch (Ops.kind_of_name k) in
       if index < 0 || index >= List.length configs then
         failwith "config index out of range"
       else List.nth configs index

@@ -191,10 +191,6 @@ let flops_per_call t =
           (fun acc (it : Iter.t) -> acc * it.Iter.extent)
           1 t.compute.Compute_abs.iters)
 
-let reg_tile_elems _t (o : Compute_abs.operand) =
-  List.fold_left (fun acc (it : Iter.t) -> acc * it.Iter.extent) 1
-    o.Compute_abs.slots
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>intrinsic %s:@;<1 2>%a@;<1 2>%a@;<1 2>%a@]" t.name
     Compute_abs.pp t.compute Compute_abs.pp_constraints t.compute

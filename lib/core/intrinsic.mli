@@ -93,5 +93,4 @@ val num_srcs : t -> int
 val flops_per_call : t -> float
 (** 2 x product of intrinsic iteration extents. *)
 
-val reg_tile_elems : t -> Compute_abs.operand -> int
 val pp : Format.formatter -> t -> unit

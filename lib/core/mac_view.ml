@@ -59,13 +59,6 @@ let source_uses src it =
   | Diff_sq { a; b; _ } ->
       Operator.uses_iter a it || Operator.uses_iter b it
 
-let source_name = function
-  | Tensor { acc; _ } -> acc.Operator.tensor.Tensor_decl.name
-  | Ones _ -> "ones"
-  | Diff_sq { a; b; _ } ->
-      Printf.sprintf "sqdiff(%s,%s)" a.Operator.tensor.Tensor_decl.name
-        b.Operator.tensor.Tensor_decl.name
-
 let rows t ~src_perm =
   let srcs = Array.of_list t.srcs in
   `Out :: List.map (fun i -> `Src srcs.(i)) (Array.to_list src_perm)

@@ -29,7 +29,6 @@ type t = {
 
 val of_operator : Operator.t -> t option
 val source_uses : source -> Iter.t -> bool
-val source_name : source -> string
 
 val access_matrix : t -> src_perm:int array -> Bin_matrix.t
 (** Software access matrix [X] with rows ordered [output ::

@@ -131,10 +131,6 @@ let failures t peer =
       | None -> 0
       | Some e -> e.failures)
 
-let ewma_s t peer =
-  locked t.mu (fun () ->
-      Option.bind (Hashtbl.find_opt t.entries peer) (fun e -> e.ewma_s))
-
 let blocked_until t peer =
   locked t.mu (fun () ->
       match Hashtbl.find_opt t.entries peer with

@@ -64,9 +64,6 @@ val state : t -> string -> state
 val failures : t -> string -> int
 (** Consecutive trips recorded (0 when closed and healthy). *)
 
-val ewma_s : t -> string -> float option
-(** Smoothed response latency, when at least one success was seen. *)
-
 val blocked_until : t -> string -> float option
 (** Absolute clock time the current window expires; [None] when
     closed. *)

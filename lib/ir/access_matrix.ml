@@ -26,7 +26,3 @@ let restrict_columns m ~keep =
       done)
     kept;
   out
-
-let column_of_iter (op : Operator.t) it =
-  let accesses = op.Operator.output :: op.Operator.inputs in
-  Array.of_list (List.map (fun acc -> Operator.uses_iter acc it) accesses)

@@ -8,7 +8,3 @@ val of_operator : Operator.t -> Bin_matrix.t
 val restrict_columns : Bin_matrix.t -> keep:bool array -> Bin_matrix.t
 (** Keep only the columns flagged true (used to restrict [X] to the mapped
     software iterations before running Algorithm 1). *)
-
-val column_of_iter : Operator.t -> Iter.t -> bool array
-(** The access-matrix column of one iteration: per tensor, does the
-    iteration index it? *)

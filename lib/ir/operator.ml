@@ -72,7 +72,6 @@ let create ?(preds = []) ?(init = 0.) ?(post_scale = 1.) ~name ~iters ~output
     iters;
   { name; iters; output; inputs; arith; preds; init; post_scale }
 
-let spatial_iters t = List.filter (fun i -> not (Iter.is_reduction i)) t.iters
 let reduction_iters t = List.filter Iter.is_reduction t.iters
 
 let domain_size t =
@@ -95,13 +94,6 @@ let independent_in_sources t it =
   List.for_all
     (fun acc -> (not (uses_iter acc it)) || alone_in acc)
     t.inputs
-
-let footprint_elems _t acc =
-  List.fold_left
-    (fun prod a ->
-      let span = Affine.max_value a - Affine.min_value a + 1 in
-      prod * span)
-    1 acc.index
 
 let pp_access ppf acc =
   Format.fprintf ppf "%s[%s]" acc.tensor.Tensor_decl.name

@@ -53,7 +53,6 @@ val create :
 
 val access : Tensor_decl.t -> Affine.t list -> access
 
-val spatial_iters : t -> Iter.t list
 val reduction_iters : t -> Iter.t list
 val domain_size : t -> int
 (** Product of all extents (ignores predicates). *)
@@ -76,9 +75,5 @@ val independent_in_sources : t -> Iter.t -> bool
     mentions it and no other iteration.  Convolution window iterations
     ([r] in [p + r]) are not independent; channel iterations are.  Used by
     the mapping feasibility filter (DESIGN.md §5). *)
-
-val footprint_elems : t -> access -> int
-(** Number of distinct elements of the access's tensor touched over the
-    full iteration domain (bounding-box estimate per dimension). *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,30 +1,50 @@
 module Clock = Amos_service.Clock
 
-(* One client's backlog.  [deficit] is the DRR credit in tasks (unit
-   cost: every tune is one task); [in_round] says whether the client
+type ('a, 'p) flight = {
+  key : string;
+  job : ('a, 'p) flight -> 'a;
+  mutable outcome : ('a, exn) result option;  (* set once, by the worker *)
+  mutable waiters : ('a, 'p) waiter list;  (* attached, not yet detached *)
+  mutable abort : bool;  (* last waiter detached while unresolved *)
+}
+
+and ('a, 'p) waiter = {
+  flight : ('a, 'p) flight;
+  queue : 'p Queue.t;  (* progress snapshots pending delivery *)
+  streaming : bool;
+  request_id : int option;
+  mutable detached : bool;
+  mutable cancelled : bool;
+}
+
+(* One client's backlog.  [deficit] is the DRR credit in jobs (unit
+   cost: every tune is one job); [in_round] says whether the client
    currently holds a slot in the round queue — a client appears there
    at most once. *)
-type client_q = {
-  ck_key : string;
+type ('a, 'p) client_q = {
   ck_weight : int;
-  ck_queue : (unit -> unit) Queue.t;
+  ck_queue : ('a, 'p) flight Queue.t;
   mutable ck_deficit : int;
   mutable ck_in_round : bool;
 }
 
-type t = {
+type ('a, 'p) t = {
   mutex : Mutex.t;
-  wake : Condition.t;  (* work admitted, a slot freed, or closed *)
+  work : Condition.t;  (* a job admitted, a slot freed, or closed *)
+  wake : Condition.t;  (* progress published, a flight resolved, or a
+                          waiter cancelled; sleepers re-check theirs *)
   clock : Clock.t;
   workers : int;
   capacity : int;
   alpha : float;
   weight_of : string -> int;
-  clients : (string, client_q) Hashtbl.t;
-  round : client_q Queue.t;
+  flights : (string, ('a, 'p) flight) Hashtbl.t;  (* unresolved, by key *)
+  requests : (int, ('a, 'p) waiter) Hashtbl.t;  (* request id -> waiter *)
+  clients : (string, ('a, 'p) client_q) Hashtbl.t;
+  round : ('a, 'p) client_q Queue.t;
   mutable queued : int;
   mutable running : int;
-  mutable ewma : float option;  (* seconds per completed task *)
+  mutable ewma : float option;  (* seconds per completed job *)
   mutable closed : bool;
   mutable domains : unit Domain.t list;  (* started workers *)
 }
@@ -33,12 +53,15 @@ let create ?(alpha = 0.3) ?(weight_of = fun _ -> 1) ~clock ~workers ~capacity
     () =
   {
     mutex = Mutex.create ();
+    work = Condition.create ();
     wake = Condition.create ();
     clock;
     workers = max 1 workers;
     capacity = max 1 capacity;
     alpha;
     weight_of;
+    flights = Hashtbl.create 16;
+    requests = Hashtbl.create 16;
     clients = Hashtbl.create 16;
     round = Queue.create ();
     queued = 0;
@@ -48,8 +71,12 @@ let create ?(alpha = 0.3) ?(weight_of = fun _ -> 1) ~clock ~workers ~capacity
     domains = [];
   }
 
-(* Projected time a freshly admitted task waits before completing:
-   every task ahead of it (queued plus running) costs one EWMA'd tune,
+let locked t f =
+  Mutex.lock t.mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+
+(* Projected time a freshly admitted job waits before completing:
+   every job ahead of it (queued plus running) costs one EWMA'd tune,
    spread over the worker slots.  Before the first completion there is
    no evidence, and the queue admits on depth alone. *)
 let projected_wait_locked t =
@@ -57,52 +84,75 @@ let projected_wait_locked t =
   | None -> 0.
   | Some e -> e *. float_of_int (t.queued + t.running) /. float_of_int t.workers
 
-let projected_wait t =
-  Mutex.lock t.mutex;
-  let w = projected_wait_locked t in
-  Mutex.unlock t.mutex;
-  w
+let projected_wait t = locked t (fun () -> projected_wait_locked t)
 
-let submit t ~client ?deadline_ms task =
-  Mutex.lock t.mutex;
-  let r =
-    if t.closed || t.queued >= t.capacity then `Busy
-    else begin
-      let projected = projected_wait_locked t in
-      match deadline_ms with
-      | Some d when projected > float_of_int d /. 1000. ->
-          (* the request would already be dead by the time a worker
-             reached it: refuse *before* enqueueing, with the evidence *)
-          `Deadline projected
-      | _ ->
-          let c =
-            match Hashtbl.find_opt t.clients client with
-            | Some c -> c
-            | None ->
-                let c =
-                  {
-                    ck_key = client;
-                    ck_weight = max 1 (t.weight_of client);
-                    ck_queue = Queue.create ();
-                    ck_deficit = 0;
-                    ck_in_round = false;
-                  }
-                in
-                Hashtbl.replace t.clients client c;
-                c
-          in
-          Queue.push task c.ck_queue;
-          if not c.ck_in_round then begin
-            c.ck_in_round <- true;
-            Queue.push c t.round
-          end;
-          t.queued <- t.queued + 1;
-          Condition.signal t.wake;
-          `Admitted
-    end
+let enqueue_locked t ~client f =
+  let c =
+    match Hashtbl.find_opt t.clients client with
+    | Some c -> c
+    | None ->
+        let c =
+          {
+            ck_weight = max 1 (t.weight_of client);
+            ck_queue = Queue.create ();
+            ck_deficit = 0;
+            ck_in_round = false;
+          }
+        in
+        Hashtbl.replace t.clients client c;
+        c
   in
-  Mutex.unlock t.mutex;
-  r
+  Queue.push f c.ck_queue;
+  if not c.ck_in_round then begin
+    c.ck_in_round <- true;
+    Queue.push c t.round
+  end;
+  t.queued <- t.queued + 1;
+  Condition.signal t.work
+
+let submit t ~client ~key ?deadline_ms ?(streaming = false) ?request_id job =
+  locked t (fun () ->
+      let attach f =
+        let w =
+          {
+            flight = f;
+            queue = Queue.create ();
+            streaming;
+            request_id;
+            detached = false;
+            cancelled = false;
+          }
+        in
+        f.waiters <- w :: f.waiters;
+        Option.iter (fun id -> Hashtbl.replace t.requests id w) request_id;
+        w
+      in
+      if t.closed then `Busy
+      else
+        match Hashtbl.find_opt t.flights key with
+        | Some f ->
+            (* fresh interest in a flight whose last waiter walked away
+               withdraws the abort request — unless the exploration
+               already observed it, in which case the joiner collects
+               the aborted flight's busy answer and retries *)
+            f.abort <- false;
+            `Joined (attach f)
+        | None when t.queued >= t.capacity -> `Busy
+        | None -> (
+            let projected = projected_wait_locked t in
+            match deadline_ms with
+            | Some d when projected > float_of_int d /. 1000. ->
+                (* the request would already be dead by the time a
+                   worker reached it: refuse before queueing, with the
+                   evidence *)
+                `Deadline projected
+            | _ ->
+                let f =
+                  { key; job; outcome = None; waiters = []; abort = false }
+                in
+                Hashtbl.replace t.flights key f;
+                enqueue_locked t ~client f;
+                `Admitted (attach f)))
 
 let note_locked t dt =
   t.ewma <-
@@ -111,7 +161,7 @@ let note_locked t dt =
       | None -> dt
       | Some e -> (t.alpha *. dt) +. ((1. -. t.alpha) *. e))
 
-(* Classic deficit round robin, one task per call.  The head client
+(* Classic deficit round robin, one job per call.  The head client
    receives a fresh quantum of [max 1 weight] credits when it arrives
    at the head with none, and stays at the head until its quantum is
    spent (or its backlog drains) before rotating to the tail — so every
@@ -136,7 +186,7 @@ let rec pick_locked t guard =
         else begin
           if c.ck_deficit <= 0 then c.ck_deficit <- max 1 c.ck_weight;
           c.ck_deficit <- c.ck_deficit - 1;
-          let task = Queue.pop c.ck_queue in
+          let f = Queue.pop c.ck_queue in
           t.queued <- t.queued - 1;
           if Queue.is_empty c.ck_queue then begin
             ignore (Queue.pop t.round);
@@ -148,92 +198,127 @@ let rec pick_locked t guard =
             ignore (Queue.pop t.round);
             Queue.push c t.round
           end;
-          Some task
+          Some f
         end
+
+(* The thunk [take] hands out: run the job without the lock, then, in
+   one step, resolve the flight, wake its waiters, free the key for a
+   fresh flight, release the slot and feed the EWMA. *)
+let run t f ~started () =
+  let outcome = match f.job f with v -> Ok v | exception e -> Error e in
+  locked t (fun () ->
+      f.outcome <- Some outcome;
+      Hashtbl.remove t.flights f.key;
+      t.running <- t.running - 1;
+      note_locked t (Clock.now t.clock -. started);
+      Condition.broadcast t.wake;
+      Condition.signal t.work)
 
 let take_locked t =
   if t.running >= t.workers then None
   else
     match pick_locked t (1 + Queue.length t.round) with
     | None -> None
-    | Some task ->
+    | Some f ->
         t.running <- t.running + 1;
-        let started = Clock.now t.clock in
-        Some
-          (fun () ->
-            Fun.protect
-              ~finally:(fun () ->
-                let dt = Clock.now t.clock -. started in
-                Mutex.lock t.mutex;
-                t.running <- t.running - 1;
-                note_locked t dt;
-                Condition.signal t.wake;
-                Mutex.unlock t.mutex)
-              task)
+        Some (run t f ~started:(Clock.now t.clock))
 
-let take t =
-  Mutex.lock t.mutex;
-  let r = take_locked t in
-  Mutex.unlock t.mutex;
-  r
+let take t = locked t (fun () -> take_locked t)
 
-(* A started worker: block until [take] would hand out a task, run it,
+(* A started worker: block until [take] would hand out a job, run it,
    and repeat; exit once the queue is closed and its backlog is empty,
    so a close drains everything admitted before it. *)
 let rec work t =
-  Mutex.lock t.mutex;
   let rec next () =
     match take_locked t with
-    | Some _ as task -> task
+    | Some _ as job -> job
     | None when t.closed && t.queued = 0 -> None
     | None ->
-        Condition.wait t.wake t.mutex;
+        Condition.wait t.work t.mutex;
         next ()
   in
-  let task = next () in
-  Mutex.unlock t.mutex;
-  match task with
+  match locked t next with
   | None -> ()
-  | Some task ->
-      (* tasks own their error handling: a raise would kill the worker
-         domain, so it is swallowed here rather than trusted away *)
-      (try task () with _ -> ());
+  | Some job ->
+      job ();
       work t
 
 let start t =
-  Mutex.lock t.mutex;
-  t.domains <- List.init t.workers (fun _ -> Domain.spawn (fun () -> work t));
-  Mutex.unlock t.mutex
+  locked t (fun () ->
+      t.domains <-
+        List.init t.workers (fun _ -> Domain.spawn (fun () -> work t)))
 
-let depth t =
-  Mutex.lock t.mutex;
-  let d = t.queued in
-  Mutex.unlock t.mutex;
-  d
+(* delivery is enqueue-only: a waiter drains its own queue from its own
+   thread, so a dead or slow socket can never block the job here *)
+let publish t f p =
+  locked t (fun () ->
+      List.iter
+        (fun w -> if w.streaming && not w.cancelled then Queue.push p w.queue)
+        f.waiters;
+      Condition.broadcast t.wake)
 
-let running t =
-  Mutex.lock t.mutex;
-  let r = t.running in
-  Mutex.unlock t.mutex;
-  r
+(* Lock-free single-word read: the daemon's progress hook reads this
+   once per genetic generation.  The only writers flip it under the
+   table's mutex, and a stale [false] just delays the abort by one
+   generation. *)
+let abort_requested f = f.abort
 
-let load t =
-  Mutex.lock t.mutex;
-  let l = t.queued + t.running in
-  Mutex.unlock t.mutex;
-  l
+let next t w =
+  let rec loop () =
+    if w.cancelled then `Cancelled
+    else if not (Queue.is_empty w.queue) then `Progress (Queue.pop w.queue)
+    else
+      match w.flight.outcome with
+      | Some (Ok v) -> `Done v
+      | Some (Error e) -> `Failed e
+      | None ->
+          Condition.wait t.wake t.mutex;
+          loop ()
+  in
+  locked t loop
 
-let ewma t =
-  Mutex.lock t.mutex;
-  let e = t.ewma in
-  Mutex.unlock t.mutex;
-  e
+let cancel t request_id =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.requests request_id with
+      | None -> false
+      | Some w ->
+          if not w.cancelled then begin
+            w.cancelled <- true;
+            Condition.broadcast t.wake
+          end;
+          true)
+
+let detach t w =
+  locked t (fun () ->
+      let f = w.flight in
+      if not w.detached then begin
+        w.detached <- true;
+        f.waiters <- List.filter (fun x -> x != w) f.waiters;
+        (* ids are client-chosen: a later stream under the same id
+           keeps its registration when this one finishes *)
+        Option.iter
+          (fun id ->
+            match Hashtbl.find_opt t.requests id with
+            | Some x when x == w -> Hashtbl.remove t.requests id
+            | _ -> ())
+          w.request_id;
+        if List.is_empty f.waiters && Option.is_none f.outcome then
+          f.abort <- true
+      end;
+      List.length f.waiters)
+
+let in_flight t = locked t (fun () -> Hashtbl.length t.flights)
+let depth t = locked t (fun () -> t.queued)
+let running t = locked t (fun () -> t.running)
+let load t = locked t (fun () -> t.queued + t.running)
+let ewma t = locked t (fun () -> t.ewma)
 
 let close t =
-  Mutex.lock t.mutex;
-  t.closed <- true;
-  Condition.broadcast t.wake;
-  let domains = t.domains in
-  Mutex.unlock t.mutex;
+  let domains =
+    locked t (fun () ->
+        t.closed <- true;
+        Condition.broadcast t.work;
+        t.domains)
+  in
   (* every caller joins, so each returns only after the drain *)
   List.iter Domain.join domains

@@ -64,7 +64,7 @@ type tuner =
   progress:(Explore.progress -> unit) option ->
   tune_outcome
 
-(* what a flight resolves to: every joiner (and the leader) gets one *)
+(* what a tune job returns to every waiter of its flight *)
 type flight_result =
   | Fl_plan of Protocol.tune_reply
   | Fl_busy of float
@@ -94,10 +94,10 @@ type t = {
   bound_tcp_port : int option;
   cache : Plan_cache.t;  (* guarded by cache_mu: one domain at a time *)
   cache_mu : Mutex.t;
-  admission : Admission.t;
-      (* the one tuning queue: per-client DRR, deadline-aware admission,
-         and the [workers] domains that run what it admits *)
-  flights : (flight_result, Protocol.progress_body) Single_flight.t;
+  admission : (flight_result, Protocol.progress_body) Admission.t;
+      (* the one tuning table: each fingerprint's flight and its
+         waiters, per-client DRR, deadline-aware admission, and the
+         [workers] domains that run what it admits *)
   started_at : float;
   mu : Mutex.t;  (* guards everything below *)
   hot : Protocol.plan_wire Hot_cache.t;
@@ -111,15 +111,9 @@ type t = {
   mutable router : router option;
       (* installed after [create] (the fleet needs the bound TCP port
          to build its ring), consulted after both local layers miss *)
-  streams :
-    (int, (flight_result, Protocol.progress_body) Single_flight.waiter)
-    Hashtbl.t;
-      (* request_id -> live waiter, so a Cancel frame (usually from a
-         second connection) can find the exchange it names *)
   mutable conn_counter : int;  (* distinct admission keys per connection *)
   mutable handlers : int;  (* live connection-handler threads *)
   handlers_done : Condition.t;  (* signalled when [handlers] drops to 0 *)
-  mutable stopping : bool;  (* no new tuning admitted *)
   mutable stopped : bool;  (* accept loop must exit *)
   mutable requests : int;
   mutable tunes : int;
@@ -183,15 +177,7 @@ let resolve_op = function
       | c -> Resnet.config c
       | exception Not_found -> failwith ("unknown layer " ^ label))
   | Protocol.Kind { kind; batch; index } -> (
-      let k =
-        match
-          List.find_opt
-            (fun k -> Ops.kind_name k = String.uppercase_ascii kind)
-            Ops.all_kinds
-        with
-        | Some k -> k
-        | None -> failwith ("unknown operator kind " ^ kind)
-      in
+      let k = Ops.kind_of_name kind in
       match
         if index < 0 then None
         else List.nth_opt (Suites.configs_per_kind ~batch k) index
@@ -368,7 +354,6 @@ let create ?tuner ?clock ?router config =
     cache;
     cache_mu = Mutex.create ();
     admission;
-    flights = Single_flight.create ();
     started_at = Clock.now clock;
     mu = Mutex.create ();
     hot =
@@ -377,11 +362,9 @@ let create ?tuner ?clock ?router config =
     presets = Hashtbl.create 16;
     memo = Hashtbl.create 64;
     router;
-    streams = Hashtbl.create 16;
     conn_counter = 0;
     handlers = 0;
     handlers_done = Condition.create ();
-    stopping = false;
     stopped = false;
     requests = 0;
     tunes = 0;
@@ -404,7 +387,7 @@ let tcp_port t = t.bound_tcp_port
 
 let stats t : Protocol.server_stats =
   let queue_load = Admission.load t.admission in
-  let in_flight = Single_flight.in_flight t.flights in
+  let in_flight = Admission.in_flight t.admission in
   let cache_bytes =
     locked t.cache_mu (fun () -> Plan_cache.disk_bytes t.cache)
   in
@@ -451,16 +434,6 @@ let progress_body (p : Explore.progress) : Protocol.progress_body =
     pg_evaluations = p.Explore.pr_evaluations;
   }
 
-let register_stream t ~request_id w =
-  match request_id with
-  | None -> ()
-  | Some id -> locked t.mu (fun () -> Hashtbl.replace t.streams id w)
-
-let unregister_stream t ~request_id =
-  match request_id with
-  | None -> ()
-  | Some id -> locked t.mu (fun () -> Hashtbl.remove t.streams id)
-
 (* Collect a waiter's outcome.  A streaming waiter drains its progress
    queue through [emit] — one [Progress_r] frame per snapshot, written
    from this connection's own thread, so a dead or slow socket stalls
@@ -468,25 +441,24 @@ let unregister_stream t ~request_id =
    which closes the connection without a final reply.  Either way the
    shared flight is untouched: co-waiters keep streaming, and only the
    {e last} detach raises the exploration's abort flag. *)
-let await_flight t ~streaming ~emit ~deduped ~request_id w =
+let await_flight t ~emit ~deduped w =
   let finish resp =
-    unregister_stream t ~request_id;
-    ignore (Single_flight.detach t.flights w);
+    ignore (Admission.detach t.admission w);
     resp
   in
-  if streaming then
-    let rec loop () =
-      match Single_flight.next t.flights w with
-      | `Progress p ->
-          if emit (Protocol.Progress_r p) then loop () else finish None
-      | `Done r -> finish (Some (response_of_flight ~deduped r))
-      | `Cancelled -> finish (Some Protocol.Cancelled_r)
-    in
-    loop ()
-  else
-    match Single_flight.wait t.flights w with
+  let rec loop () =
+    match Admission.next t.admission w with
+    | `Progress p ->
+        if emit (Protocol.Progress_r p) then loop () else finish None
     | `Done r -> finish (Some (response_of_flight ~deduped r))
+    | `Failed e ->
+        (* [tune_task] answers the tuner's own failures itself; this is
+           a raise from the bookkeeping after it *)
+        finish
+          (Some (Protocol.Error_r ("tuning failed: " ^ Printexc.to_string e)))
     | `Cancelled -> finish (Some Protocol.Cancelled_r)
+  in
+  loop ()
 
 let cache_lookup t ~accel ~op ~budget =
   locked t.cache_mu (fun () ->
@@ -607,27 +579,25 @@ let route_to_owner t ~from_peer ~deadline ~fingerprint req =
                   (Printexc.to_string e));
             None))
 
-(* The one queued task behind every exploration the daemon runs: time the
-   tuner, store the plan, admit it to the hot tier and resolve the
-   flight.  A client tune ([quarantined = false]) fans each generation's
-   snapshot out to the flight's streaming waiters, and its progress hook
-   raises [Explore.Aborted] instead once the last waiter has detached:
-   the exploration tears itself down at that generation boundary and
-   the flight resolves busy, so a racing joiner retries fresh.  A
-   quarantine retune streams nothing and, once the fresh plan is
-   stored, removes the fingerprint's quarantined copy.  A tune
-   seeded by a [migration] stores its source as the plan's
-   provenance. *)
-let tune_task t fl ~quarantined { accel; op; fingerprint } ~budget ~migration
-    () =
+(* The one job behind every exploration the daemon runs: time the
+   tuner, store the plan, admit it to the hot tier and return what the
+   flight resolves to.  A client tune ([quarantined = false]) fans each
+   generation's snapshot out to the flight's streaming waiters, and its
+   progress hook raises [Explore.Aborted] instead once the last waiter
+   has detached: the exploration tears itself down at that generation
+   boundary and the flight resolves busy, so a racing joiner retries
+   fresh.  A quarantine retune streams nothing and, once the fresh plan
+   is stored, removes the fingerprint's quarantined copy.  A tune seeded
+   by a [migration] stores its source as the plan's provenance. *)
+let tune_task t ~quarantined { accel; op; fingerprint } ~budget ~migration fl =
   let seeds = match migration with Some o -> o.Migrate.seeds | None -> [] in
   let progress =
     if quarantined then None
     else
       Some
         (fun p ->
-          if Single_flight.abort_requested fl then raise Explore.Aborted;
-          Single_flight.publish t.flights fl (progress_body p))
+          if Admission.abort_requested fl then raise Explore.Aborted;
+          Admission.publish t.admission fl (progress_body p))
   in
   let t0 = Clock.now t.clock in
   match t.tuner ~jobs:t.config.jobs ~accel ~op ~budget ~seeds ~progress with
@@ -662,21 +632,12 @@ let tune_task t fl ~quarantined { accel; op; fingerprint } ~budget ~migration
               "tuned"
             end)
       in
-      Single_flight.complete t.flights fl
-        (Fl_plan
-           {
-             Protocol.fingerprint;
-             plan;
-             source;
-             evaluations;
-             tuning_seconds = dt;
-           })
-  | exception Explore.Aborted ->
-      Single_flight.complete t.flights fl (Fl_busy (retry_hint t))
+      Fl_plan
+        { Protocol.fingerprint; plan; source; evaluations; tuning_seconds = dt }
+  | exception Explore.Aborted -> Fl_busy (retry_hint t)
   | exception e ->
       let failed = if quarantined then "retune failed: " else "tuning failed: " in
-      Single_flight.complete t.flights fl
-        (Fl_error (failed ^ Printexc.to_string e))
+      Fl_error (failed ^ Printexc.to_string e)
 
 let handle_tune t ~from_peer ~client ~env ~emit ~deadline req
     ((_, _, budget) as spec) =
@@ -689,56 +650,40 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline req
       match route_to_owner t ~from_peer ~deadline ~fingerprint req with
       | Some (Protocol.Plan_r _) as forwarded -> forwarded
       | Some _ | None -> (
-          if locked t.mu (fun () -> t.stopping) then
-            Some (Protocol.Busy_r { retry_after_s = retry_hint t })
-          else
-            let streaming = env.Protocol.env_accept_stream in
-            let request_id = env.Protocol.env_request_id in
-            match Single_flight.acquire ~streaming t.flights fingerprint with
-            | `Join w ->
-                locked t.mu (fun () -> t.deduped <- t.deduped + 1);
-                register_stream t ~request_id w;
-                await_flight t ~streaming ~emit ~deduped:true ~request_id w
-            | `Lead w -> (
-                let fl = Single_flight.flight w in
-                (* seeds are gathered before the task is queued so the
-                   queued task touches the shared cache only for the final
-                   store *)
-                let migration =
-                  match req with
-                  | Protocol.Migrate_tune _ -> migration_for t ~accel ~op ~budget
-                  | _ -> None
-                in
-                let deadline_ms =
-                  Option.map (fun dl -> max 0 (left_ms t dl)) deadline
-                in
-                match
-                  Admission.submit t.admission ~client ?deadline_ms
-                    (tune_task t fl ~quarantined:false r ~budget ~migration)
-                with
-                | `Admitted ->
-                    register_stream t ~request_id w;
-                    await_flight t ~streaming ~emit ~deduped:false ~request_id
-                      w
-                | `Busy ->
-                    (* admission control: refuse, and resolve the flight
-                       as busy so racing joiners are not stranded *)
-                    let hint = retry_hint t in
-                    locked t.mu (fun () ->
-                        t.busy_rejections <- t.busy_rejections + 1);
-                    Single_flight.complete t.flights fl (Fl_busy hint);
-                    ignore (Single_flight.detach t.flights w);
-                    Some (Protocol.Busy_r { retry_after_s = hint })
-                | `Deadline projected_wait_s ->
-                    (* the queue's projected wait already exceeds the
-                       request's budget: refused before enqueueing, with
-                       the evidence — never camped *)
-                    locked t.mu (fun () ->
-                        t.deadline_rejections <- t.deadline_rejections + 1);
-                    Single_flight.complete t.flights fl
-                      (Fl_busy (retry_hint t));
-                    ignore (Single_flight.detach t.flights w);
-                    Some (Protocol.Deadline_hint_r { projected_wait_s }))))
+          (* seeds are gathered before the submit, so the worker touches
+             the shared cache only for the final store; a request that
+             joins a live flight discards its own *)
+          let migration =
+            match req with
+            | Protocol.Migrate_tune _ -> migration_for t ~accel ~op ~budget
+            | _ -> None
+          in
+          let deadline_ms =
+            Option.map (fun dl -> max 0 (left_ms t dl)) deadline
+          in
+          match
+            Admission.submit t.admission ~client ~key:fingerprint ?deadline_ms
+              ~streaming:env.Protocol.env_accept_stream
+              ?request_id:env.Protocol.env_request_id
+              (tune_task t ~quarantined:false r ~budget ~migration)
+          with
+          | `Joined w ->
+              locked t.mu (fun () -> t.deduped <- t.deduped + 1);
+              await_flight t ~emit ~deduped:true w
+          | `Admitted w -> await_flight t ~emit ~deduped:false w
+          | `Busy ->
+              (* admission control (or a draining daemon): refuse with a
+                 retry hint *)
+              locked t.mu (fun () ->
+                  t.busy_rejections <- t.busy_rejections + 1);
+              Some (Protocol.Busy_r { retry_after_s = retry_hint t })
+          | `Deadline projected_wait_s ->
+              (* the queue's projected wait already exceeds the request's
+                 budget: refused before enqueueing, with the evidence —
+                 never camped *)
+              locked t.mu (fun () ->
+                  t.deadline_rejections <- t.deadline_rejections + 1);
+              Some (Protocol.Deadline_hint_r { projected_wait_s })))
 
 let handle_lookup t ~from_peer ~deadline req ((_, _, budget) as spec) =
   let r = resolve t spec in
@@ -796,24 +741,20 @@ let handle_compile t ~accel:accel_name ~network ~batch ~budget ~jobs =
 (* queue a re-tune of one quarantined fingerprint; [false] when the
    queue refuses it or another flight already owns the fingerprint *)
 let retune_quarantined t r ~budget =
-  match Single_flight.acquire t.flights r.fingerprint with
-  | `Join w ->
-      (* a client-driven tune is already producing it; withdraw the
-         interest this probe just registered *)
-      ignore (Single_flight.detach t.flights w);
-      false
-  | `Lead w -> (
-      let fl = Single_flight.flight w in
+  match
+    Admission.submit t.admission ~client:"retune" ~key:r.fingerprint
+      (tune_task t ~quarantined:true r ~budget ~migration:None)
+  with
+  | `Admitted _ ->
       (* the drain's own waiter stays attached (never detached) so the
          abort flag cannot rise under a retune nobody is watching *)
-      match
-        Admission.submit t.admission ~client:"retune"
-          (tune_task t fl ~quarantined:true r ~budget ~migration:None)
-      with
-      | `Admitted -> true
-      | `Busy | `Deadline _ ->
-          Single_flight.complete t.flights fl (Fl_busy (retry_hint t));
-          false)
+      true
+  | `Joined w ->
+      (* a client-driven tune is already producing it; withdraw the
+         interest this probe just registered *)
+      ignore (Admission.detach t.admission w);
+      false
+  | `Busy | `Deadline _ -> false
 
 (* One low-priority step of the background drain: only when the tuning
    queue is idle, pick the first quarantined fingerprint whose
@@ -822,7 +763,6 @@ let retune_quarantined t r ~budget =
    superseded by a live record. *)
 let drain_quarantined_once t =
   if Option.is_none t.config.cache_dir then false
-  else if locked t.mu (fun () -> t.stopping) then false
   else if Admission.load t.admission > 0 then false
   else
     let spec fp =
@@ -840,14 +780,10 @@ let drain_quarantined_once t =
 (* --- shutdown ------------------------------------------------------- *)
 
 let drain_and_stop t =
-  let already = locked t.mu (fun () ->
-      let was = t.stopping in
-      t.stopping <- true;
-      was)
-  in
-  if not already then
+  if not (locked t.mu (fun () -> t.stopped)) then
     Log.info (fun m -> m "draining: waiting for in-flight tuning to finish");
-  (* every admitted task still completes before the workers are joined *)
+  (* from here every submit is refused, and every admitted job still
+     completes before the workers are joined *)
   Admission.close t.admission;
   locked t.mu (fun () -> t.stopped <- true)
 
@@ -890,18 +826,15 @@ let dispatch t ~from_peer ~client ~emit payload =
       | Protocol.Shutdown ->
           drain_and_stop t;
           (Some (Protocol.Ok_r "drained"), true)
-      | Protocol.Cancel { request_id } -> (
-          (* detach the named waiter (usually on another connection):
+      | Protocol.Cancel { request_id } ->
+          (* cancel the named waiter (usually on another connection):
              its stream terminates with [Cancelled_r]; the shared
              flight keeps running for its co-waiters *)
-          match
-            locked t.mu (fun () -> Hashtbl.find_opt t.streams request_id)
-          with
-          | Some w ->
-              Single_flight.cancel t.flights w;
-              locked t.mu (fun () -> t.cancels <- t.cancels + 1);
-              (Some (Protocol.Ok_r "cancelled"), false)
-          | None -> (Some Protocol.Not_found_r, false))
+          if Admission.cancel t.admission request_id then begin
+            locked t.mu (fun () -> t.cancels <- t.cancels + 1);
+            (Some (Protocol.Ok_r "cancelled"), false)
+          end
+          else (Some Protocol.Not_found_r, false)
       | Protocol.Lookup { accel; op; budget } ->
           answer (fun () ->
               Some

@@ -3,7 +3,7 @@
     One process owns the plan cache and serves tuning over a
     Unix-domain socket so that N concurrent compiler clients share one
     tuner instead of racing N: requests arrive as {!Protocol} frames on
-    per-connection systhreads, tuning work queues in {!Admission}, whose
+    per-connection systhreads, tuning work lives in {!Admission}, whose
     worker domains run it, and results flow back through three
     layers —
 
@@ -14,14 +14,17 @@
     - the shared persistent {!Amos_service.Plan_cache} (mutex-guarded:
       a cache handle is owned by one domain at a time);
     - {e single-flight} tuning: concurrent requests for the same
-      fingerprint share one exploration ({!Single_flight}), so a herd
-      of identical cold requests costs one tune.
+      fingerprint share one exploration, so a herd of identical cold
+      requests costs one tune.
 
-    Admission control ({!Admission}, the daemon's one tuning queue):
-    tuning work queues under per-client deficit-round-robin backlogs
-    (peers share one weighted key, each local connection gets its own),
-    so one flooding client delays itself, not everyone.  When the
-    backlog is at capacity the request is refused with a typed [Busy]
+    {!Admission} is the daemon's one tuning table: it owns each tune
+    from the submit that starts it to its last waiter.  A tune request
+    joins the fingerprint's live flight, or is refused without creating
+    one, or starts one whose job queues under per-client
+    deficit-round-robin backlogs (peers share one weighted key, each
+    local connection gets its own), so one flooding client delays
+    itself, not everyone.  When the backlog is at capacity, or the
+    daemon is draining, the request is refused with a typed [Busy]
     carrying a retry hint (0.1 s plus 0.05 s per queued or running
     tune); when its [deadline_ms] is below the projected queue wait it
     is refused with a typed [Deadline_hint] {e before} being enqueued.
@@ -31,7 +34,8 @@
     interleaved [Progress_r] frames (one per exploration generation)
     before the final reply; clients that never opt in see byte-for-byte
     the old exchange.  A [Cancel] naming the request id detaches that
-    one waiter (its stream ends with [Cancelled_r]); the shared flight
+    one waiter, the latest registered under the id (its stream ends
+    with [Cancelled_r]); the shared flight
     keeps running for co-waiters, and only when the {e last} waiter
     detaches does the exploration abort at its next generation
     boundary.

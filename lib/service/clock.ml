@@ -14,8 +14,6 @@ let now = function
   | Real -> Unix.gettimeofday ()
   | Virtual v -> v.now
 
-let is_virtual = function Real -> false | Virtual _ -> true
-
 let set t at =
   match t with
   | Virtual v -> v.now <- at

@@ -21,8 +21,6 @@ val now : t -> float
 (** Current time in seconds since the epoch (or since whatever origin a
     virtual clock was given). *)
 
-val is_virtual : t -> bool
-
 val set : t -> float -> unit
 (** Jump a virtual clock to an absolute time.  Raises
     [Invalid_argument] on a real clock. *)

@@ -43,19 +43,6 @@ let over budget ~bytes ~tuning_seconds =
      | Some s -> tuning_seconds > s
      | None -> false)
 
-let describe_budget b =
-  let bytes =
-    match b.max_bytes with
-    | Some n -> Printf.sprintf "%d bytes" n
-    | None -> "unlimited bytes"
-  in
-  let secs =
-    match b.max_tuning_seconds with
-    | Some s -> Printf.sprintf "%.1f tuning-seconds" s
-    | None -> "unlimited tuning-seconds"
-  in
-  bytes ^ ", " ^ secs
-
 type policy = [ `Scored | `Lru ]
 
 module Table = struct

@@ -47,8 +47,6 @@ val unlimited : budget
 val over : budget -> bytes:int -> tuning_seconds:float -> bool
 (** Does a layer holding [bytes] / [tuning_seconds] exceed the budget? *)
 
-val describe_budget : budget -> string
-
 type policy =
   [ `Scored  (** evict the lowest {!score} first *)
   | `Lru  (** value-blind baseline: evict the least recently accessed *) ]

@@ -423,3 +423,9 @@ let kind_name = function
 
 let all_kinds =
   [ GMV; GMM; C1D; C2D; C3D; T2D; GRP; DIL; DEP; CAP; BCV; GFC; MEN; VAR; SCN ]
+
+let kind_of_name name =
+  let wanted = String.uppercase_ascii name in
+  match List.find_opt (fun k -> kind_name k = wanted) all_kinds with
+  | Some k -> k
+  | None -> failwith ("unknown operator kind " ^ name)

@@ -119,3 +119,7 @@ type kind =
 
 val kind_name : kind -> string
 val all_kinds : kind list
+
+val kind_of_name : string -> kind
+(** The kind whose {!kind_name} is [name], ignoring case.  Raises
+    [Failure "unknown operator kind <name>"] for any other name. *)

@@ -1,5 +1,5 @@
 (* The plan-serving daemon: pinned protocol-codec cases, framing edge
-   cases, the single-flight and pool primitives, and the daemon's
+   cases, the tuning table's flights and workers, and the daemon's
    concurrency contracts — single-flight deduplication, admission
    control, graceful drain — exercised against an in-process server
    with an injected (gated, counting) tuner so scheduling is
@@ -11,7 +11,6 @@ module Plan_cache = Amos_service.Plan_cache
 module Clock = Amos_service.Clock
 module Json = Amos_server.Json
 module Protocol = Amos_server.Protocol
-module Single_flight = Amos_server.Single_flight
 module Admission = Amos_server.Admission
 module Server = Amos_server.Server
 module Client = Amos_server.Client
@@ -483,159 +482,152 @@ let framing_tests =
             | exception Invalid_argument _ -> ()));
   ]
 
-(* --- single-flight and pool primitives ------------------------------- *)
+(* --- the tuning table's flights and workers ---------------------------- *)
+
+(* a table stepped by hand on a virtual clock: no worker is started *)
+let table () =
+  Admission.create ~clock:(Clock.virtual_ ()) ~workers:4 ~capacity:8 ()
+
+let submit_lead q key job =
+  match Admission.submit q ~client:"a" ~key job with
+  | `Admitted w -> w
+  | `Joined _ | `Busy | `Deadline _ -> Alcotest.fail "first submit must lead"
+
+let submit_join ?streaming ?request_id q key =
+  match
+    Admission.submit q ~client:"b" ~key ?streaming ?request_id (fun _ ->
+        Alcotest.fail "a joiner's job must never run")
+  with
+  | `Joined w -> w
+  | `Admitted _ | `Busy | `Deadline _ -> Alcotest.fail "must join"
+
+(* take the next job and run it to its end *)
+let run_next q =
+  match Admission.take q with
+  | Some job -> job ()
+  | None -> Alcotest.fail "a queued job must be takeable"
+
+(* take the next job, a parked one, and run it until it parks: its
+   flight is now in hand and it returns whatever it is resumed with *)
+let start_parked q =
+  match Admission.take q with
+  | Some job -> Test_admission.run_parked job
+  | None -> Alcotest.fail "a queued job must be takeable"
+
+let parked_job flight fl =
+  flight := Some fl;
+  Effect.perform Test_admission.Park
+
+let finish p v =
+  match Test_admission.resume p v with
+  | Test_admission.Finished -> ()
+  | Test_admission.Parked _ -> Alcotest.fail "a resumed job must finish"
+
+let got name q w =
+  match Admission.next q w with
+  | `Done v -> v
+  | `Progress _ | `Failed _ | `Cancelled ->
+      Alcotest.fail (name ^ ": expected the flight's value")
 
 let primitive_tests =
   [
     Alcotest.test_case "single-flight-leader-then-joiners" `Quick (fun () ->
-        let sf = Single_flight.create () in
-        let lead =
-          match Single_flight.acquire sf "k" with
-          | `Lead w -> w
-          | `Join _ -> Alcotest.fail "first acquire must lead"
-        in
-        let join =
-          match Single_flight.acquire sf "k" with
-          | `Join w -> w
-          | `Lead _ -> Alcotest.fail "second acquire must join"
-        in
-        let got name w =
-          match Single_flight.wait sf w with
-          | `Done v -> v
-          | `Cancelled -> Alcotest.fail (name ^ ": unexpectedly cancelled")
-        in
-        Alcotest.(check int) "one in flight" 1 (Single_flight.in_flight sf);
-        Single_flight.complete sf (Single_flight.flight lead) 42;
-        Alcotest.(check int) "leader's value" 42 (got "leader" lead);
-        Alcotest.(check int) "joiner's value" 42 (got "joiner" join);
-        Alcotest.(check int) "retired" 0 (Single_flight.in_flight sf);
-        (match Single_flight.acquire sf "k" with
-        | `Lead w -> Single_flight.complete sf (Single_flight.flight w) 7
-        | `Join _ -> Alcotest.fail "completed key must start fresh");
-        (* double-complete is a no-op, not a corruption *)
-        Single_flight.complete sf (Single_flight.flight lead) 99;
-        Alcotest.(check int) "first completion wins" 42 (got "leader" lead));
+        let q = table () in
+        let lead = submit_lead q "k" (fun _ -> 42) in
+        let join = submit_join q "k" in
+        Alcotest.(check int) "one in flight" 1 (Admission.in_flight q);
+        run_next q;
+        Alcotest.(check int) "leader's value" 42 (got "leader" q lead);
+        Alcotest.(check int) "joiner's value" 42 (got "joiner" q join);
+        Alcotest.(check int) "retired" 0 (Admission.in_flight q);
+        (* the resolved key starts a fresh flight *)
+        let fresh = submit_lead q "k" (fun _ -> 7) in
+        run_next q;
+        Alcotest.(check int) "fresh flight's value" 7 (got "fresh" q fresh);
+        (* a flight resolves once: the next flight of its key leaves it *)
+        Alcotest.(check int) "first completion wins" 42 (got "leader" q lead));
     Alcotest.test_case "single-flight-progress-streams-per-waiter" `Quick
       (fun () ->
-        let sf = Single_flight.create () in
+        let q = table () in
         let lead =
-          match Single_flight.acquire sf "k" with
-          | `Lead w -> w
-          | `Join _ -> Alcotest.fail "must lead"
+          submit_lead q "k" (fun fl ->
+              Admission.publish q fl "gen1";
+              Admission.publish q fl "gen2";
+              5)
         in
-        let streamer =
-          match Single_flight.acquire ~streaming:true sf "k" with
-          | `Join w -> w
-          | `Lead _ -> Alcotest.fail "must join"
-        in
-        let plain =
-          match Single_flight.acquire sf "k" with
-          | `Join w -> w
-          | `Lead _ -> Alcotest.fail "must join"
-        in
-        let f = Single_flight.flight lead in
-        Single_flight.publish sf f "gen1";
-        Single_flight.publish sf f "gen2";
-        Single_flight.complete sf f 5;
+        let streamer = submit_join ~streaming:true q "k" in
+        let plain = submit_join q "k" in
+        run_next q;
         (* streaming waiter drains every snapshot in publish order,
-           then the result; the plain waiter skips straight to it *)
-        (match Single_flight.next sf streamer with
+           then the result; the plain waiters skip straight to it *)
+        (match Admission.next q streamer with
         | `Progress p -> Alcotest.(check string) "first snapshot" "gen1" p
         | _ -> Alcotest.fail "expected first snapshot");
-        (match Single_flight.next sf streamer with
+        (match Admission.next q streamer with
         | `Progress p -> Alcotest.(check string) "second snapshot" "gen2" p
         | _ -> Alcotest.fail "expected second snapshot");
-        (match Single_flight.next sf streamer with
-        | `Done v -> Alcotest.(check int) "streamer result" 5 v
-        | _ -> Alcotest.fail "expected result");
-        match Single_flight.next sf plain with
-        | `Done v -> Alcotest.(check int) "plain waiter result" 5 v
-        | _ -> Alcotest.fail "non-streaming waiter must queue no progress");
+        Alcotest.(check int) "streamer result" 5 (got "streamer" q streamer);
+        Alcotest.(check int) "plain waiter result" 5 (got "plain" q plain);
+        Alcotest.(check int) "leader result" 5 (got "leader" q lead));
     Alcotest.test_case "single-flight-cancel-is-per-waiter" `Quick (fun () ->
-        let sf = Single_flight.create () in
-        let lead =
-          match Single_flight.acquire sf "k" with
-          | `Lead w -> w
-          | `Join _ -> Alcotest.fail "must lead"
-        in
-        let join =
-          match Single_flight.acquire ~streaming:true sf "k" with
-          | `Join w -> w
-          | `Lead _ -> Alcotest.fail "must join"
-        in
-        let f = Single_flight.flight lead in
-        Single_flight.publish sf f "stale";
-        Single_flight.cancel sf join;
+        let q = table () in
+        let flight = ref None in
+        let lead = submit_lead q "k" (parked_job flight) in
+        let join = submit_join ~streaming:true ~request_id:1 q "k" in
+        let p = start_parked q in
+        let f = Option.get !flight in
+        Admission.publish q f "stale";
+        Alcotest.(check bool) "cancel finds the id" true (Admission.cancel q 1);
         (* cancellation preempts queued progress and the co-waiter sees
            nothing: the flight is still live and completable *)
-        (match Single_flight.next sf join with
+        (match Admission.next q join with
         | `Cancelled -> ()
         | _ -> Alcotest.fail "cancelled waiter must observe `Cancelled");
         Alcotest.(check bool) "flight not aborted" false
-          (Single_flight.abort_requested f);
-        Single_flight.complete sf f 11;
-        match Single_flight.wait sf lead with
-        | `Done v -> Alcotest.(check int) "co-waiter unaffected" 11 v
-        | `Cancelled -> Alcotest.fail "co-waiter must not be cancelled");
+          (Admission.abort_requested f);
+        finish p 11;
+        Alcotest.(check int) "co-waiter unaffected" 11 (got "leader" q lead));
     Alcotest.test_case "single-flight-last-detach-requests-abort" `Quick
       (fun () ->
-        let sf = Single_flight.create () in
-        let lead =
-          match Single_flight.acquire sf "k" with
-          | `Lead w -> w
-          | `Join _ -> Alcotest.fail "must lead"
-        in
-        let join =
-          match Single_flight.acquire sf "k" with
-          | `Join w -> w
-          | `Lead _ -> Alcotest.fail "must join"
-        in
-        let f = Single_flight.flight lead in
-        Alcotest.(check int) "one waiter left" 1
-          (Single_flight.detach sf join);
+        let q = table () in
+        let flight = ref None in
+        let lead = submit_lead q "k" (parked_job flight) in
+        let join = submit_join q "k" in
+        let p = start_parked q in
+        let f = Option.get !flight in
+        Alcotest.(check int) "one waiter left" 1 (Admission.detach q join);
         Alcotest.(check bool) "abort not yet requested" false
-          (Single_flight.abort_requested f);
+          (Admission.abort_requested f);
         (* detach is idempotent: repeating it must not double-decrement *)
         Alcotest.(check int) "repeat detach is a no-op" 1
-          (Single_flight.detach sf join);
-        Alcotest.(check int) "no waiters left" 0
-          (Single_flight.detach sf lead);
+          (Admission.detach q join);
+        Alcotest.(check int) "no waiters left" 0 (Admission.detach q lead);
         Alcotest.(check bool) "last detach raises abort" true
-          (Single_flight.abort_requested f);
+          (Admission.abort_requested f);
         (* fresh interest withdraws the abort request *)
-        (match Single_flight.acquire sf "k" with
-        | `Join w ->
-            Alcotest.(check bool) "join withdraws abort" false
-              (Single_flight.abort_requested f);
-            ignore (Single_flight.detach sf w)
-        | `Lead _ -> Alcotest.fail "unresolved flight must be joinable");
-        Single_flight.complete sf f 0);
+        let w = submit_join q "k" in
+        Alcotest.(check bool) "join withdraws abort" false
+          (Admission.abort_requested f);
+        ignore (Admission.detach q w);
+        finish p 0);
     Alcotest.test_case "single-flight-detached-socket-cannot-block" `Quick
       (fun () ->
         (* regression: a waiter that walked away (dead socket) must not
            stall delivery — publish is enqueue-only and completion never
            waits on any waiter draining its queue *)
-        let sf = Single_flight.create () in
-        let lead =
-          match Single_flight.acquire sf "k" with
-          | `Lead w -> w
-          | `Join _ -> Alcotest.fail "must lead"
-        in
-        let dead =
-          match Single_flight.acquire ~streaming:true sf "k" with
-          | `Join w -> w
-          | `Lead _ -> Alcotest.fail "must join"
-        in
-        let f = Single_flight.flight lead in
+        let q = table () in
+        let flight = ref None in
+        let lead = submit_lead q "k" (parked_job flight) in
+        let dead = submit_join ~streaming:true q "k" in
+        let p = start_parked q in
+        let f = Option.get !flight in
         (* the dead client never drains; it detaches (connection reaped)
            with snapshots still queued *)
-        Single_flight.publish sf f "gen1";
-        ignore (Single_flight.detach sf dead);
-        Single_flight.publish sf f "gen2";
-        Single_flight.complete sf f 9;
-        match Single_flight.wait sf lead with
-        | `Done v -> Alcotest.(check int) "flight resolved" 9 v
-        | `Cancelled -> Alcotest.fail "must resolve");
+        Admission.publish q f "gen1";
+        ignore (Admission.detach q dead);
+        Admission.publish q f "gen2";
+        finish p 9;
+        Alcotest.(check int) "flight resolved" 9 (got "leader" q lead));
     Alcotest.test_case "admission-workers-bounded-and-drain" `Quick
       (fun () ->
         let q =
@@ -645,31 +637,90 @@ let primitive_tests =
         let gate = Semaphore.Counting.make 0 in
         let started = Atomic.make 0 in
         let finished = Atomic.make 0 in
-        let task () =
+        let job _ =
           Atomic.incr started;
           Semaphore.Counting.acquire gate;
           Atomic.incr finished
         in
-        let submit () = Admission.submit q ~client:"a" task in
+        let submit key =
+          match Admission.submit q ~client:"a" ~key job with
+          | `Admitted _ -> `Admitted
+          | `Joined _ -> `Joined
+          | `Busy -> `Busy
+          | `Deadline _ -> `Deadline
+        in
         (* let the worker block on the empty queue first, so the first
            submit has to wake it *)
         Thread.delay 0.05;
-        Alcotest.(check bool) "first task admitted" true
-          (submit () = `Admitted);
-        (* wait until the worker holds task 1, so the backlog is empty *)
-        wait_for "worker to pick up task 1" (fun () -> Atomic.get started = 1);
-        Alcotest.(check bool) "second task queues" true (submit () = `Admitted);
-        Alcotest.(check bool) "third task refused (backlog full)" true
-          (submit () = `Busy);
+        Alcotest.(check bool) "first job admitted" true
+          (submit "1" = `Admitted);
+        (* wait until the worker holds job 1, so the backlog is empty *)
+        wait_for "worker to pick up job 1" (fun () -> Atomic.get started = 1);
+        Alcotest.(check bool) "second job queues" true (submit "2" = `Admitted);
+        Alcotest.(check bool) "third job refused (backlog full)" true
+          (submit "3" = `Busy);
         Alcotest.(check int) "load counts queued + running" 2
           (Admission.load q);
         Semaphore.Counting.release gate;
         Semaphore.Counting.release gate;
-        (* close lets the worker run both admitted tasks, then joins it *)
+        (* close lets the worker run both admitted jobs, then joins it *)
         Admission.close q;
-        Alcotest.(check int) "both admitted tasks ran" 2 (Atomic.get finished);
+        Alcotest.(check int) "both admitted jobs ran" 2 (Atomic.get finished);
         Alcotest.(check bool) "after close nothing is admitted" true
-          (submit () = `Busy));
+          (submit "4" = `Busy));
+    Alcotest.test_case "refused-submit-leaves-no-flight" `Quick (fun () ->
+        let clock = Clock.virtual_ () in
+        let q = Admission.create ~clock ~workers:1 ~capacity:1 () in
+        (* one 2 s job seeds the EWMA *)
+        ignore (submit_lead q "seed" (fun _ -> Clock.advance clock 2.0));
+        run_next q;
+        ignore (submit_lead q "a" ignore);
+        let busy = Admission.submit q ~client:"b" ~key:"b" ignore in
+        Alcotest.(check bool) "full backlog is Busy" true (busy = `Busy);
+        Alcotest.(check int) "a Busy leaves no flight" 1
+          (Admission.in_flight q);
+        (* "a" running projects one 2 s job of wait *)
+        let running = Option.get (Admission.take q) in
+        (match
+           Admission.submit q ~client:"b" ~key:"b" ~deadline_ms:500 ignore
+         with
+        | `Deadline w -> Alcotest.(check (float 1e-9)) "projected" 2.0 w
+        | _ -> Alcotest.fail "a 0.5 s budget against 2 s must bounce");
+        Alcotest.(check int) "a Deadline leaves no flight" 1
+          (Admission.in_flight q);
+        running ();
+        (* the next submit of the refused key leads a flight of its own *)
+        ignore (submit_lead q "b" ignore);
+        Alcotest.(check int) "led afresh" 1 (Admission.in_flight q));
+    Alcotest.test_case "raising-job-resolves-every-waiter" `Quick (fun () ->
+        let q = table () in
+        let lead = submit_lead q "k" (fun _ -> failwith "boom") in
+        let streamer = submit_join ~streaming:true q "k" in
+        let plain = submit_join q "k" in
+        (* the thunk never raises: the job's exception resolves the flight *)
+        run_next q;
+        List.iter
+          (fun (name, w) ->
+            match Admission.next q w with
+            | `Failed (Failure msg) -> Alcotest.(check string) name "boom" msg
+            | _ -> Alcotest.fail (name ^ ": expected the job's exception"))
+          [ ("leader", lead); ("streamer", streamer); ("plain", plain) ];
+        Alcotest.(check int) "nothing in flight" 0 (Admission.in_flight q);
+        Alcotest.(check int) "slot released" 0 (Admission.load q);
+        ignore (submit_lead q "k" ignore));
+    Alcotest.test_case "join-after-close-is-busy" `Quick (fun () ->
+        let q = table () in
+        let lead = submit_lead q "k" (fun _ -> 3) in
+        Admission.close q;
+        List.iter
+          (fun key ->
+            match Admission.submit q ~client:"b" ~key (fun _ -> 0) with
+            | `Busy -> ()
+            | _ -> Alcotest.fail ("a submit after close must be Busy: " ^ key))
+          [ "k"; "other" ];
+        (* the admitted backlog still drains to its waiters *)
+        run_next q;
+        Alcotest.(check int) "admitted flight served" 3 (got "leader" q lead));
   ]
 
 (* --- in-process daemon ------------------------------------------------ *)
@@ -1455,6 +1506,52 @@ let stream_tests =
          with
         | Ok (Protocol.Ok_r _) -> ()
         | _ -> Alcotest.fail "daemon must stay healthy after an abort");
+        Server.stop server;
+        Thread.join thread);
+    Alcotest.test_case "shared-request-id-cancel-reaches-the-live-stream" `Quick
+      (fun () ->
+        (* request ids are client-chosen, so two live streams can share
+           one: the first to finish must not unregister the other *)
+        let gates = [| Semaphore.Counting.make 0; Semaphore.Counting.make 0 |] in
+        let tuner ~jobs:_ ~accel:_ ~op ~budget:_ ~seeds:_ ~progress =
+          Option.iter
+            (fun f ->
+              f
+                {
+                  Explore.pr_generation = 1;
+                  pr_best_predicted = 0.001;
+                  pr_best_measured = infinity;
+                  pr_evaluations = 1;
+                })
+            progress;
+          (* one gate per operator: gemm_text's first extent is 4 *)
+          let first = (List.hd op.Amos_ir.Operator.iters).Amos_ir.Iter.extent in
+          Semaphore.Counting.acquire gates.(if first = 4 then 0 else 1);
+          { Server.value = Plan_cache.Scalar; evaluations = 1 }
+        in
+        let server, thread, socket = start_server ~tuner ~workers:2 () in
+        let t1, frames1, r1 = stream_in_thread socket ~request_id:7 (stream_req ()) in
+        wait_for "first stream's progress" (fun () -> !frames1 <> []);
+        let t2, frames2, r2 =
+          stream_in_thread socket ~request_id:7 (stream_req ~text:gemm2_text ())
+        in
+        wait_for "second stream's progress" (fun () -> !frames2 <> []);
+        Semaphore.Counting.release gates.(0);
+        Thread.join t1;
+        ignore (plan_of r1 "first stream");
+        (match
+           Client.with_conn ~attempts:50 socket (fun c ->
+               Client.cancel c ~request_id:7)
+         with
+        | Ok (Protocol.Ok_r _) -> ()
+        | Ok _ -> Alcotest.fail "cancel must reach the stream still live"
+        | Error msg -> Alcotest.fail msg);
+        Thread.join t2;
+        (match !r2 with
+        | Ok Protocol.Cancelled_r -> ()
+        | Ok _ -> Alcotest.fail "second stream must end with Cancelled_r"
+        | Error msg -> Alcotest.fail msg);
+        Semaphore.Counting.release gates.(1);
         Server.stop server;
         Thread.join thread);
     Alcotest.test_case "doomed-deadline-typed-hint-never-enqueued" `Quick

@@ -661,10 +661,16 @@ let robustness () =
 let smoke_flag = ref false
 let seed_ref = ref 2022
 
-(* The one writer of the gated experiments' [BENCH_*.json] reports: the
-   experiment's name, the seed and the smoke flag, then [fields] —
-   (name, rendered JSON value) pairs — in order. *)
-let write_report file ~experiment fields =
+(* The one writer of the gated experiments' reports: the experiment's
+   name, the seed and the smoke flag, then [fields] — (name, rendered
+   JSON value) pairs — in order.  A full run writes [BENCH_<report>.json],
+   the committed report; a smoke run writes [BENCH_<report>.smoke.json]
+   beside it, so it never overwrites a full run's numbers. *)
+let write_report report ~experiment fields =
+  let file =
+    Printf.sprintf "BENCH_%s%s.json" report
+      (if !smoke_flag then ".smoke" else "")
+  in
   let member (name, value) = Printf.sprintf "  \"%s\": %s" name value in
   let oc = open_out file in
   output_string oc
@@ -1162,7 +1168,7 @@ let fleet () =
        \"speedup\": %.6g}"
       name c w s
   in
-  write_report "BENCH_fleet.json" ~experiment:"fleet"
+  write_report "fleet" ~experiment:"fleet"
     [
       ("ops", "[\n" ^ String.concat ",\n" (List.map op_json rows) ^ "\n  ]");
       ("geomean_speedup", Printf.sprintf "%.6g" geo);
@@ -1314,7 +1320,7 @@ let chaos () =
       [ "p50_s"; Csv.f p50 ];
       [ "p99_s"; Csv.f p99 ];
     ];
-  write_report "BENCH_chaos.json" ~experiment:"chaos"
+  write_report "chaos" ~experiment:"chaos"
     [
       ("fault_rate", Printf.sprintf "%.3f" fault_rate);
       ("lookups", string_of_int lookups);
@@ -1440,7 +1446,7 @@ let tuner_throughput () =
       [ "vm_hwm_kb"; string_of_int hwm ];
       [ "identical"; string_of_bool !identical ];
     ];
-  write_report "BENCH_tuner.json" ~experiment:"tuner_throughput"
+  write_report "tuner" ~experiment:"tuner_throughput"
     [
       ("workload", Printf.sprintf "\"resnet-%s-a100\"" label);
       ("mappings", string_of_int (List.length mappings));
@@ -1588,7 +1594,7 @@ let learned_model () =
   let strings l =
     "[" ^ String.concat ", " (List.map (Printf.sprintf "\"%s\"") l) ^ "]"
   in
-  write_report "BENCH_model.json" ~experiment:"learned_model"
+  write_report "model" ~experiment:"learned_model"
     [
       ("accels", strings accel_names);
       ("layers", strings labels);

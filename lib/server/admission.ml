@@ -28,11 +28,19 @@ type ('a, 'p) client_q = {
   mutable ck_in_round : bool;
 }
 
+(* One worker domain, from the submit that decides to spawn it until
+   it is joined. *)
+type worker = {
+  mutable handle : unit Domain.t option;  (* recorded once spawned *)
+  mutable exited : bool;  (* left [work]; its domain awaits a join *)
+}
+
 type ('a, 'p) t = {
   mutex : Mutex.t;
-  work : Condition.t;  (* a job admitted, a slot freed, or closed *)
-  wake : Condition.t;  (* progress published, a flight resolved, or a
-                          waiter cancelled; sleepers re-check theirs *)
+  work : Condition.t;  (* a job admitted, a slot freed, a tick, or closed *)
+  wake : Condition.t;  (* progress published, a flight resolved, a waiter
+                          cancelled, or a spawn settled after the close;
+                          sleepers re-check theirs *)
   clock : Clock.t;
   workers : int;
   capacity : int;
@@ -46,7 +54,9 @@ type ('a, 'p) t = {
   mutable running : int;
   mutable ewma : float option;  (* seconds per completed job *)
   mutable closed : bool;
-  mutable domains : unit Domain.t list;  (* started workers *)
+  mutable started : bool;  (* submits spawn workers *)
+  mutable ticks : int;  (* the workers' idle clock *)
+  mutable pool : worker list;  (* every worker not yet joined *)
 }
 
 let create ?(alpha = 0.3) ?(weight_of = fun _ -> 1) ~clock ~workers ~capacity
@@ -68,7 +78,9 @@ let create ?(alpha = 0.3) ?(weight_of = fun _ -> 1) ~clock ~workers ~capacity
     running = 0;
     ewma = None;
     closed = false;
-    domains = [];
+    started = false;
+    ticks = 0;
+    pool = [];
   }
 
 let locked t f =
@@ -109,50 +121,6 @@ let enqueue_locked t ~client f =
   end;
   t.queued <- t.queued + 1;
   Condition.signal t.work
-
-let submit t ~client ~key ?deadline_ms ?(streaming = false) ?request_id job =
-  locked t (fun () ->
-      let attach f =
-        let w =
-          {
-            flight = f;
-            queue = Queue.create ();
-            streaming;
-            request_id;
-            detached = false;
-            cancelled = false;
-          }
-        in
-        f.waiters <- w :: f.waiters;
-        Option.iter (fun id -> Hashtbl.replace t.requests id w) request_id;
-        w
-      in
-      if t.closed then `Busy
-      else
-        match Hashtbl.find_opt t.flights key with
-        | Some f ->
-            (* fresh interest in a flight whose last waiter walked away
-               withdraws the abort request — unless the exploration
-               already observed it, in which case the joiner collects
-               the aborted flight's busy answer and retries *)
-            f.abort <- false;
-            `Joined (attach f)
-        | None when t.queued >= t.capacity -> `Busy
-        | None -> (
-            let projected = projected_wait_locked t in
-            match deadline_ms with
-            | Some d when projected > float_of_int d /. 1000. ->
-                (* the request would already be dead by the time a
-                   worker reached it: refuse before queueing, with the
-                   evidence *)
-                `Deadline projected
-            | _ ->
-                let f =
-                  { key; job; outcome = None; waiters = []; abort = false }
-                in
-                Hashtbl.replace t.flights key f;
-                enqueue_locked t ~client f;
-                `Admitted (attach f)))
 
 let note_locked t dt =
   t.ewma <-
@@ -201,19 +169,14 @@ let rec pick_locked t guard =
           Some f
         end
 
-(* The thunk [take] hands out: run the job without the lock, then, in
-   one step, resolve the flight, wake its waiters, free the key for a
-   fresh flight, release the slot and feed the EWMA. *)
-let run t f ~started () =
-  let outcome = match f.job f with v -> Ok v | exception e -> Error e in
-  locked t (fun () ->
-      f.outcome <- Some outcome;
-      Hashtbl.remove t.flights f.key;
-      t.running <- t.running - 1;
-      note_locked t (Clock.now t.clock -. started);
-      Condition.broadcast t.wake;
-      Condition.signal t.work)
+(* Resolve the flight, wake its waiters and free the key for a fresh
+   flight. *)
+let resolve_locked t f outcome =
+  f.outcome <- Some outcome;
+  Hashtbl.remove t.flights f.key;
+  Condition.broadcast t.wake
 
+(* A job handed out: its flight and when it started. *)
 let take_locked t =
   if t.running >= t.workers then None
   else
@@ -221,32 +184,154 @@ let take_locked t =
     | None -> None
     | Some f ->
         t.running <- t.running + 1;
-        Some (run t f ~started:(Clock.now t.clock))
+        Some (f, Clock.now t.clock)
 
-let take t = locked t (fun () -> take_locked t)
+(* Run a job without the lock: what it returns or raises resolves its
+   flight. *)
+let run_job (f, _) = match f.job f with v -> Ok v | exception e -> Error e
 
-(* A started worker: block until [take] would hand out a job, run it,
-   and repeat; exit once the queue is closed and its backlog is empty,
-   so a close drains everything admitted before it. *)
-let rec work t =
-  let rec next () =
+(* In the step that resolves the flight, release the slot and feed the
+   EWMA. *)
+let finish_locked t (f, started) outcome =
+  resolve_locked t f outcome;
+  t.running <- t.running - 1;
+  note_locked t (Clock.now t.clock -. started);
+  Condition.signal t.work
+
+let take t =
+  locked t (fun () ->
+      Option.map
+        (fun job () ->
+          let outcome = run_job job in
+          locked t (fun () -> finish_locked t job outcome))
+        (take_locked t))
+
+let live_locked t =
+  List.fold_left (fun n w -> if w.exited then n else n + 1) 0 t.pool
+
+(* A spawned worker: take and run jobs until the table is closed and
+   its backlog empty, so a close drains everything admitted before it,
+   or until it has waited a full tick with nothing to take.  A job's
+   completion and the next take are one step, so the wait starts when
+   the flight resolves.  A worker whose handle is not yet recorded
+   stays, so every exited worker can be joined. *)
+let work t w =
+  let rec next since =
     match take_locked t with
     | Some _ as job -> job
-    | None when t.closed && t.queued = 0 -> None
+    | None
+      when (t.closed && t.queued = 0)
+           || (t.ticks - since >= 2 && Option.is_some w.handle) ->
+        w.exited <- true;
+        None
     | None ->
         Condition.wait t.work t.mutex;
-        next ()
+        next since
   in
-  match locked t next with
-  | None -> ()
-  | Some job ->
-      job ();
-      work t
+  let rec loop = function
+    | None -> ()
+    | Some job ->
+        let outcome = run_job job in
+        loop
+          (locked t (fun () ->
+               finish_locked t job outcome;
+               next t.ticks))
+  in
+  loop (locked t (fun () -> next t.ticks))
 
-let start t =
+(* Decided under the lock by the submit that just queued a job: spawn
+   one worker when more jobs are queued than the free live workers can
+   take, keeping at most [workers] live.  The exited workers leave the
+   pool here, their domains to be joined before the spawn, so the
+   table never holds more than [workers] handles. *)
+let reserve_worker_locked t =
+  let live = live_locked t in
+  if t.started && live < t.workers && t.queued > live - t.running then begin
+    let exited, pool = List.partition (fun w -> w.exited) t.pool in
+    let w = { handle = None; exited = false } in
+    t.pool <- w :: pool;
+    Some (w, List.filter_map (fun w -> w.handle) exited)
+  end
+  else None
+
+let rec fail_backlog_locked t e =
+  match pick_locked t (1 + Queue.length t.round) with
+  | None -> ()
+  | Some f ->
+      resolve_locked t f (Error e);
+      fail_backlog_locked t e
+
+(* Outside the lock.  A spawn that raises gives its slot back; when
+   that leaves no worker alive, nobody would take the backlog, so every
+   queued flight resolves with the exception instead of stranding its
+   waiters. *)
+let spawn t (w, exited) =
+  List.iter Domain.join exited;
+  match Domain.spawn (fun () -> work t w) with
+  | d ->
+      locked t (fun () ->
+          w.handle <- Some d;
+          if t.closed then Condition.broadcast t.wake)
+  | exception e ->
+      locked t (fun () ->
+          t.pool <- List.filter (fun x -> x != w) t.pool;
+          if live_locked t = 0 then fail_backlog_locked t e;
+          if t.closed then Condition.broadcast t.wake)
+
+let submit t ~client ~key ?deadline_ms ?(streaming = false) ?request_id job =
+  let reply, worker =
+    locked t (fun () ->
+        let attach f =
+          let w =
+            {
+              flight = f;
+              queue = Queue.create ();
+              streaming;
+              request_id;
+              detached = false;
+              cancelled = false;
+            }
+          in
+          f.waiters <- w :: f.waiters;
+          Option.iter (fun id -> Hashtbl.replace t.requests id w) request_id;
+          w
+        in
+        if t.closed then (`Busy, None)
+        else
+          match Hashtbl.find_opt t.flights key with
+          | Some f ->
+              (* fresh interest in a flight whose last waiter walked away
+                 withdraws the abort request — unless the exploration
+                 already observed it, in which case the joiner collects
+                 the aborted flight's busy answer and retries *)
+              f.abort <- false;
+              (`Joined (attach f), None)
+          | None when t.queued >= t.capacity -> (`Busy, None)
+          | None -> (
+              let projected = projected_wait_locked t in
+              match deadline_ms with
+              | Some d when projected > float_of_int d /. 1000. ->
+                  (* the request would already be dead by the time a
+                     worker reached it: refuse before queueing, with the
+                     evidence *)
+                  (`Deadline projected, None)
+              | _ ->
+                  let f =
+                    { key; job; outcome = None; waiters = []; abort = false }
+                  in
+                  Hashtbl.replace t.flights key f;
+                  enqueue_locked t ~client f;
+                  (`Admitted (attach f), reserve_worker_locked t)))
+  in
+  Option.iter (spawn t) worker;
+  reply
+
+let start t = locked t (fun () -> t.started <- true)
+
+let tick t =
   locked t (fun () ->
-      t.domains <-
-        List.init t.workers (fun _ -> Domain.spawn (fun () -> work t)))
+      t.ticks <- t.ticks + 1;
+      Condition.broadcast t.work)
 
 (* delivery is enqueue-only: a waiter drains its own queue from its own
    thread, so a dead or slow socket can never block the job here *)
@@ -313,12 +398,19 @@ let running t = locked t (fun () -> t.running)
 let load t = locked t (fun () -> t.queued + t.running)
 let ewma t = locked t (fun () -> t.ewma)
 
+let live t = locked t (fun () -> live_locked t)
+
 let close t =
-  let domains =
+  let handles =
     locked t (fun () ->
         t.closed <- true;
         Condition.broadcast t.work;
-        t.domains)
+        (* a spawn decided before the close records its handle, or gives
+           its slot back, before the close can join it *)
+        while List.exists (fun w -> Option.is_none w.handle) t.pool do
+          Condition.wait t.wake t.mutex
+        done;
+        List.filter_map (fun w -> w.handle) t.pool)
   in
   (* every caller joins, so each returns only after the drain *)
-  List.iter Domain.join domains
+  List.iter Domain.join handles

@@ -40,14 +40,18 @@
     is already smaller than that projection ([`Deadline]), {e before}
     anything is queued.
 
-    Worker slots, load and drain are decided here once: {!start} spawns
-    [workers] domains that take through the same DRR pick and slot
-    accounting as {!take}, and {!close} lets them finish every admitted
-    job before joining them.  Without {!start}, {!take} steps the table
-    by hand, and every time read goes through the injectable [Clock],
-    so the whole table is tested on a virtual clock with zero real-time
-    waits.  Safe across systhreads and domains (stdlib
-    [Mutex]/[Condition]). *)
+    Worker slots, load and drain are decided here once.  After
+    {!start}, worker domains come and go with the work: a submit
+    spawns one when more jobs are queued than the free live workers
+    can take, never more than [workers] live, and a worker that has
+    waited a full {!tick} with nothing to take exits.  An idle daemon
+    thus keeps no parked domain, which OCaml 5 would stop for every
+    minor collection of the serving domain.  {!close} lets the workers
+    finish every admitted job before joining them.  Without {!start},
+    no domain is ever spawned: {!take} steps the table by hand, and
+    every time read goes through the injectable [Clock], so the whole
+    table is tested on a virtual clock with zero real-time waits.
+    Safe across systhreads and domains (stdlib [Mutex]/[Condition]). *)
 
 module Clock = Amos_service.Clock
 
@@ -112,9 +116,18 @@ val take : ('a, 'p) t -> (unit -> unit) option
     is free, [take] returns a job. *)
 
 val start : ('a, 'p) t -> unit
-(** Spawn [workers] domains, each blocking until {!take} would hand it
-    a job, running it, and taking again, until {!close}.  Call at most
-    once. *)
+(** Let submits spawn worker domains, as the module doc describes;
+    spawns nothing itself.  Call before the first {!submit}.  The
+    spawn runs outside the table's lock, and a worker takes through
+    the same DRR pick and slot accounting as {!take}.  A spawn that
+    raises gives its slot back, and when that leaves no worker alive
+    every queued flight resolves with the exception ([`Failed]). *)
+
+val tick : ('a, 'p) t -> unit
+(** Advance the workers' idle clock by one tick: a worker that has
+    waited from before one tick until the next with nothing to take
+    exits, so after two ticks with nothing queued no worker is
+    {!live}.  The daemon's accept loop ticks every 0.25 s. *)
 
 val publish : ('a, 'p) t -> ('a, 'p) flight -> 'p -> unit
 (** Enqueue one progress snapshot onto every attached streaming
@@ -170,10 +183,15 @@ val ewma : ('a, 'p) t -> float option
 (** Current EWMA of job durations in seconds; [None] before the first
     completion. *)
 
+val live : ('a, 'p) t -> int
+(** Worker domains spawned (or being spawned) and not yet exited; at
+    most [workers].  [0] before the first {!submit} after {!start}. *)
+
 val close : ('a, 'p) t -> unit
 (** Refuse all future {!submit}s ([`Busy]).  The backlog is kept: the
-    {!start}ed workers run every admitted job, then exit, and [close]
-    returns once it has joined them — in every caller, so each
-    concurrent closer returns only after the drain.  Without started
-    workers it returns at once, and {!take} still hands out the
-    backlog. *)
+    live workers run every admitted job, then exit, and [close]
+    returns once it has joined every worker ever spawned — in every
+    caller, so each concurrent closer returns only after the drain.
+    The table keeps at most [workers] domain handles at a time: an
+    exited worker's is joined by the next spawn.  Without {!start} it
+    returns at once, and {!take} still hands out the backlog. *)

@@ -97,7 +97,8 @@ type t = {
   admission : (flight_result, Protocol.progress_body) Admission.t;
       (* the one tuning table: each fingerprint's flight and its
          waiters, per-client DRR, deadline-aware admission, and the
-         [workers] domains that run what it admits *)
+         worker domains, at most [workers], it spawns to run what it
+         admits *)
   started_at : float;
   mu : Mutex.t;  (* guards everything below *)
   hot : Protocol.plan_wire Hot_cache.t;
@@ -343,7 +344,8 @@ let create ?tuner ?clock ?router config =
       ~workers:(max 1 config.workers)
       ~capacity:(max 1 config.queue_capacity) ()
   in
-  (* the tuning workers start only once every listener is bound *)
+  (* every listener is bound: from here a submit spawns a tuning worker
+     when the backlog needs one, and the accept loop's tick retires it *)
   Admission.start admission;
   {
     config;
@@ -996,17 +998,34 @@ let serve t =
     | Some kind -> kind
     | None -> L_unix
   in
-  let idle_ticks = ref 0 in
+  (* The loop's tick fires every [tick_s] of wall time, also while
+     connections keep arriving: it ages the tuning table's idle workers,
+     and every 8th tick whose interval accepted no connection (every
+     couple of seconds of quiet) spends one worker slot re-tuning a
+     quarantined fingerprint. *)
+  let tick_s = 0.25 in
+  let next_tick = ref (Unix.gettimeofday () +. tick_s) in
+  let accepted = ref false in
+  let quiet_ticks = ref 0 in
   let rec loop () =
     if locked t.mu (fun () -> t.stopped) then ()
     else begin
-      (match Unix.select listen_fds [] [] 0.25 with
-      | [], _, _ ->
-          (* idle tick: every couple of seconds of quiet, spend one
-             worker slot re-tuning a quarantined fingerprint *)
-          incr idle_ticks;
-          if !idle_ticks mod 8 = 0 then ignore (drain_quarantined_once t)
+      let now = Unix.gettimeofday () in
+      (* a wall clock set back fires the tick early instead of
+         stalling it *)
+      if now >= !next_tick || !next_tick -. now > tick_s then begin
+        next_tick := now +. tick_s;
+        Admission.tick t.admission;
+        if not !accepted then begin
+          incr quiet_ticks;
+          if !quiet_ticks mod 8 = 0 then ignore (drain_quarantined_once t)
+        end;
+        accepted := false
+      end;
+      (match Unix.select listen_fds [] [] (!next_tick -. now) with
+      | [], _, _ -> ()
       | ready, _, _ ->
+          accepted := true;
           List.iter
             (fun lfd ->
               match Unix.accept ~cloexec:true lfd with

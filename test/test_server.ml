@@ -529,6 +529,15 @@ let got name q w =
   | `Progress _ | `Failed _ | `Cancelled ->
       Alcotest.fail (name ^ ": expected the flight's value")
 
+(* a table whose submits spawn real worker domains *)
+let started_table ~workers =
+  let q = Admission.create ~clock:(Clock.real ()) ~workers ~capacity:8 () in
+  Admission.start q;
+  q
+
+(* a job returning the domain it ran on *)
+let on_domain _ = (Domain.self () :> int)
+
 let primitive_tests =
   [
     Alcotest.test_case "single-flight-leader-then-joiners" `Quick (fun () ->
@@ -649,9 +658,8 @@ let primitive_tests =
           | `Busy -> `Busy
           | `Deadline _ -> `Deadline
         in
-        (* let the worker block on the empty queue first, so the first
-           submit has to wake it *)
-        Thread.delay 0.05;
+        (* no worker runs before this submit, which spawns the table's
+           one worker for job 1 *)
         Alcotest.(check bool) "first job admitted" true
           (submit "1" = `Admitted);
         (* wait until the worker holds job 1, so the backlog is empty *)
@@ -668,6 +676,120 @@ let primitive_tests =
         Alcotest.(check int) "both admitted jobs ran" 2 (Atomic.get finished);
         Alcotest.(check bool) "after close nothing is admitted" true
           (submit "4" = `Busy));
+    Alcotest.test_case "workers-spawn-on-the-first-submit" `Quick (fun () ->
+        let q = started_table ~workers:2 in
+        Alcotest.(check int) "no worker before a submit" 0 (Admission.live q);
+        let ran_on = got "job" q (submit_lead q "k" on_domain) in
+        Alcotest.(check bool) "ran on a worker domain" true
+          (ran_on <> (Domain.self () :> int));
+        Alcotest.(check int) "one worker spawned" 1 (Admission.live q);
+        Admission.close q);
+    Alcotest.test_case "back-to-back-jobs-share-one-domain" `Quick (fun () ->
+        let q = started_table ~workers:2 in
+        let ran_on =
+          List.map
+            (fun key -> got key q (submit_lead q key on_domain))
+            [ "1"; "2"; "3" ]
+        in
+        Alcotest.(check int) "one domain ran them all" 1
+          (List.length (List.sort_uniq compare ran_on));
+        Alcotest.(check int) "one worker live" 1 (Admission.live q);
+        Admission.close q);
+    Alcotest.test_case "burst-runs-at-most-workers-at-once" `Quick (fun () ->
+        let q = started_table ~workers:2 in
+        let gate = Semaphore.Counting.make 0 in
+        let running = Atomic.make 0 and peak = Atomic.make 0 in
+        let job _ =
+          let n = Atomic.fetch_and_add running 1 + 1 in
+          let rec raise_peak () =
+            let p = Atomic.get peak in
+            if n > p && not (Atomic.compare_and_set peak p n) then raise_peak ()
+          in
+          raise_peak ();
+          Semaphore.Counting.acquire gate;
+          Atomic.decr running;
+          on_domain ()
+        in
+        (* once the first worker holds a job, the next submit finds no
+           free worker and spawns the second *)
+        let first = submit_lead q "0" job in
+        wait_for "the first job running" (fun () -> Atomic.get running = 1);
+        let second = submit_lead q "1" job in
+        wait_for "two jobs running" (fun () -> Atomic.get running = 2);
+        let waiters =
+          first :: second
+          :: List.init 4 (fun i -> submit_lead q (string_of_int (i + 2)) job)
+        in
+        Alcotest.(check int) "two workers live" 2 (Admission.live q);
+        Alcotest.(check int) "the rest queued" 4 (Admission.depth q);
+        for _ = 1 to 6 do
+          Semaphore.Counting.release gate
+        done;
+        let ran_on = List.map (got "burst job" q) waiters in
+        Alcotest.(check int) "never more than two at once" 2 (Atomic.get peak);
+        Alcotest.(check int) "on two domains" 2
+          (List.length (List.sort_uniq compare ran_on));
+        Admission.close q);
+    Alcotest.test_case "idle-worker-exits-after-a-full-tick" `Quick (fun () ->
+        let q = started_table ~workers:1 in
+        let first = got "first" q (submit_lead q "1" on_domain) in
+        Admission.tick q;
+        (* waited from before one tick, not yet until the next: kept;
+           the pause gives a worker that exits early the time to *)
+        Thread.delay 0.02;
+        Alcotest.(check int) "one tick keeps the worker live" 1
+          (Admission.live q);
+        let second = got "second" q (submit_lead q "2" on_domain) in
+        Alcotest.(check int) "one tick keeps the worker" first second;
+        Admission.tick q;
+        Admission.tick q;
+        wait_for "the idle worker to exit" (fun () -> Admission.live q = 0);
+        let third = got "third" q (submit_lead q "3" on_domain) in
+        Alcotest.(check bool) "the next submit runs on a fresh domain" true
+          (third <> first);
+        Admission.close q;
+        Alcotest.(check int) "none live after close" 0 (Admission.live q));
+    Alcotest.test_case "close-drains-a-backlog-and-leaves-no-worker" `Quick
+      (fun () ->
+        let q = started_table ~workers:1 in
+        let gate = Semaphore.Counting.make 0 in
+        let finished = Atomic.make 0 in
+        let job _ =
+          Semaphore.Counting.acquire gate;
+          Atomic.incr finished
+        in
+        let waiters =
+          List.init 4 (fun i -> submit_lead q (string_of_int i) job)
+        in
+        wait_for "the worker to hold job 0" (fun () -> Admission.depth q = 3);
+        (* open the gate only once the close has begun, so the close
+           meets a backlog: until then a probe joins job 0's flight, and
+           from then on every submit is refused *)
+        let rec probe () =
+          match Admission.submit q ~client:"b" ~key:"0" ignore with
+          | `Joined w ->
+              ignore (Admission.detach q w);
+              Thread.yield ();
+              probe ()
+          | refusal -> refusal
+        in
+        let refused = ref false in
+        let opener =
+          Thread.create
+            (fun () ->
+              refused := (match probe () with `Busy -> true | _ -> false);
+              for _ = 1 to 4 do
+                Semaphore.Counting.release gate
+              done)
+            ()
+        in
+        Admission.close q;
+        Thread.join opener;
+        Alcotest.(check bool) "the probe was refused by the close" true
+          !refused;
+        Alcotest.(check int) "every admitted job ran" 4 (Atomic.get finished);
+        Alcotest.(check int) "no worker live" 0 (Admission.live q);
+        List.iter (fun w -> got "drained" q w) waiters);
     Alcotest.test_case "refused-submit-leaves-no-flight" `Quick (fun () ->
         let clock = Clock.virtual_ () in
         let q = Admission.create ~clock ~workers:1 ~capacity:1 () in
@@ -808,6 +930,41 @@ let daemon_tests =
         let s = Server.stats server in
         Alcotest.(check int) "stats: one tune" 1 s.Protocol.tunes;
         Alcotest.(check int) "stats: one dedup" 1 s.Protocol.deduped;
+        Server.stop server;
+        Thread.join thread);
+    Alcotest.test_case "accept-loop-ticks-while-connections-arrive" `Quick
+      (fun () ->
+        let ran_on = ref [] in
+        let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ =
+          ran_on := (Domain.self () :> int) :: !ran_on;
+          { Server.value = Plan_cache.Scalar; evaluations = 1 }
+        in
+        let server, thread, socket = start_server ~tuner () in
+        let tune text =
+          match
+            Client.with_conn ~attempts:50 socket (fun c ->
+                Client.request c (tune_req text))
+          with
+          | Ok (Protocol.Plan_r _) -> ()
+          | _ -> Alcotest.fail "expected a plan"
+        in
+        tune gemm_text;
+        (* a fresh connection every 20 ms for 1 s: no 0.25 s window of
+           the accept loop passes without one, and its tick must still
+           retire the idle worker *)
+        let t0 = Unix.gettimeofday () in
+        while Unix.gettimeofday () -. t0 < 1.0 do
+          ignore
+            (Client.with_conn ~attempts:50 socket (fun c ->
+                 Client.request c Protocol.Health));
+          Thread.delay 0.02
+        done;
+        tune gemm2_text;
+        (match !ran_on with
+        | [ second; first ] ->
+            Alcotest.(check bool) "the second tune runs on a fresh domain"
+              true (second <> first)
+        | _ -> Alcotest.fail "expected two tunes");
         Server.stop server;
         Thread.join thread);
     Alcotest.test_case "overload-yields-busy-not-hang" `Quick (fun () ->
